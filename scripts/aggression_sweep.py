@@ -12,12 +12,10 @@ import argparse
 import csv
 import sys
 
-import numpy as np
-
 from refaudit.deface import quickshear
 from refaudit.masks import head_mask
 from refaudit.phantom import generate_cohort
-from refaudit.stats import bootstrap
+from refaudit.stats import bootstrap_cells
 from refaudit.surface import face_distance_report
 
 BUFFERS_MM = (0.0, 5.0, 10.0, 20.0)
@@ -49,10 +47,9 @@ def main(argv=None):
             w.writerows(rows)
 
     print("\nbuffer_mm  masd cell (bootstrap mean [95% CI])")
-    for buffer_mm in BUFFERS_MM:
-        vals = np.array([r[3] for r in rows if r[1] == buffer_mm])
-        cell = bootstrap(vals, np.mean, n_boot=args.boot, seed=args.seed).format()
-        print(f"{buffer_mm:9.1f}  {cell}")
+    cells = bootstrap_cells([(sid, b, d) for sid, b, _, d in rows], args.boot, args.seed)
+    for buffer_mm, cell in cells.items():
+        print(f"{buffer_mm:9.1f}  {cell.summary.format()}")
     return 0
 
 

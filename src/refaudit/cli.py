@@ -31,9 +31,10 @@ from .masks import HEAD_MASK_VERSION, head_mask
 from .quality import QUALITY_CONVENTIONS, quality_report
 from .stats import (
     STATS_CONVENTIONS,
-    bootstrap,
+    bootstrap_cells,
     correlation_report,
     ObservationTable,
+    read_csv_rows,
     read_predictions_csv,
     significance_stars,
     wilcoxon_signed_rank,
@@ -59,8 +60,18 @@ CONVENTIONS = {
 def thread_count() -> int:
     cap = os.environ.get("REFAUDIT_THREADS")
     if cap:
-        return max(1, int(cap))
+        try:
+            return max(1, int(cap))
+        except ValueError:
+            raise ValueError(f"REFAUDIT_THREADS must be an integer, got {cap!r}") from None
     return min(os.cpu_count() or 1, 8)
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _base_metadata(seed) -> dict:
@@ -121,44 +132,29 @@ def cmd_phantom(args) -> int:
 
 
 def _read_distance_table(path):
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"subject_id", "method", "masd_mm"}
-        missing = required - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"distance CSV missing columns: {sorted(missing)}")
-        for r in reader:
-            rows.append((r["subject_id"], r["method"], float(r["masd_mm"])))
-    return rows
+    return [(r["subject_id"], r["method"], float(r["masd_mm"]))
+            for r in read_csv_rows(path, ("subject_id", "method", "masd_mm"), "distance")]
 
 
 def cmd_masd(args) -> int:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     if args.table:
-        rows = _read_distance_table(args.table)
-        by_method: dict = {}
-        for sid, method, d in rows:
-            by_method.setdefault(method, {})[sid] = d
+        cells = bootstrap_cells(_read_distance_table(args.table), args.boot, args.seed)
         writer.writerow(["kind", "method", "peer", "n", "mean", "ci_low", "ci_high", "cell", "w", "p"])
-        summaries = {}
-        for method in sorted(by_method):
-            vals = np.array(list(by_method[method].values()))
-            s = bootstrap(vals, np.mean, n_boot=args.boot, seed=args.seed)
-            summaries[method] = s
+        for method, (values, s) in cells.items():
             writer.writerow(
-                ["masd", method, "", len(vals), _fmt(s.mean), _fmt(s.ci_low),
+                ["masd", method, "", len(values), _fmt(s.mean), _fmt(s.ci_low),
                  _fmt(s.ci_high), s.format(), "", ""]
             )
         if args.compare:
             a, b = args.compare
-            if a not in by_method or b not in by_method:
+            if a not in cells or b not in cells:
                 raise ValueError(f"--compare methods {a!r}/{b!r} not both present")
             # Wilcoxon pairs per-subject distances of the two methods
-            shared = sorted(set(by_method[a]) & set(by_method[b]))
-            da = np.array([by_method[a][s] for s in shared])
-            db = np.array([by_method[b][s] for s in shared])
-            w, p = wilcoxon_signed_rank(da, db)
+            per_a, per_b = cells[a].values, cells[b].values
+            shared = sorted(set(per_a) & set(per_b))
+            w, p = wilcoxon_signed_rank(np.array([per_a[s] for s in shared]),
+                                        np.array([per_b[s] for s in shared]))
             writer.writerow(
                 ["wilcoxon", a, b, len(shared), "", "", "", significance_stars(p),
                  _fmt(w, 1), f"{p:.6g}"]
@@ -166,7 +162,7 @@ def cmd_masd(args) -> int:
         if args.summary:
             summary = {**_base_metadata(args.seed), "kind": "masd-aggregate",
                        "n_boot": args.boot,
-                       "methods": {m: s.format() for m, s in summaries.items()}}
+                       "methods": {m: c.summary.format() for m, c in cells.items()}}
             Path(args.summary).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
         return EXIT_OK
 
@@ -184,20 +180,21 @@ def cmd_masd(args) -> int:
 # quality
 
 
+QUALITY_METRICS = ("psnr_head", "psnr_face", "ssim_head", "ssim_face")
+
+
 def cmd_quality(args) -> int:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     if args.table:
-        with open(args.table, newline="") as fh:
-            reader = csv.DictReader(fh)
-            rows = list(reader)
-        metrics = ["psnr_head", "psnr_face", "ssim_head", "ssim_face"]
+        rows = read_csv_rows(args.table, ("subject_id", "image", *QUALITY_METRICS), "quality")
+        cells = {metric: bootstrap_cells([(r["subject_id"], r["image"], float(r[metric]))
+                                          for r in rows], args.boot, args.seed)
+                 for metric in QUALITY_METRICS}
         writer.writerow(["image", "metric", "n", "mean", "ci_low", "ci_high", "cell"])
-        images = sorted({r["image"] for r in rows})
-        for image in images:
-            for metric in metrics:
-                vals = np.array([float(r[metric]) for r in rows if r["image"] == image])
-                s = bootstrap(vals, np.mean, n_boot=args.boot, seed=args.seed)
-                writer.writerow([image, metric, len(vals), _fmt(s.mean, 2),
+        for image in cells[QUALITY_METRICS[0]]:
+            for metric in QUALITY_METRICS:
+                values, s = cells[metric][image]
+                writer.writerow([image, metric, len(values), _fmt(s.mean, 2),
                                  _fmt(s.ci_low, 2), _fmt(s.ci_high, 2), s.format()])
         return EXIT_OK
 
@@ -208,7 +205,7 @@ def cmd_quality(args) -> int:
     refaced = read_nifti_file(args.refaced)
     removed = [read_mask_file(p) for p in args.removed]
     records = quality_report(original, defaced, refaced, removed)
-    writer.writerow(["subject_id", "image", "psnr_head", "psnr_face", "ssim_head", "ssim_face"])
+    writer.writerow(["subject_id", "image", *QUALITY_METRICS])
     for rec in records:
         writer.writerow([args.subject_id, rec.image, _fmt(rec.psnr_head, 2),
                          _fmt(rec.psnr_face, 2), _fmt(rec.ssim_head, 4), _fmt(rec.ssim_face, 4)])
@@ -230,7 +227,6 @@ def cmd_correlate(args) -> int:
     report = correlation_report(predictions, table, seed=args.seed, n_boot=args.boot)
     doc = {**_base_metadata(args.seed), "kind": "correlation-report",
            **report.to_json_dict()}
-    doc["n_boot"] = args.boot
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -292,27 +288,25 @@ def cmd_demo(args) -> int:
             pool.map(lambda c: _demo_subject(c, out, config, args.buffer_mm), cohort)
         )
 
+    masd_rows = [row for rows, _ in results for row in rows]
     with open(out / "masd.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["subject_id", "method", "masd_mm"])
-        for masd_rows, _ in results:
-            for sid, method, d in masd_rows:
-                w.writerow([sid, method, _fmt(d)])
+        for sid, method, d in masd_rows:
+            w.writerow([sid, method, _fmt(d)])
     with open(out / "quality.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["subject_id", "image", "psnr_head", "psnr_face", "ssim_head", "ssim_face"])
+        w.writerow(["subject_id", "image", *QUALITY_METRICS])
         for _, quality_rows in results:
             for sid, image, rec in quality_rows:
                 w.writerow([sid, image, _fmt(rec.psnr_head, 2), _fmt(rec.psnr_face, 2),
                             _fmt(rec.ssim_head, 4), _fmt(rec.ssim_face, 4)])
 
-    aggregates = {}
-    for method in ("defaced", "refaced-oracle", "refaced-stub"):
-        vals = np.array([d for masd_rows, _ in results for s, m, d in masd_rows if m == method])
-        if len(vals) >= 2:
-            aggregates[method] = bootstrap(vals, np.mean, n_boot=args.boot, seed=args.seed).format()
-        else:
-            aggregates[method] = f"{vals[0]:.2f}"
+    if args.count == 1:
+        aggregates = {method: f"{d:.2f}" for _, method, d in masd_rows}
+    else:
+        cells = bootstrap_cells(masd_rows, args.boot, args.seed)
+        aggregates = {method: c.summary.format() for method, c in cells.items()}
 
     manifest = {
         **_base_metadata(args.seed),
@@ -357,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", help="CSV of subject_id,method,masd_mm to aggregate")
     p.add_argument("--compare", nargs=2, metavar=("A", "B"),
                    help="Wilcoxon on per-subject paired distances of two methods")
-    p.add_argument("--boot", type=int, default=1000)
+    p.add_argument("--boot", type=positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--summary", help="write a JSON summary here")
     p.set_defaults(func=cmd_masd)
@@ -370,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="changed-area mask NIfTI (repeatable; intersection is used)")
     p.add_argument("--subject-id", default="subject")
     p.add_argument("--table", help="CSV of per-subject quality rows to aggregate")
-    p.add_argument("--boot", type=int, default=1000)
+    p.add_argument("--boot", type=positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--summary", help="write a JSON summary here")
     p.set_defaults(func=cmd_quality)
@@ -378,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlate", help="prediction-vs-residual correlation report")
     p.add_argument("observations")
     p.add_argument("predictions")
-    p.add_argument("--boot", type=int, default=1000)
+    p.add_argument("--boot", type=positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(func=cmd_correlate)
@@ -393,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overlap", type=int, default=4)
     p.add_argument("--eta", type=float, default=0.0)
     p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--boot", type=int, default=1000)
+    p.add_argument("--boot", type=positive_int, default=1000)
     p.set_defaults(func=cmd_demo)
 
     return parser

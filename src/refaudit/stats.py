@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,34 +75,35 @@ class ObservationTable:
     @classmethod
     def from_csv(cls, path) -> "ObservationTable":
         cols = {k: [] for k in ("subject_id", "visit", "age", "sex", "y")}
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            missing = set(cols) - set(reader.fieldnames or ())
-            if missing:
-                raise ValueError(f"observation CSV missing columns: {sorted(missing)}")
-            for row in reader:
-                cols["subject_id"].append(row["subject_id"])
-                cols["visit"].append(int(row["visit"]))
-                cols["age"].append(float(row["age"]))
-                cols["sex"].append(int(row["sex"]))
-                cols["y"].append(float(row["y"]))
+        for row in read_csv_rows(path, cols, "observation"):
+            cols["subject_id"].append(row["subject_id"])
+            cols["visit"].append(int(row["visit"]))
+            cols["age"].append(float(row["age"]))
+            cols["sex"].append(int(row["sex"]))
+            cols["y"].append(float(row["y"]))
         return cls(**{k: np.array(v, dtype=object if k == "subject_id" else None) for k, v in cols.items()})
+
+
+def read_csv_rows(path, required, kind: str) -> list:
+    """Rows of a CSV file as dicts; ValueError naming the missing columns
+    unless the header has every column in ``required``. A short row's missing
+    fields read as "", which no number parser accepts."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh, restval="")
+        missing = set(required) - set(reader.fieldnames or ())
+        if missing:
+            raise ValueError(f"{kind} CSV missing columns: {sorted(missing)}")
+        return list(reader)
 
 
 def read_predictions_csv(path) -> dict:
     """Prediction CSV (subject_id, visit, method, y_pred) as
     {method: {(subject_id, visit): y_pred}}."""
     out: dict = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"subject_id", "visit", "method", "y_pred"}
-        missing = required - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"prediction CSV missing columns: {sorted(missing)}")
-        for row in reader:
-            out.setdefault(row["method"], {})[(row["subject_id"], int(row["visit"]))] = float(
-                row["y_pred"]
-            )
+    for row in read_csv_rows(path, ("subject_id", "visit", "method", "y_pred"), "prediction"):
+        out.setdefault(row["method"], {})[(row["subject_id"], int(row["visit"]))] = float(
+            row["y_pred"]
+        )
     return out
 
 
@@ -331,6 +333,14 @@ class StatSummary:
             f"[{self.ci_low:.{decimals}f}, {self.ci_high:.{decimals}f}]"
         )
 
+    @classmethod
+    def from_replicates(cls, replicates: np.ndarray, seed: int) -> "StatSummary":
+        """Summary of one statistic's replicates, a contiguous 1D array (its
+        layout sets the summation order of the mean, down to the last bits)."""
+        lo, hi = np.percentile(replicates, [2.5, 97.5])
+        return cls(mean=float(replicates.mean()), ci_low=float(lo), ci_high=float(hi),
+                   n_boot=len(replicates), seed=seed)
+
 
 def bootstrap_indices(n: int, seed: int, replicate: int, attempt: int = 0) -> np.ndarray:
     """Resample indices for one replicate from an independent stream derived
@@ -339,22 +349,23 @@ def bootstrap_indices(n: int, seed: int, replicate: int, attempt: int = 0) -> np
     return np.random.default_rng(ss).integers(0, n, size=n)
 
 
-def bootstrap(data, statistic, n_boot: int = 1000, seed: int = 0) -> StatSummary:
-    """Percentile bootstrap of ``statistic`` over row resamples of ``data``.
-
-    Replicates where the statistic is undefined (DegenerateInputError) are
-    redrawn, up to 10 attempts each (a 10 * n_boot total-attempt cap).
-    """
+def bootstrap_replicates(data, statistic, n_boot: int, seed: int) -> np.ndarray:
+    """Replicates of ``statistic`` (a scalar or a length-k vector) over row
+    resamples of ``data``, shaped (n_boot,) or (k, n_boot) with contiguous rows.
+    A replicate where any component raises DegenerateInputError is redrawn,
+    up to 10 attempts, so all components of a replicate share one resample."""
+    if n_boot < 1:
+        raise ValueError(f"n_boot must be >= 1, got {n_boot}")
     data = np.asarray(data)
     n = data.shape[0]
     if n < 2:
         raise ValueError(f"need >= 2 rows to bootstrap, got {n}")
-    stats = np.empty(n_boot, dtype=np.float64)
+    replicates = []
     for r in range(n_boot):
         for attempt in range(10):
             idx = bootstrap_indices(n, seed, r, attempt)
             try:
-                stats[r] = float(statistic(data[idx]))
+                replicates.append(statistic(data[idx]))
                 break
             except DegenerateInputError:
                 continue
@@ -362,11 +373,35 @@ def bootstrap(data, statistic, n_boot: int = 1000, seed: int = 0) -> StatSummary
             raise DegenerateInputError(
                 f"statistic undefined on 10 consecutive redraws of replicate {r}"
             )
-    lo, hi = np.percentile(stats, [2.5, 97.5])
-    return StatSummary(
-        mean=float(stats.mean()), ci_low=float(lo), ci_high=float(hi),
-        n_boot=n_boot, seed=seed,
-    )
+    return np.array(replicates, dtype=np.float64).T.copy()
+
+
+def bootstrap(data, statistic, n_boot: int = 1000, seed: int = 0) -> StatSummary:
+    """Percentile bootstrap of a scalar ``statistic`` over row resamples of
+    ``data`` (see ``bootstrap_replicates`` for the redraw rule)."""
+    return StatSummary.from_replicates(bootstrap_replicates(data, statistic, n_boot, seed), seed)
+
+
+Cell = namedtuple("Cell", "values summary")  # {subject_id: value}, StatSummary of the mean
+
+
+def bootstrap_cells(rows, n_boot: int, seed: int) -> dict:
+    """Group (subject_id, cell, value) rows into {cell: Cell} in sorted cell
+    order, values in input order (which decides the resamples drawn), and
+    bootstrap each cell's mean. A repeated (subject_id, cell) or a NaN value
+    raises ValueError; +-inf is kept (an exact refacing's PSNR is inf)."""
+    groups: dict = {}
+    for sid, key, value in rows:
+        if math.isnan(value):
+            raise ValueError(f"value of ({sid!r}, {key!r}) is NaN")
+        values = groups.setdefault(key, {})
+        if sid in values:
+            raise ValueError(f"duplicate row for ({sid!r}, {key!r})")
+        values[sid] = value
+    return {
+        key: Cell(values, bootstrap(np.array(list(values.values())), np.mean, n_boot, seed))
+        for key, values in sorted(groups.items())
+    }
 
 
 def significance_stars(p: float) -> str:
@@ -453,33 +488,15 @@ def correlation_report(
             )
         aligned[m] = np.array([predictions[m][k] for k in keys])
 
-    n = len(table)
-    replicates = {m: np.empty(n_boot) for m in methods}
-    for r in range(n_boot):
-        for attempt in range(10):
-            idx = bootstrap_indices(n, seed, r, attempt)
-            try:
-                vals = {m: spearman(aligned[m][idx], resid[idx]) for m in methods}
-                break
-            except DegenerateInputError:
-                continue
-        else:
-            raise DegenerateInputError(
-                f"spearman undefined on 10 consecutive redraws of replicate {r}"
-            )
-        for m in methods:
-            replicates[m][r] = vals[m]
+    def rhos(idx):  # one resample of row indices, shared by every method
+        return [spearman(aligned[m][idx], resid[idx]) for m in methods]
 
+    n = len(table)
+    replicates = dict(zip(methods, bootstrap_replicates(np.arange(n), rhos, n_boot, seed)))
     summaries = []
     for m in methods:
-        lo, hi = np.percentile(replicates[m], [2.5, 97.5])
-        s = StatSummary(
-            mean=float(replicates[m].mean()), ci_low=float(lo), ci_high=float(hi),
-            n_boot=n_boot, seed=seed,
-        )
-        summaries.append(
-            MethodCorrelation(method=m, rho=s, significant=bool(lo > 0 or hi < 0))
-        )
+        s = StatSummary.from_replicates(replicates[m], seed)
+        summaries.append(MethodCorrelation(m, s, significant=s.ci_low > 0 or s.ci_high < 0))
 
     pairwise = {}
     for i, ma in enumerate(methods):

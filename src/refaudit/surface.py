@@ -165,20 +165,3 @@ def face_distance_report(
     ]
     return masd(meshes[0], meshes[1], directed=directed)
 
-
-def export_ply(mesh: TriMesh) -> str:
-    """ASCII PLY serialization for external inspection."""
-    lines = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {mesh.n_vertices}",
-        "property float x",
-        "property float y",
-        "property float z",
-        f"element face {len(mesh.triangles)}",
-        "property list uchar int vertex_indices",
-        "end_header",
-    ]
-    lines += [f"{v[0]:.6f} {v[1]:.6f} {v[2]:.6f}" for v in mesh.vertices]
-    lines += [f"3 {t[0]} {t[1]} {t[2]}" for t in mesh.triangles]
-    return "\n".join(lines) + "\n"

@@ -32,6 +32,26 @@ def csv_rows(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
+DISTANCE_HEADER = ["subject_id", "method", "masd_mm"]
+QUALITY_HEADER = ["subject_id", "image", "psnr_head", "psnr_face", "ssim_head", "ssim_face"]
+
+
+def write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    return str(path)
+
+
+def distance_rows():
+    return [[f"s{i}", "dpm", f"{0.5 + 0.1 * i:.3f}"] for i in range(3)]
+
+
+def quality_rows():
+    return [[f"s{i}", "refaced", f"{20 + i}", f"{11 + i}", "0.9", "0.2"] for i in range(3)]
+
+
 @pytest.fixture(scope="module")
 def small_files(tmp_path_factory):
     """One small phantom written to disk: original, defaced, removed, brain."""
@@ -56,6 +76,9 @@ def test_thread_cap_env_var(monkeypatch):
 
     monkeypatch.setenv("REFAUDIT_THREADS", "3")
     assert thread_count() == 3
+    monkeypatch.setenv("REFAUDIT_THREADS", "abc")
+    with pytest.raises(ValueError, match="REFAUDIT_THREADS must be an integer, got 'abc'"):
+        thread_count()
     monkeypatch.delenv("REFAUDIT_THREADS")
     assert thread_count() >= 1
 
@@ -293,3 +316,67 @@ class TestDemoCommand:
                      "phantom-000_removed.nii.gz", "phantom-000_refaced_oracle.nii.gz",
                      "phantom-000_refaced_stub.nii.gz"):
             assert (out_dir / name).exists()
+
+
+class TestHostileInputs:
+    @pytest.mark.parametrize("boot", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["masd", "quality", "correlate", "demo"])
+    def test_nonpositive_boot_exits_2_before_any_work(self, tmp_path, capsys, command, boot):
+        if command == "masd":
+            args = ["masd", "--table", write_csv(tmp_path / "d.csv", DISTANCE_HEADER, distance_rows())]
+        elif command == "quality":
+            args = ["quality", "--table", write_csv(tmp_path / "q.csv", QUALITY_HEADER, quality_rows())]
+        elif command == "correlate":
+            args = ["correlate", *map(str, TestCorrelateCommand().write_inputs(tmp_path))]
+        else:
+            args = ["demo", str(tmp_path / "demo"), "-n", "1", "--steps", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--boot", boot])
+        assert exc.value.code == 2
+        assert "--boot: must be a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "demo").exists()
+
+    def test_duplicate_distance_row_exits_2(self, tmp_path, capsys):
+        table = write_csv(tmp_path / "d.csv", DISTANCE_HEADER,
+                          distance_rows() + [["s1", "dpm", "0.9"]])
+        rc, _ = run_cli(["masd", "--table", table, "--boot", "20"])
+        assert rc == 2
+        assert "duplicate row for ('s1', 'dpm')" in capsys.readouterr().err
+
+    def test_duplicate_quality_row_exits_2(self, tmp_path, capsys):
+        table = write_csv(tmp_path / "q.csv", QUALITY_HEADER, quality_rows() + quality_rows()[:1])
+        rc, _ = run_cli(["quality", "--table", table, "--boot", "20"])
+        assert rc == 2
+        assert "duplicate row for ('s0', 'refaced')" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_nan_value_exits_2_and_inf_is_kept(self, tmp_path, capsys):
+        rows = distance_rows()
+        rows[1][2] = "nan"
+        rc, out = run_cli(["masd", "--table", write_csv(tmp_path / "d.csv", DISTANCE_HEADER, rows),
+                           "--boot", "20"])
+        assert rc == 2 and out == ""
+        assert "('s1', 'dpm') is NaN" in capsys.readouterr().err
+        rows = quality_rows()
+        for row in rows:
+            row[2] = "inf"  # the PSNR of an exact refacing
+        rc, out = run_cli(["quality", "--table", write_csv(tmp_path / "q.csv", QUALITY_HEADER, rows),
+                           "--boot", "20"])
+        assert rc == 0
+        got = {r["metric"]: r for r in csv_rows(out)}
+        assert got["psnr_head"]["mean"] == "inf"
+        assert got["psnr_face"]["n"] == "3"
+
+    def test_short_distance_row_exits_2(self, tmp_path, capsys):
+        table = write_csv(tmp_path / "d.csv", DISTANCE_HEADER, distance_rows() + [["s9", "dpm"]])
+        rc, _ = run_cli(["masd", "--table", table, "--boot", "20"])
+        assert rc == 2
+        assert "could not convert string to float: ''" in capsys.readouterr().err
+
+    def test_quality_table_missing_columns_exits_2(self, tmp_path, capsys):
+        header = ["subject_id", "image", "psnr_head", "ssim_head"]
+        table = write_csv(tmp_path / "q.csv", header, [[f"s{i}", "refaced", "20", "0.9"]
+                                                      for i in range(3)])
+        rc, _ = run_cli(["quality", "--table", table, "--boot", "20"])
+        assert rc == 2
+        assert "quality CSV missing columns: ['psnr_face', 'ssim_face']" in capsys.readouterr().err

@@ -12,7 +12,9 @@ from refaudit.stats import (
     ObservationTable,
     StatSummary,
     bootstrap,
+    bootstrap_cells,
     bootstrap_indices,
+    bootstrap_replicates,
     correlation_report,
     fit_lmm,
     residualize,
@@ -317,6 +319,58 @@ class TestBootstrap:
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
             bootstrap(np.array([1.0]), np.mean)
+
+    @pytest.mark.parametrize("n_boot", [0, -3])
+    def test_needs_a_positive_replicate_count(self, n_boot):
+        with pytest.raises(ValueError, match="n_boot"):
+            bootstrap(np.arange(5.0), np.mean, n_boot=n_boot)
+
+    def test_vector_statistic_matches_scalar_components(self, rng):
+        data = rng.standard_normal(40)
+        reps = bootstrap_replicates(data, lambda x: [np.mean(x), np.median(x)], 200, 5)
+        assert reps.shape == (2, 200) and reps[1].flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(reps[0], bootstrap_replicates(data, np.mean, 200, 5))
+        np.testing.assert_array_equal(reps[1], bootstrap_replicates(data, np.median, 200, 5))
+        assert bootstrap(data, np.median, 200, 5) == StatSummary.from_replicates(reps[1], 5)
+
+    def test_undefined_component_redraws_the_whole_replicate(self):
+        data = np.arange(12.0)
+
+        def max_or_undefined(x):
+            if x.max() < 11.0:
+                raise DegenerateInputError("largest row not drawn")
+            return x.max()
+
+        scalar = bootstrap_replicates(data, max_or_undefined, 300, 2)
+        vector = bootstrap_replicates(data, lambda x: [np.mean(x), max_or_undefined(x)], 300, 2)
+        np.testing.assert_array_equal(vector[1], scalar)
+        # the mean is taken from the same accepted resample, never a rejected one
+        accepted = []
+        for r in range(300):
+            idx = next(i for i in (bootstrap_indices(12, 2, r, a) for a in range(10))
+                       if data[i].max() == 11.0)
+            accepted.append(data[idx].mean())
+        np.testing.assert_array_equal(vector[0], accepted)
+
+
+class TestBootstrapCells:
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_sorted_cells_keep_input_order_of_values(self):
+        rows = [("s2", "b", 3.0), ("s1", "a", 1.0), ("s0", "b", 5.0), ("s0", "a", 2.0),
+                ("s1", "b", 4.0), ("s2", "a", float("inf"))]
+        cells = bootstrap_cells(rows, n_boot=50, seed=4)
+        assert list(cells) == ["a", "b"]
+        assert list(cells["b"].values.items()) == [("s2", 3.0), ("s0", 5.0), ("s1", 4.0)]
+        assert cells["b"].summary == bootstrap(np.array([3.0, 5.0, 4.0]), np.mean, 50, 4)
+        assert cells["a"].summary.mean == math.inf
+
+    def test_duplicate_key_raises_naming_it(self):
+        with pytest.raises(ValueError, match=r"duplicate row for \('s1', 'dpm'\)"):
+            bootstrap_cells([("s1", "dpm", 1.0), ("s2", "dpm", 2.0), ("s1", "dpm", 3.0)], 10, 0)
+
+    def test_nan_value_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            bootstrap_cells([("s1", "dpm", 1.0), ("s2", "dpm", float("nan"))], 10, 0)
 
 
 class TestFormatting:

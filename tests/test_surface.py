@@ -10,7 +10,6 @@ from refaudit.masks import face_roi, head_mask
 from refaudit.phantom import PhantomParams, generate_phantom
 from refaudit.surface import (
     TriMesh,
-    export_ply,
     face_distance_report,
     kd_nearest,
     marching_cubes,
@@ -263,15 +262,3 @@ class TestFaceDistanceReport:
         d_ba = face_distance_report(defaced, vol, directed=True)
         assert sym == pytest.approx(0.5 * (d_ab + d_ba), abs=1e-12)
 
-
-class TestPlyExport:
-    def test_roundtrip_counts(self):
-        data = np.zeros((5, 5, 5), bool)
-        data[2, 2, 2] = True
-        mesh = marching_cubes(mask_of(data))
-        text = export_ply(mesh)
-        lines = text.strip().splitlines()
-        assert lines[0] == "ply"
-        assert f"element vertex {mesh.n_vertices}" in text
-        assert f"element face {len(mesh.triangles)}" in text
-        assert len(lines) == 9 + mesh.n_vertices + len(mesh.triangles)
