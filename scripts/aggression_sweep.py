@@ -12,6 +12,7 @@ import argparse
 import csv
 import sys
 
+from refaudit.cli import positive_int
 from refaudit.deface import quickshear
 from refaudit.masks import head_mask
 from refaudit.phantom import generate_cohort
@@ -25,17 +26,18 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=10)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--boot", type=int, default=1000)
+    parser.add_argument("--boot", type=positive_int, default=1000)
     parser.add_argument("--out", default=None, help="per-subject CSV path")
     args = parser.parse_args(argv)
 
     rows = []
     for case in generate_cohort(args.n, seed=args.seed):
         head = head_mask(case.volume)
-        for buffer_mm in BUFFERS_MM:
-            defaced, removed = quickshear(case.volume, case.brain,
-                                          buffer_mm=buffer_mm, head=head)
-            d = face_distance_report(case.volume, defaced)
+        cuts = {b: quickshear(case.volume, case.brain, buffer_mm=b, head=head)
+                for b in BUFFERS_MM}
+        distances = face_distance_report(case.volume, {b: cut[0] for b, cut in cuts.items()})
+        for buffer_mm, (_, removed) in cuts.items():
+            d = distances[buffer_mm]
             rows.append((case.subject_id, buffer_mm, removed.count(), d))
             print(f"{case.subject_id} buffer {buffer_mm:5.1f} mm: "
                   f"removed {removed.count():7d} voxels, masd {d:6.3f} mm")

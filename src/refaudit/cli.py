@@ -84,14 +84,10 @@ def _ensure_out_dir(path: str) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise _OutDirError(f"invalid output directory {out}: {exc}") from exc
+        raise ValueError(f"invalid output directory {out}: {exc}") from exc
     if not out.is_dir():
-        raise _OutDirError(f"invalid output directory {out}: not a directory")
+        raise ValueError(f"invalid output directory {out}: not a directory")
     return out
-
-
-class _OutDirError(ValueError):
-    pass
 
 
 def _fmt(x: float, decimals: int = 3) -> str:
@@ -100,12 +96,18 @@ def _fmt(x: float, decimals: int = 3) -> str:
     return f"{x:.{decimals}f}"
 
 
+def _quality_row(subject_id: str, rec) -> list:
+    return [subject_id, rec.image, _fmt(rec.psnr_head, 2), _fmt(rec.psnr_face, 2),
+            _fmt(rec.ssim_head, 4), _fmt(rec.ssim_face, 4)]
+
+
 # ---------------------------------------------------------------------------
 # phantom
 
 
 def cmd_phantom(args) -> int:
     out = _ensure_out_dir(args.out_dir)
+    workers = thread_count()
     cohort = generate_cohort(args.count, args.seed)
 
     def write_case(case):
@@ -118,7 +120,7 @@ def cmd_phantom(args) -> int:
             json.dumps(record, indent=2, sort_keys=True) + "\n"
         )
 
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(write_case, cohort))
     manifest = {**_base_metadata(args.seed), "kind": "phantom-cohort",
                 "count": args.count,
@@ -170,7 +172,8 @@ def cmd_masd(args) -> int:
         raise ValueError("masd needs ORIGINAL and CANDIDATE paths (or --table)")
     original = read_nifti_file(args.original)
     candidate = read_nifti_file(args.candidate)
-    d = face_distance_report(original, candidate, directed=args.directed)
+    (d,) = face_distance_report(original, {args.method: candidate},
+                                directed=args.directed).values()
     writer.writerow(["subject_id", "method", "masd_mm"])
     writer.writerow([args.subject_id, args.method, _fmt(d)])
     return EXIT_OK
@@ -204,11 +207,10 @@ def cmd_quality(args) -> int:
     defaced = read_nifti_file(args.defaced)
     refaced = read_nifti_file(args.refaced)
     removed = [read_mask_file(p) for p in args.removed]
-    records = quality_report(original, defaced, refaced, removed)
+    records = quality_report(original, {"defaced": defaced, "refaced": refaced}, removed)
     writer.writerow(["subject_id", "image", *QUALITY_METRICS])
     for rec in records:
-        writer.writerow([args.subject_id, rec.image, _fmt(rec.psnr_head, 2),
-                         _fmt(rec.psnr_face, 2), _fmt(rec.ssim_head, 4), _fmt(rec.ssim_face, 4)])
+        writer.writerow(_quality_row(args.subject_id, rec))
     if args.summary:
         summary = {**_base_metadata(args.seed), "kind": "quality-report",
                    "masks_used": list(args.removed),
@@ -258,17 +260,12 @@ def _demo_subject(case, out, config, buffer_mm):
     write_nifti_file(refaced_oracle, out / f"{sid}_refaced_oracle.nii.gz")
     write_nifti_file(refaced_stub, out / f"{sid}_refaced_stub.nii.gz")
 
-    masd_rows = [
-        (sid, "defaced", face_distance_report(vol, defaced)),
-        (sid, "refaced-oracle", face_distance_report(vol, refaced_oracle)),
-        (sid, "refaced-stub", face_distance_report(vol, refaced_stub)),
-    ]
-    quality_rows = []
-    for kind, refaced in (("oracle", refaced_oracle), ("stub", refaced_stub)):
-        for rec in quality_report(vol, defaced, refaced, removed):
-            if kind == "oracle" and rec.image == "defaced":
-                continue  # defaced-vs-original does not depend on the denoiser
-            quality_rows.append((sid, f"{rec.image}-{kind}" if rec.image == "refaced" else rec.image, rec))
+    masd_rows = [(sid, method, d) for method, d in face_distance_report(
+        vol, {"defaced": defaced, "refaced-oracle": refaced_oracle, "refaced-stub": refaced_stub}
+    ).items()]
+    quality_rows = [_quality_row(sid, rec) for rec in quality_report(
+        vol, {"refaced-oracle": refaced_oracle, "defaced": defaced, "refaced-stub": refaced_stub},
+        removed)]
     return masd_rows, quality_rows
 
 
@@ -281,9 +278,10 @@ def cmd_demo(args) -> int:
         slab=SlabSpec(size=args.slab_size, overlap=args.overlap),
         seed=args.seed,
     )
+    workers = thread_count()
     cohort = generate_cohort(args.count, args.seed)
 
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(
             pool.map(lambda c: _demo_subject(c, out, config, args.buffer_mm), cohort)
         )
@@ -298,9 +296,7 @@ def cmd_demo(args) -> int:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["subject_id", "image", *QUALITY_METRICS])
         for _, quality_rows in results:
-            for sid, image, rec in quality_rows:
-                w.writerow([sid, image, _fmt(rec.psnr_head, 2), _fmt(rec.psnr_face, 2),
-                            _fmt(rec.ssim_head, 4), _fmt(rec.ssim_face, 4)])
+            w.writerows(quality_rows)
 
     if args.count == 1:
         aggregates = {method: f"{d:.2f}" for _, method, d in masd_rows}

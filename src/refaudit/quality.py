@@ -69,13 +69,8 @@ def _local_mean(arr: np.ndarray, kernel: np.ndarray, mass: np.ndarray) -> np.nda
     return out / mass
 
 
-def ssim(reference: Volume3D, test: Volume3D, mask: BinaryMask) -> float:
-    """Mean of the local SSIM map over voxels whose window center lies in the
-    mask; value in [-1, 1]."""
-    require_same_geometry(reference, test, "reference and test volumes")
-    require_same_geometry(reference, mask, "volume and mask")
-    if not mask.data.any():
-        raise ValueError("mask is empty")
+def _ssim_map(reference: Volume3D, test: Volume3D) -> np.ndarray:
+    """Local SSIM at every voxel of two volumes with the same geometry."""
     x, y = reference.data, test.data
     dyn = float(x.max() - x.min())
     if dyn == 0.0:
@@ -91,10 +86,19 @@ def ssim(reference: Volume3D, test: Volume3D, mask: BinaryMask) -> float:
     var_y = _local_mean(y * y, kernel, mass) - mu_y * mu_y
     cov = _local_mean(x * y, kernel, mass) - mu_x * mu_y
 
-    ssim_map = ((2 * mu_x * mu_y + c1) * (2 * cov + c2)) / (
+    return ((2 * mu_x * mu_y + c1) * (2 * cov + c2)) / (
         (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
     )
-    return float(ssim_map[mask.data].mean())
+
+
+def ssim(reference: Volume3D, test: Volume3D, mask: BinaryMask) -> float:
+    """Mean of the local SSIM map over voxels whose window center lies in the
+    mask; value in [-1, 1]."""
+    require_same_geometry(reference, test, "reference and test volumes")
+    require_same_geometry(reference, mask, "volume and mask")
+    if not mask.data.any():
+        raise ValueError("mask is empty")
+    return float(_ssim_map(reference, test)[mask.data].mean())
 
 
 @dataclass(frozen=True)
@@ -109,32 +113,22 @@ class QualityRecord:
     ssim_face: float
 
 
-def quality_report(
-    original: Volume3D,
-    defaced: Volume3D,
-    refaced: Volume3D,
-    removed,
-) -> list:
-    """PSNR/SSIM of the defaced and refaced images against the original, over
-    the original's head mask and over the changed-area mask.
+def quality_report(original: Volume3D, candidates, removed) -> list:
+    """PSNR/SSIM of each candidate image against the original, over the
+    original's head mask and over the changed-area mask.
 
-    ``removed`` is one mask or an iterable of masks; with several, the
-    changed area is their intersection (callers should name the masks used
-    in report metadata).
+    ``candidates`` maps image names to volumes; one record per name comes
+    back, in order, with ``image`` set to the name. ``removed`` is one mask
+    or an iterable of masks; with several, the changed area is their
+    intersection (callers should name the masks used in report metadata).
     """
-    if isinstance(removed, BinaryMask):
-        removed = [removed]
-    face = intersection_mask(removed)
+    face = intersection_mask([removed] if isinstance(removed, BinaryMask) else removed)
     head = head_mask(original)
     records = []
-    for name, img in (("defaced", defaced), ("refaced", refaced)):
-        records.append(
-            QualityRecord(
-                image=name,
-                psnr_head=psnr(original, img, head),
-                psnr_face=psnr(original, img, face),
-                ssim_head=ssim(original, img, head),
-                ssim_face=ssim(original, img, face),
-            )
-        )
+    for name, img in candidates.items():
+        psnr_head, psnr_face = psnr(original, img, head), psnr(original, img, face)
+        ssim_map = _ssim_map(original, img)  # one per candidate, reduced over both masks
+        records.append(QualityRecord(name, psnr_head, psnr_face, float(ssim_map[head.data].mean()),
+                                     float(ssim_map[face.data].mean())))
+        del ssim_map  # free it before the next candidate's map is built
     return records

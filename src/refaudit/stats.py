@@ -337,9 +337,17 @@ class StatSummary:
     def from_replicates(cls, replicates: np.ndarray, seed: int) -> "StatSummary":
         """Summary of one statistic's replicates, a contiguous 1D array (its
         layout sets the summation order of the mean, down to the last bits)."""
-        lo, hi = np.percentile(replicates, [2.5, 97.5])
-        return cls(mean=float(replicates.mean()), ci_low=float(lo), ci_high=float(hi),
-                   n_boot=len(replicates), seed=seed)
+        ordered = np.sort(replicates)
+        return cls(mean=float(replicates.mean()), ci_low=_percentile(ordered, 2.5),
+                   ci_high=_percentile(ordered, 97.5), n_boot=len(replicates), seed=seed)
+
+
+def _percentile(ordered: np.ndarray, q: float) -> float:
+    """``np.percentile`` of a sorted array, except that equal order statistics
+    around ``q`` give their value (inf, not inf - inf = nan, for all-inf)."""
+    h = (len(ordered) - 1) * (q / 100)
+    below, above = ordered[math.floor(h)], ordered[math.ceil(h)]
+    return float(below if below == above else np.percentile(ordered, q))
 
 
 def bootstrap_indices(n: int, seed: int, replicate: int, attempt: int = 0) -> np.ndarray:

@@ -154,14 +154,13 @@ def masd(a: TriMesh, b: TriMesh, directed: bool = False) -> float:
     return 0.5 * (mean_ab + mean_ba)
 
 
-def face_distance_report(
-    original: Volume3D, candidate: Volume3D, directed: bool = False
-) -> float:
+def face_distance_report(original: Volume3D, candidates, directed: bool = False) -> dict:
     """Composed face-similarity metric: head mask -> face ROI -> marching
-    cubes on both volumes, then MASD in mm (smaller means more similar)."""
-    require_same_geometry(original, candidate, "original and candidate volumes")
-    meshes = [
-        marching_cubes(face_roi(head_mask(v))) for v in (original, candidate)
-    ]
-    return masd(meshes[0], meshes[1], directed=directed)
-
+    cubes, then MASD in mm (smaller means more similar) from the original's
+    face mesh, built once, to each candidate's. ``candidates`` maps names to
+    volumes; the result maps the same names, in order, to their MASD."""
+    for candidate in candidates.values():
+        require_same_geometry(original, candidate, "original and candidate volumes")
+    reference = marching_cubes(face_roi(head_mask(original)))
+    return {name: masd(reference, marching_cubes(face_roi(head_mask(c))), directed=directed)
+            for name, c in candidates.items()}

@@ -256,6 +256,8 @@ def read_nifti(raw: bytes) -> Volume3D:
     else:
         affine = np.diag(list(spacing) + [1.0])
 
+    if not np.isfinite(vox_offset):
+        raise FormatError(f"vox_offset {vox_offset} is not finite")
     offset = int(round(vox_offset)) or VOX_OFFSET
     if offset < HEADER_SIZE:
         raise FormatError(f"vox_offset {offset} overlaps the header")

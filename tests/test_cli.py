@@ -1,17 +1,22 @@
 import csv
+import importlib.util
 import io
 import json
+import struct
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import refaudit.cli as cli
 import refaudit.stats as stats
 from refaudit.cli import main
 from refaudit.deface import quickshear
 from refaudit.masks import head_mask
 from refaudit.phantom import generate_cohort
 from refaudit.surface import face_distance_report
+from refaudit.errors import FormatError
 from refaudit.volume import (
     read_nifti_file,
     write_mask_file,
@@ -83,6 +88,18 @@ def test_thread_cap_env_var(monkeypatch):
     assert thread_count() >= 1
 
 
+@pytest.mark.parametrize("command", ["phantom", "demo"])
+def test_bad_thread_cap_exits_2_before_the_cohort_is_built(monkeypatch, tmp_path, capsys, command):
+    def no_cohort(*args, **kwargs):
+        raise AssertionError("generate_cohort called before REFAUDIT_THREADS was read")
+
+    monkeypatch.setattr(cli, "generate_cohort", no_cohort)
+    monkeypatch.setenv("REFAUDIT_THREADS", "abc")
+    rc, _ = run_cli([command, str(tmp_path / "out"), "-n", "2"])
+    assert rc == 2
+    assert "REFAUDIT_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+
+
 class TestPhantomCommand:
     def test_writes_cohort_files(self, tmp_path):
         rc, _ = run_cli(["phantom", str(tmp_path / "c"), "-n", "3", "--seed", "2"])
@@ -120,7 +137,7 @@ class TestMasdCommand:
         value = float(csv_rows(out)[0]["masd_mm"])
         orig = read_nifti_file(small_files["original"])
         defaced = read_nifti_file(small_files["defaced"])
-        want = face_distance_report(orig, defaced)
+        want = face_distance_report(orig, {"defaced": defaced})["defaced"]
         assert value == pytest.approx(want, abs=5e-4)  # CLI prints 3 decimals
 
     def test_directed_flag(self, small_files):
@@ -130,7 +147,7 @@ class TestMasdCommand:
         orig = read_nifti_file(small_files["original"])
         defaced = read_nifti_file(small_files["defaced"])
         assert float(csv_rows(out_dir)[0]["masd_mm"]) == pytest.approx(
-            face_distance_report(orig, defaced, directed=True), abs=5e-4)
+            face_distance_report(orig, {"defaced": defaced}, directed=True)["defaced"], abs=5e-4)
         assert out_sym != out_dir
 
     def test_unreadable_file_exits_3(self, tmp_path):
@@ -366,6 +383,40 @@ class TestHostileInputs:
         got = {r["metric"]: r for r in csv_rows(out)}
         assert got["psnr_head"]["mean"] == "inf"
         assert got["psnr_face"]["n"] == "3"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_all_inf_cell_has_inf_interval(self, tmp_path):
+        rows = quality_rows()
+        for row in rows:
+            row[2] = "inf"  # the PSNR of an exact refacing
+        rc, out = run_cli(["quality", "--table", write_csv(tmp_path / "q.csv", QUALITY_HEADER, rows),
+                           "--boot", "20"])
+        assert rc == 0
+        got = {r["metric"]: r for r in csv_rows(out)}["psnr_head"]
+        assert (got["mean"], got["ci_low"], got["ci_high"]) == ("inf", "inf", "inf")
+        assert got["cell"] == "inf [inf, inf]"
+
+    def test_nan_vox_offset_is_format_error_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "v.nii"
+        write_nifti_file(generate_cohort(1, seed=17, base=SMALL_PARAMS)[0].volume, path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<f", raw, 108, float("nan"))
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="vox_offset nan is not finite"):
+            read_nifti_file(path)
+        rc, out = run_cli(["masd", str(path), str(path)])
+        assert rc == 3 and out == ""
+        assert "vox_offset nan is not finite" in capsys.readouterr().err
+
+    def test_aggression_sweep_nonpositive_boot_exits_2(self, capsys):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "aggression_sweep.py"
+        spec = importlib.util.spec_from_file_location("aggression_sweep", script)
+        sweep = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sweep)
+        with pytest.raises(SystemExit) as exc:
+            sweep.main(["--boot", "0"])
+        assert exc.value.code == 2
+        assert "--boot: must be a positive integer" in capsys.readouterr().err
 
     def test_short_distance_row_exits_2(self, tmp_path, capsys):
         table = write_csv(tmp_path / "d.csv", DISTANCE_HEADER, distance_rows() + [["s9", "dpm"]])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -176,7 +177,7 @@ class TestQualityReport:
         from refaudit.deface import quickshear
 
         defaced, removed = quickshear(vol, brain, buffer_mm=10.0, head=small_head)
-        records = quality_report(vol, defaced, vol, removed)
+        records = quality_report(vol, {"defaced": defaced, "refaced": vol}, removed)
         by_image = {r.image: r for r in records}
         assert by_image["refaced"].ssim_head == 1.0
         assert by_image["refaced"].psnr_head == math.inf
@@ -189,9 +190,38 @@ class TestQualityReport:
         defaced, removed = quickshear(vol, brain, buffer_mm=10.0, head=small_head)
         refaced = vol.data.copy()
         refaced[removed.data] += 2.5  # known MSE inside the changed area only
-        records = quality_report(vol, defaced, vol.with_data(refaced), removed)
+        records = quality_report(vol, {"defaced": defaced, "refaced": vol.with_data(refaced)},
+                                 removed)
         rec = {r.image: r for r in records}["refaced"]
         peak = vol.data.max()
         want_face = 10 * math.log10(peak**2 / 2.5**2)
         assert rec.psnr_face == pytest.approx(want_face, abs=1e-9)
         assert rec.psnr_head > rec.psnr_face
+
+    def test_records_equal_metrics_called_mask_by_mask(self, small_phantom, small_head):
+        vol, brain, _ = small_phantom
+        from refaudit.deface import quickshear
+        from refaudit.denoisers import mirror_fill
+
+        defaced, removed = quickshear(vol, brain, buffer_mm=10.0, head=small_head)
+        candidates = {"refaced": mirror_fill(defaced, removed), "defaced": defaced,
+                      "self": vol}
+        records = quality_report(vol, candidates, removed)
+        assert [r.image for r in records] == list(candidates)
+        for rec in records:
+            img = candidates[rec.image]
+            assert rec.psnr_head == psnr(vol, img, small_head)
+            assert rec.psnr_face == psnr(vol, img, removed)
+            assert rec.ssim_head == ssim(vol, img, small_head)
+            assert rec.ssim_face == ssim(vol, img, removed)
+            assert quality_report(vol, {rec.image: img}, removed) == [rec]
+
+    def test_candidate_geometry_mismatch_raises(self, small_phantom, small_head):
+        vol, brain, _ = small_phantom
+        from refaudit.deface import quickshear
+
+        _, removed = quickshear(vol, brain, buffer_mm=10.0, head=small_head)
+        affine = vol.affine.copy()
+        affine[0, 3] += 1.0
+        with pytest.raises(GeometryMismatchError):
+            quality_report(vol, {"self": vol, "shifted": replace(vol, affine=affine)}, removed)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from refaudit.errors import DegenerateInputError
+from refaudit.errors import DegenerateInputError, GeometryMismatchError
 from refaudit.masks import face_roi, head_mask
 from refaudit.phantom import PhantomParams, generate_phantom
 from refaudit.surface import (
@@ -219,7 +219,7 @@ def ellipsoid_cap_samples(center, radii, y_frac_min, n=250):
 class TestFaceDistanceReport:
     def test_identical_volumes_give_zero(self, small_phantom):
         vol, _, _ = small_phantom
-        assert face_distance_report(vol, vol) == 0.0
+        assert face_distance_report(vol, {"self": vol}) == {"self": 0.0}
 
     def test_enlarged_nose_matches_analytic_offset_oracle(self):
         # +3 mm nose protrusion; compare the cap-region masd against an
@@ -257,8 +257,33 @@ class TestFaceDistanceReport:
         from refaudit.deface import quickshear
 
         defaced, _ = quickshear(vol, brain, buffer_mm=10.0, head=small_head)
-        sym = face_distance_report(vol, defaced)
-        d_ab = face_distance_report(vol, defaced, directed=True)
-        d_ba = face_distance_report(defaced, vol, directed=True)
+        sym = face_distance_report(vol, {"defaced": defaced})["defaced"]
+        d_ab = face_distance_report(vol, {"defaced": defaced}, directed=True)["defaced"]
+        d_ba = face_distance_report(defaced, {"original": vol}, directed=True)["original"]
         assert sym == pytest.approx(0.5 * (d_ab + d_ba), abs=1e-12)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_batched_entries_equal_single_candidate_calls(self, small_phantom, small_head,
+                                                          directed):
+        vol, brain, _ = small_phantom
+        from refaudit.deface import quickshear
+
+        candidates = {f"buffer {b}": quickshear(vol, brain, buffer_mm=b, head=small_head)[0]
+                      for b in (0.0, 10.0)}
+        candidates["self"] = vol
+        batched = face_distance_report(vol, candidates, directed=directed)
+        assert list(batched) == list(candidates)
+        reference = marching_cubes(face_roi(head_mask(vol)))
+        for name, candidate in candidates.items():
+            single = face_distance_report(vol, {name: candidate}, directed=directed)
+            assert single == {name: batched[name]}
+            mesh = marching_cubes(face_roi(head_mask(candidate)))
+            assert batched[name] == masd(reference, mesh, directed=directed)
+
+    def test_candidate_geometry_mismatch_raises(self, small_phantom):
+        vol, _, _ = small_phantom
+        affine = vol.affine.copy()
+        affine[0, 3] += 1.0
+        with pytest.raises(GeometryMismatchError):
+            face_distance_report(vol, {"self": vol, "shifted": replace(vol, affine=affine)})
 
