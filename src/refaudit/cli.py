@@ -270,7 +270,6 @@ def _demo_subject(case, out, config, buffer_mm):
 
 
 def cmd_demo(args) -> int:
-    out = _ensure_out_dir(args.out_dir)
     config = CascadeConfig(
         sample_steps=args.steps,
         eta=args.eta,
@@ -278,6 +277,7 @@ def cmd_demo(args) -> int:
         slab=SlabSpec(size=args.slab_size, overlap=args.overlap),
         seed=args.seed,
     )
+    out = _ensure_out_dir(args.out_dir)
     workers = thread_count()
     cohort = generate_cohort(args.count, args.seed)
 

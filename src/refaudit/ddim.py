@@ -16,6 +16,7 @@ arrays; geometry-carrying volumes enter only at the cascade boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
@@ -67,6 +68,8 @@ class DiffusionSchedule:
         the data end."""
         if not 0 <= t_prev < t <= self.num_steps:
             raise ValueError(f"need 0 <= t_prev < t <= T, got t={t}, t_prev={t_prev}")
+        if not 0.0 <= eta < math.inf:
+            raise ValueError(f"eta must be finite and >= 0, got {eta}")
         if eta == 0.0:
             return 0.0
         a, q = self.alpha_bar[t], self.alpha_bar[t_prev]
@@ -244,6 +247,15 @@ class CascadeConfig:
     downsample_factor: tuple = (2, 2, 2)
     slab: SlabSpec = field(default_factory=SlabSpec)
     seed: int = 0
+
+    def __post_init__(self):
+        if not 0.0 <= self.eta < math.inf:
+            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
+        if not 1 <= self.sample_steps <= self.t_steps:
+            raise ValueError(f"need 1 <= sample_steps <= t_steps, got "
+                             f"sample_steps={self.sample_steps}, t_steps={self.t_steps}")
+        if not all(f > 0 for f in self.downsample_factor):
+            raise ValueError(f"downsample factors must be positive, got {self.downsample_factor}")
 
     def to_json_dict(self) -> dict:
         d = asdict(self)

@@ -89,18 +89,16 @@ def mirror_fill(defaced: Volume3D, removed: BinaryMask) -> Volume3D:
     gone = removed.data
     if not gone.any():
         return defaced
-    _, nearest = ndimage.distance_transform_edt(
-        gone, sampling=defaced.spacing, return_indices=True
+    nearest = ndimage.distance_transform_edt(
+        gone, sampling=defaced.spacing, return_distances=False, return_indices=True
     )
-    idx = np.indices(gone.shape)
-    mirror = 2 * nearest - idx
-    inside = np.ones(gone.shape, dtype=bool)
-    for axis in range(3):
-        np.clip(mirror[axis], 0, gone.shape[axis] - 1, out=mirror[axis])
-        inside &= (2 * nearest[axis] - idx[axis] == mirror[axis])
-
-    mirrored = defaced.data[mirror[0], mirror[1], mirror[2]]
-    fallback = defaced.data[nearest[0], nearest[1], nearest[2]]
-    usable = inside & ~gone[mirror[0], mirror[1], mirror[2]]
-    filled = np.where(gone, np.where(usable, mirrored, fallback), defaced.data)
+    at = np.nonzero(gone)
+    near = nearest[(slice(None), *at)]
+    mirror = 2 * near - at
+    inside = ((mirror >= 0) & (mirror < np.array(gone.shape)[:, None])).all(axis=0)
+    # out of bounds, the reflection falls back to the nearest observed voxel
+    mirror = np.where(inside, mirror, near)
+    data = defaced.data
+    filled = data.copy()
+    filled[at] = np.where(gone[tuple(mirror)], data[tuple(near)], data[tuple(mirror)])
     return defaced.with_data(filled)

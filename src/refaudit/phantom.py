@@ -190,10 +190,8 @@ def _smooth_noise(dims, seed, lattice_step=16):
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(7,)))
     lat_dims = tuple(d // lattice_step + 2 for d in dims)
     lattice = rng.standard_normal(lat_dims)
-    coords = np.meshgrid(
-        *(np.arange(d) / lattice_step for d in dims), indexing="ij"
-    )
-    return np.clip(_trilinear_at(lattice, coords), -2.5, 2.5)
+    axes = [np.arange(d) / lattice_step for d in dims]
+    return np.clip(_trilinear_at(lattice, axes), -2.5, 2.5)
 
 
 def generate_phantom(seed: int, params: PhantomParams | None = None):

@@ -343,11 +343,19 @@ class StatSummary:
 
 
 def _percentile(ordered: np.ndarray, q: float) -> float:
-    """``np.percentile`` of a sorted array, except that equal order statistics
-    around ``q`` give their value (inf, not inf - inf = nan, for all-inf)."""
+    """``np.percentile`` of a sorted array, except next to an infinite order
+    statistic, where the linear interpolation would compute inf - inf = nan:
+    there the bound is the interpolation's limit, the infinite value (nan
+    only between -inf and inf)."""
     h = (len(ordered) - 1) * (q / 100)
     below, above = ordered[math.floor(h)], ordered[math.ceil(h)]
-    return float(below if below == above else np.percentile(ordered, q))
+    if below == above:
+        return float(below)
+    if math.isinf(below) and math.isinf(above):
+        return math.nan
+    if math.isinf(below) or math.isinf(above):
+        return float(below if math.isinf(below) else above)
+    return float(np.percentile(ordered, q))
 
 
 def bootstrap_indices(n: int, seed: int, replicate: int, attempt: int = 0) -> np.ndarray:

@@ -14,6 +14,7 @@ returns a new object, so everything here is safe to call concurrently.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -40,10 +41,10 @@ _FLOAT32_CODE = 16
 def _check_geometry(data: np.ndarray, spacing, affine: np.ndarray):
     if data.ndim != 3 or min(data.shape) < 1:
         raise ValueError(f"expected 3D data, got shape {data.shape}")
-    if len(spacing) != 3 or any(s <= 0 for s in spacing):
-        raise ValueError(f"spacing must be 3 positive values, got {spacing}")
-    if affine.shape != (4, 4):
-        raise ValueError("affine must be 4x4")
+    if len(spacing) != 3 or not all(0 < s < math.inf for s in spacing):
+        raise ValueError(f"spacing must be 3 finite positive values, got {spacing}")
+    if affine.shape != (4, 4) or not np.isfinite(affine).all():
+        raise ValueError("affine must be a finite 4x4 matrix")
     if abs(np.linalg.det(affine[:3, :3])) < 1e-12:
         raise ValueError("affine is singular")
 
@@ -200,7 +201,9 @@ def read_nifti(raw: bytes) -> Volume3D:
 
     The affine comes from the sform when ``sform_code > 0``, else the qform,
     else ``diag(spacing)``. ``scl_slope``/``scl_inter`` are applied when the
-    slope is nonzero. The volume is reoriented to RAS.
+    slope is nonzero. Non-finite voxels (after scaling), a zero or non-finite
+    pixdim and a non-finite or singular affine raise ``FormatError`` before
+    the volume is reoriented to RAS.
     """
     if raw[:2] == GZIP_MAGIC:
         try:
@@ -242,13 +245,15 @@ def read_nifti(raw: bytes) -> Volume3D:
     dtype, bitpix = _DATATYPES[datatype]
 
     spacing = tuple(abs(float(p)) for p in pixdim[1:4])
-    if any(s <= 0 for s in spacing):
-        raise FormatError(f"non-positive pixdim {pixdim[1:4]}")
+    if not all(0 < s < math.inf for s in spacing):
+        raise FormatError(f"pixdim {pixdim[1:4]} is zero or not finite")
 
     if sform_code > 0:
         affine = np.eye(4)
         affine[:3, :] = srow
     elif qform_code > 0:
+        if not all(map(math.isfinite, quatern)):
+            raise FormatError(f"quaternion fields {quatern} are not all finite")
         qfac = -1.0 if pixdim[0] < 0 else 1.0
         affine = _quaternion_affine(
             quatern[0], quatern[1], quatern[2], quatern[3:6], spacing, qfac
@@ -270,7 +275,15 @@ def read_nifti(raw: bytes) -> Volume3D:
     arr = np.frombuffer(payload, dtype=dtype).reshape((nx, ny, nz), order="F")
     data = arr.astype(np.float64)
     if scl_slope != 0.0 and (scl_slope, scl_inter) != (1.0, 0.0):
+        if not (math.isfinite(scl_slope) and math.isfinite(scl_inter)):
+            raise FormatError(f"scl_slope {scl_slope} or scl_inter {scl_inter} is not finite")
         data = data * float(scl_slope) + float(scl_inter)
+    if not np.isfinite(data).all():
+        raise FormatError("voxel values are not all finite")
+    try:
+        _check_geometry(data, spacing, affine)
+    except ValueError as exc:
+        raise FormatError(f"header geometry: {exc}") from None
 
     data, spacing, affine, reorient = _reorient_to_ras(data, spacing, affine)
     return Volume3D(
@@ -376,29 +389,23 @@ def downsample(vol: Volume3D, factor) -> Volume3D:
     )
 
 
-def _trilinear_at(src: np.ndarray, coords):
-    """Trilinear interpolation of ``src`` at fractional index coordinates
-    (3, ...) with edge clamping."""
-    out_shape = coords[0].shape
-    vals = np.zeros(out_shape, dtype=np.float64)
-    idx0, frac = [], []
-    for axis in range(3):
-        c = np.clip(coords[axis], 0.0, src.shape[axis] - 1.0)
-        i0 = np.floor(c).astype(np.intp)
-        i0 = np.minimum(i0, src.shape[axis] - 1)
-        idx0.append(i0)
-        frac.append(c - i0)
+def _trilinear_at(src: np.ndarray, axes):
+    """Trilinear interpolation of ``src`` with edge clamping on the grid
+    spanned by ``axes``, three 1D arrays of fractional index coordinates (one
+    per axis); returns shape ``(len(axes[0]), len(axes[1]), len(axes[2]))``."""
+    corners = []
+    for axis, c in enumerate(axes):
+        n = src.shape[axis]
+        c = np.clip(c, 0.0, n - 1.0)
+        i0 = np.minimum(np.floor(c).astype(np.intp), n - 1)
+        frac = c - i0
+        corners.append(((i0, 1.0 - frac), (np.minimum(i0 + 1, n - 1), frac)))
+    vals = np.zeros(tuple(len(c) for c in axes), dtype=np.float64)
     for corner in range(8):
-        w = np.ones(out_shape, dtype=np.float64)
-        ix = []
-        for axis in range(3):
-            if corner >> axis & 1:
-                ix.append(np.minimum(idx0[axis] + 1, src.shape[axis] - 1))
-                w = w * frac[axis]
-            else:
-                ix.append(idx0[axis])
-                w = w * (1.0 - frac[axis])
-        vals += w * src[ix[0], ix[1], ix[2]]
+        (i, wi), (j, wj), (k, wk) = (corners[axis][corner >> axis & 1] for axis in range(3))
+        w = wi[:, None, None] * wj[:, None] * wk
+        w *= src[np.ix_(i, j, k)]
+        vals += w
     return vals
 
 
@@ -413,8 +420,7 @@ def upsample_trilinear(vol: Volume3D, factor) -> Volume3D:
     axes = [
         (np.arange(dims[i]) + 0.5) / f - 0.5 for i, f in enumerate((fx, fy, fz))
     ]
-    coords = np.meshgrid(*axes, indexing="ij")
-    data = _trilinear_at(vol.data, coords)
+    data = _trilinear_at(vol.data, axes)
 
     f = np.array([fx, fy, fz], dtype=np.float64)
     affine = vol.affine.copy()

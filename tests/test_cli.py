@@ -88,11 +88,42 @@ def test_thread_cap_env_var(monkeypatch):
     assert thread_count() >= 1
 
 
+def no_cohort(*args, **kwargs):
+    raise AssertionError("generate_cohort called before the arguments were checked")
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--eta", "-1", "eta must be finite and >= 0, got -1.0"),
+    ("--eta", "nan", "eta must be finite and >= 0, got nan"),
+    ("--steps", "0", "need 1 <= sample_steps <= t_steps"),
+    ("--steps", "5000", "need 1 <= sample_steps <= t_steps"),
+    ("--downsample", "0", "downsample factors must be positive"),
+])
+def test_bad_sampler_setting_exits_2_before_the_cohort_is_built(
+        monkeypatch, tmp_path, capsys, flag, value, message):
+    monkeypatch.setattr(cli, "generate_cohort", no_cohort)
+    rc, _ = run_cli(["demo", str(tmp_path / "out"), "-n", "2", flag, value])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_demo_outputs_do_not_depend_on_the_thread_count(monkeypatch, tmp_path):
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("REFAUDIT_THREADS", threads)
+        out = tmp_path / f"threads-{threads}"
+        rc, _ = run_cli(["demo", str(out), "-n", "2", "--steps", "2", "--boot", "50"])
+        assert rc == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(outputs[0]) == 13  # 5 NIfTIs per subject, masd.csv, quality.csv, manifest.json
+    assert outputs[0].keys() == outputs[1].keys()
+    for name in outputs[0]:
+        assert outputs[0][name] == outputs[1][name], name
+
+
 @pytest.mark.parametrize("command", ["phantom", "demo"])
 def test_bad_thread_cap_exits_2_before_the_cohort_is_built(monkeypatch, tmp_path, capsys, command):
-    def no_cohort(*args, **kwargs):
-        raise AssertionError("generate_cohort called before REFAUDIT_THREADS was read")
-
     monkeypatch.setattr(cli, "generate_cohort", no_cohort)
     monkeypatch.setenv("REFAUDIT_THREADS", "abc")
     rc, _ = run_cli([command, str(tmp_path / "out"), "-n", "2"])
@@ -407,6 +438,16 @@ class TestHostileInputs:
         rc, out = run_cli(["masd", str(path), str(path)])
         assert rc == 3 and out == ""
         assert "vox_offset nan is not finite" in capsys.readouterr().err
+
+    def test_nan_voxel_is_format_error_exit_3(self, tmp_path, capsys):
+        vol = generate_cohort(1, seed=17, base=SMALL_PARAMS)[0].volume
+        data = vol.data.copy()
+        data[10, 20, 30] = np.nan
+        path = tmp_path / "v.nii.gz"
+        write_nifti_file(vol.with_data(data), path)
+        rc, out = run_cli(["masd", str(path), str(path)])
+        assert rc == 3 and out == ""
+        assert "voxel values are not all finite" in capsys.readouterr().err
 
     def test_aggression_sweep_nonpositive_boot_exits_2(self, capsys):
         script = Path(__file__).resolve().parents[1] / "scripts" / "aggression_sweep.py"

@@ -3,6 +3,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from refaudit.ddim import (
     CascadeConfig,
@@ -24,7 +25,7 @@ from refaudit.denoisers import (
 )
 from refaudit.deface import quickshear
 from refaudit.errors import ScheduleError
-from refaudit.volume import downsample, upsample_trilinear
+from refaudit.volume import BinaryMask, Volume3D, downsample, upsample_trilinear
 
 
 def gaussian_oracle_sd(schedule, steps, s, eta):
@@ -79,6 +80,11 @@ class TestSchedule:
         sched = make_schedule(100)
         assert sched.sigma(50, 20, 0.0) == 0.0
         assert sched.sigma(20, 0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("eta", [-1.0, math.nan, math.inf])
+    def test_sigma_rejects_negative_or_non_finite_eta(self, eta):
+        with pytest.raises(ValueError, match="eta must be finite and >= 0"):
+            make_schedule(100).sigma(50, 20, eta)
 
     def test_sigma_bounded_by_target_noise(self):
         sched = make_schedule(200)
@@ -361,6 +367,18 @@ class TestCascade:
         assert d["slab"] == {"size": 8, "overlap": 4}
         assert d["seed"] == 9
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"eta": -1.0}, "eta must be finite"),
+        ({"eta": math.nan}, "eta must be finite"),
+        ({"eta": math.inf}, "eta must be finite"),
+        ({"sample_steps": 0}, "1 <= sample_steps <= t_steps"),
+        ({"sample_steps": 1001}, "1 <= sample_steps <= t_steps"),
+        ({"downsample_factor": (2, 0, 2)}, "downsample factors must be positive"),
+    ])
+    def test_config_rejects_bad_sampler_settings(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            CascadeConfig(**kwargs)
+
 
 class TestMirrorFill:
     def test_fill_only_touches_removed_region(self, small_phantom, small_head):
@@ -375,3 +393,37 @@ class TestMirrorFill:
         vol, brain, _ = small_phantom
         empty = brain.with_data(np.zeros(vol.dims, bool))
         assert mirror_fill(vol, empty) is vol
+
+    def test_matches_per_voxel_reflection_rule(self, rng):
+        """Each removed voxel takes the value at its reflection through its
+        nearest observed voxel, or that voxel's value when the reflection is
+        out of bounds or removed; checked voxel by voxel, with both fallbacks
+        reached by removed regions that touch the border."""
+        shape, spacing = (9, 10, 11), (1.0, 2.0, 1.5)
+        vol = Volume3D(data=rng.standard_normal(shape), spacing=spacing,
+                       affine=np.diag([*spacing, 1.0]))
+        gx, gy, _ = np.indices(shape)
+        branches = {"mirrored": 0, "out of bounds": 0, "removed": 0}
+        for gone in (rng.random(shape) < 0.5, gx + 2 * gy > 12, gy < 3):
+            removed = BinaryMask.like(vol, gone)
+            _, nearest = ndimage.distance_transform_edt(gone, sampling=spacing,
+                                                        return_indices=True)
+            observed = np.argwhere(~gone) * spacing
+            expected = vol.data.copy()
+            for p in zip(*np.nonzero(gone)):
+                q = tuple(int(nearest[(axis, *p)]) for axis in range(3))
+                assert not gone[q]
+                nearest_mm = np.linalg.norm(observed - np.multiply(p, spacing), axis=1).min()
+                assert np.linalg.norm(np.subtract(q, p) * spacing) == pytest.approx(nearest_mm)
+                m = tuple(2 * qa - pa for qa, pa in zip(q, p))
+                if not all(0 <= ma < n for ma, n in zip(m, shape)):
+                    branches["out of bounds"] += 1
+                    expected[p] = vol.data[q]
+                elif gone[m]:
+                    branches["removed"] += 1
+                    expected[p] = vol.data[q]
+                else:
+                    branches["mirrored"] += 1
+                    expected[p] = vol.data[m]
+            np.testing.assert_array_equal(mirror_fill(vol, removed).data, expected)
+        assert min(branches.values()) > 0, branches

@@ -378,6 +378,13 @@ class TestFormatting:
         s = StatSummary(mean=0.3391, ci_low=0.2849, ci_high=0.4021, n_boot=1000, seed=0)
         assert s.format() == "0.34 [0.28, 0.40]"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("finite", [24, 25])
+    def test_bound_next_to_an_infinite_replicate_is_inf(self, finite):
+        # with 25 finite replicates the 2.5% bound lies between 1.0 and the first inf
+        replicates = np.concatenate([np.full(finite, 1.0), np.full(1000 - finite, math.inf)])
+        assert StatSummary.from_replicates(replicates, seed=0).format() == "inf [inf, inf]"
+
     def test_stars_thresholds(self):
         assert significance_stars(5e-5) == "****"
         assert significance_stars(1e-4) == "****"

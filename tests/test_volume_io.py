@@ -1,9 +1,10 @@
 import gzip
+import math
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refaudit.errors import CorruptFileError, FormatError, UnsupportedDataTypeError
@@ -12,6 +13,7 @@ from refaudit.volume import (
     VOX_OFFSET,
     BinaryMask,
     Volume3D,
+    _trilinear_at,
     downsample,
     read_nifti,
     upsample_trilinear,
@@ -98,6 +100,29 @@ def assemble_nifti(dims, datatype, payload, scl_slope=0.0, scl_inter=0.0,
     return bytes(hdr) + b"\x00" * (VOX_OFFSET - HEADER_SIZE) + payload
 
 
+def _valid_files():
+    """One small valid file with its affine in the sform, and the same file
+    with the affine in the qform instead."""
+    rng = np.random.default_rng(3)
+    affine = np.array([[0.0, 2.0, 0.0, 3.0], [-1.0, 0.0, 0.0, -4.0],
+                       [0.0, 0.0, 1.5, 5.0], [0.0, 0.0, 0.0, 1.0]])
+    vol = Volume3D(data=rng.standard_normal((3, 4, 5)), spacing=(1.0, 2.0, 1.5), affine=affine)
+    sform = write_nifti(vol)
+    qform = bytearray(sform)
+    struct.pack_into("<2h", qform, 252, 1, 0)  # qform_code 1, sform_code 0
+    # quaternion (b, c, d) = (0, 0, -sqrt(1/2)): the affine's -90 degree turn about z
+    struct.pack_into("<6f", qform, 256, 0.0, 0.0, -math.sqrt(0.5), 3.0, -4.0, 5.0)
+    return {"sform": sform, "qform": bytes(qform)}
+
+
+VALID_FILES = _valid_files()
+FLOAT_FIELDS = ([76 + 4 * i for i in range(8)] + [108, 112, 116]  # pixdim, vox_offset, scl
+                + [256 + 4 * i for i in range(6)] + [280 + 4 * i for i in range(12)])  # qform, srow
+INT16_FIELDS = [40 + 2 * i for i in range(8)] + [70, 72, 252, 254]  # dim, datatype, bitpix, codes
+HOSTILE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-30, 3.4e38,
+                                  -3.4e38, -1.0]) | st.floats(width=32)
+
+
 class TestReader:
     def test_scl_slope_inter_applied(self):
         # 2x2x2 int16 with raw values 0..7, slope 2, inter 1 -> 1,3,...,15
@@ -140,6 +165,30 @@ class TestReader:
         with pytest.raises(FormatError, match="3D"):
             read_nifti(bytes(raw))
 
+    def test_valid_qform_file_reads_its_rotation(self):
+        vol = read_nifti(VALID_FILES["qform"])
+        expected = read_nifti(VALID_FILES["sform"])
+        np.testing.assert_allclose(vol.affine, expected.affine, atol=1e-6)
+        np.testing.assert_array_equal(vol.data, expected.data)
+
+    @pytest.mark.parametrize("base, offset, value, message", [
+        ("sform", 112, math.inf, "scl_slope"),
+        ("sform", 80, math.nan, "pixdim"),
+        ("qform", 260, math.inf, "quaternion"),
+        ("sform", 284, 1e-30, "singular"),
+        ("sform", 292, math.nan, "finite 4x4"),
+    ])
+    def test_non_finite_or_singular_header_is_format_error(self, base, offset, value, message):
+        raw = bytearray(VALID_FILES[base])
+        struct.pack_into("<f", raw, offset, value)
+        with pytest.raises(FormatError, match=message):
+            read_nifti(bytes(raw))
+
+    def test_non_finite_voxel_is_format_error(self):
+        payload = np.array([0, 1, np.nan, 3, 4, 5, 6, 7], dtype="<f4").tobytes()
+        with pytest.raises(FormatError, match="voxel values are not all finite"):
+            read_nifti(assemble_nifti((2, 2, 2), 16, payload))
+
     def test_reorientation_to_ras(self):
         # LAS file (x flipped): reader must flip back to RAS and record it
         data = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
@@ -152,6 +201,23 @@ class TestReader:
         # world position of every voxel is preserved by the reorientation
         assert np.allclose(back.affine @ [1, 0, 0, 1], affine @ [0, 0, 0, 1])
         assert back.affine[0, 0] > 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=400)
+@given(st.sampled_from(list(VALID_FILES.values())), st.one_of(
+    st.tuples(st.sampled_from(FLOAT_FIELDS), st.just("<f"), HOSTILE_FLOATS),
+    st.tuples(st.sampled_from(INT16_FIELDS), st.just("<h"), st.integers(-32768, 32767))))
+def test_header_mutation_parses_finite_or_raises_format_error(raw, mutation):
+    offset, fmt, value = mutation
+    raw = bytearray(raw)
+    struct.pack_into(fmt, raw, offset, value)
+    try:
+        vol = read_nifti(bytes(raw))
+    except FormatError:
+        return
+    assert np.isfinite(vol.data).all()
+    assert np.isfinite(vol.spacing).all() and np.isfinite(vol.affine).all()
 
 
 class TestDownsample:
@@ -240,6 +306,46 @@ class TestUpsample:
         vol = random_volume(rng, np.float32)
         out = upsample_trilinear(downsample(vol, 2), 2)
         assert np.allclose(out.affine, vol.affine, atol=1e-9)
+
+
+def trilinear_point(src, point):
+    """Pointwise 8-corner trilinear formula with edge clamping: corner weights
+    multiplied in axis order, corners summed with axis 0's bit fastest."""
+    lo, frac = [], []
+    for axis, c in enumerate(point):
+        n = src.shape[axis]
+        c = min(max(c, 0.0), n - 1.0)
+        lo.append(min(math.floor(c), n - 1))
+        frac.append(c - lo[-1])
+    total = 0.0
+    for corner in range(8):
+        w, idx = 1.0, []
+        for axis in range(3):
+            up = corner >> axis & 1
+            idx.append(min(lo[axis] + up, src.shape[axis] - 1))
+            w *= frac[axis] if up else 1.0 - frac[axis]
+        total += w * src[tuple(idx)]
+    return total
+
+
+class TestTrilinearAt:
+    def assert_matches_pointwise(self, src, axes):
+        got = _trilinear_at(src, axes)
+        assert got.shape == tuple(len(a) for a in axes)
+        for p in np.ndindex(got.shape):
+            point = tuple(float(axes[axis][p[axis]]) for axis in range(3))
+            assert got[p] == trilinear_point(src, point), p
+
+    @pytest.mark.parametrize("factor", [2, 3])
+    def test_upsample_coordinates_match_pointwise_formula(self, rng, factor):
+        src = rng.standard_normal((4, 5, 3))
+        axes = [(np.arange(n * factor) + 0.5) / factor - 0.5 for n in src.shape]
+        self.assert_matches_pointwise(src, axes)
+
+    def test_phantom_lattice_coordinates_match_pointwise_formula(self, rng):
+        dims, step = (40, 33, 18), 16
+        lattice = rng.standard_normal(tuple(d // step + 2 for d in dims))
+        self.assert_matches_pointwise(lattice, [np.arange(d) / step for d in dims])
 
 
 @given(st.integers(2, 6), st.integers(2, 6), st.integers(2, 6), st.integers(0, 2**32 - 1))
