@@ -12,26 +12,12 @@ Usage: python scripts/sampler_moment_check.py [--mu 3] [--s 2] [--n 10000]
 """
 
 import argparse
-import math
 import sys
 
 import numpy as np
 
 from refaudit.ddim import make_schedule, sample, uniform_steps
 from refaudit.denoisers import GaussianPosteriorDenoiser
-
-
-def exact_final_sd(schedule, steps, mu, s, eta):
-    s2 = s * s
-    v = 1.0
-    for t, p in zip(steps[:-1], steps[1:]):
-        a, q = schedule.alpha_bar[t], schedule.alpha_bar[p]
-        d = a * s2 + 1.0 - a
-        gain = math.sqrt(a) * s2 / d
-        sig2 = (eta**2) * (1 - q) / (1 - a) * (1 - a / q) if p > 0 else 0.0
-        coef = math.sqrt(q) * gain + math.sqrt(max(1 - q - sig2, 0.0)) * math.sqrt(1 - a) / d
-        v = coef * coef * v + sig2
-    return math.sqrt(v)
 
 
 def main(argv=None):
@@ -53,7 +39,7 @@ def main(argv=None):
             rng = np.random.default_rng(args.seed)
             out = sample(denoiser, None, schedule, steps, eta=eta, rng=rng,
                          shape=(args.n,))
-            exact = exact_final_sd(schedule, steps, args.mu, args.s, eta) if eta else float("nan")
+            exact = denoiser.final_sd(steps, eta) if eta else float("nan")
             print(f"{n_steps:6d} {eta:4.1f} {out.mean():8.4f} {out.std(ddof=1):8.4f} "
                   f"{exact:9.4f} {out.std(ddof=1) / args.s:6.4f}")
     return 0

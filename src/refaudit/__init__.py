@@ -14,7 +14,7 @@ from .volume import (
 )
 from .masks import face_roi, head_mask, morphology, otsu_threshold
 from .deface import quickshear, regression_preproc, skull_strip
-from .surface import TriMesh, face_distance_report, kd_nearest, marching_cubes, masd
+from .surface import TriMesh, face_distance_report, marching_cubes, masd
 from .quality import intersection_mask, psnr, quality_report, ssim
 from .stats import (
     LmmFit,

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ddim import CascadeConfig, SlabSpec, cascade_reface
+from .ddim import CascadeConfig, SlabSpec, cascade_reface, stage2_slabs
 from .deface import QUICKSHEAR_VERSION, quickshear
 from .denoisers import VolumeDenoiser, mirror_fill
 from .errors import FormatError, GeometryMismatchError, JoinError
@@ -40,7 +40,7 @@ from .stats import (
     wilcoxon_signed_rank,
 )
 from .surface import face_distance_report
-from .phantom import generate_cohort
+from .phantom import PhantomParams, generate_cohort
 from .volume import downsample, read_mask_file, read_nifti_file, write_mask_file, write_nifti_file
 
 EXIT_OK = 0
@@ -71,6 +71,13 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
     return value
 
 
@@ -277,6 +284,8 @@ def cmd_demo(args) -> int:
         slab=SlabSpec(size=args.slab_size, overlap=args.overlap),
         seed=args.seed,
     )
+    # a slab taller than the phantoms fails here, before any output or phantom
+    stage2_slabs(PhantomParams().dims[2], config.slab)
     out = _ensure_out_dir(args.out_dir)
     workers = thread_count()
     cohort = generate_cohort(args.count, args.seed)
@@ -333,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phantom", help="generate a phantom cohort")
     p.add_argument("out_dir")
-    p.add_argument("-n", "--count", type=int, default=3)
+    p.add_argument("-n", "--count", type=positive_int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--write-brain-masks", action="store_true")
     p.set_defaults(func=cmd_phantom)
@@ -375,9 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="end-to-end phantom walkthrough")
     p.add_argument("out_dir")
-    p.add_argument("-n", "--count", type=int, default=10)
+    p.add_argument("-n", "--count", type=positive_int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--buffer-mm", type=float, default=10.0)
+    p.add_argument("--buffer-mm", type=nonnegative_float, default=10.0)
     p.add_argument("--downsample", type=int, default=2)
     p.add_argument("--slab-size", type=int, default=8)
     p.add_argument("--overlap", type=int, default=4)

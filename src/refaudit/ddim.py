@@ -186,8 +186,9 @@ def stage2_slabs(nz: int, spec: SlabSpec = SlabSpec()) -> list:
     return [(s, s + spec.size) for s in starts]
 
 
-def merge_slabs(slabs, ranges, nz=None) -> np.ndarray:
-    """Merge overlapping axial slabs into a full array.
+def merge_slabs(slabs, ranges) -> np.ndarray:
+    """Merge overlapping axial slabs into a full array spanning [0, nz), nz
+    being the end of the last range.
 
     Within a k-slice overlap the incoming slab ramps with weights
     1/(k+1) ... k/(k+1) while the outgoing slab carries the complement, so
@@ -206,14 +207,13 @@ def merge_slabs(slabs, ranges, nz=None) -> np.ndarray:
     for s, (z0, z1) in zip(slabs, ranges):
         if s.shape[:-1] != lead or s.shape[-1] != z1 - z0:
             raise ValueError(f"slab shape {s.shape} inconsistent with range ({z0}, {z1})")
-    if nz is None:
-        nz = ranges[-1][1]
+    nz = ranges[-1][1]
     for i in range(1, len(ranges)):
         if ranges[i][0] < ranges[i - 1][0] + 1 or ranges[i][0] > ranges[i - 1][1]:
             raise ValueError(f"slab ranges neither ordered nor contiguous: {ranges}")
         if i >= 2 and ranges[i][0] < ranges[i - 2][1]:
             raise ValueError(f"slice covered by three slabs: {ranges}")
-    if ranges[0][0] != 0 or ranges[-1][1] != nz:
+    if ranges[0][0] != 0:
         raise ValueError(f"slab ranges do not tile [0, {nz}): {ranges}")
 
     out = np.zeros(lead + (nz,), dtype=np.float64)
@@ -278,6 +278,12 @@ def cascade_reface(
     the downsampled defaced image, then slab-wise super-resolution
     conditioned on the defaced image and the upsampled stage-1 output.
 
+    Each denoiser is called as ``denoiser(x_t, t, condition)`` with a dict
+    condition. Stage 1 gets ``{"defaced_lowres": Volume3D}``, the downsampled
+    defaced image. Each stage-2 slab gets ``{"defaced", "upsampled",
+    "slab_range"}``: the defaced image's and the cropped stage-1 upsample's
+    ``[:, :, z0:z1]`` arrays, shaped like x_t, and the slab's ``(z0, z1)``.
+
     Slabs use independent RNG streams derived from (seed, slab index), so the
     merged result is invariant to slab completion order. The final composite
     preserves observed voxels: generated content replaces the input only
@@ -288,25 +294,21 @@ def cascade_reface(
     steps = uniform_steps(config.t_steps, config.sample_steps)
 
     low = downsample(defaced, config.downsample_factor)
-    cond1 = {"defaced_lowres": low, "defaced": defaced, "removed": removed}
     x_low = sample(
-        stage1, cond1, schedule, steps, eta=config.eta,
+        stage1, {"defaced_lowres": low}, schedule, steps, eta=config.eta,
         rng=_stage_rng(config.seed, 0), shape=low.dims,
     )
     low_refaced = low.with_data(x_low)
     up = upsample_trilinear(low_refaced, config.downsample_factor)
     up_data = up.data[: defaced.dims[0], : defaced.dims[1], : defaced.dims[2]]
 
-    nz = defaced.dims[2]
-    ranges = stage2_slabs(nz, config.slab)
+    ranges = stage2_slabs(defaced.dims[2], config.slab)
     slab_out = []
     for i, (z0, z1) in enumerate(ranges):
         cond2 = {
             "defaced": defaced.data[:, :, z0:z1],
             "upsampled": up_data[:, :, z0:z1],
             "slab_range": (z0, z1),
-            "defaced_vol": defaced,
-            "removed": removed,
         }
         slab_out.append(
             sample(
@@ -315,6 +317,6 @@ def cascade_reface(
                 shape=(defaced.dims[0], defaced.dims[1], z1 - z0),
             )
         )
-    merged = merge_slabs(slab_out, ranges, nz=nz)
+    merged = merge_slabs(slab_out, ranges)
     composite = np.where(removed.data, merged, defaced.data)
     return defaced.with_data(composite)

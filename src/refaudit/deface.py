@@ -92,8 +92,8 @@ def quickshear(
     recomputation).
     """
     require_same_geometry(vol, brain, "volume and brain mask")
-    if buffer_mm < 0:
-        raise ValueError(f"buffer_mm must be >= 0, got {buffer_mm}")
+    if not 0.0 <= buffer_mm < math.inf:
+        raise ValueError(f"buffer_mm must be finite and >= 0, got {buffer_mm}")
     idx = np.nonzero(brain.data)
     if len(idx[0]) == 0:
         raise ValueError("brain mask is empty")

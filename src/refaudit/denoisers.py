@@ -5,6 +5,8 @@ deterministically or from closed-form conditioning).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import ndimage
 
@@ -37,22 +39,25 @@ class GaussianPosteriorDenoiser:
         gain = np.sqrt(a) * self.s2 / (a * self.s2 + 1.0 - a)
         return self.mu + gain * (np.asarray(x_t) - np.sqrt(a) * self.mu)
 
+    def final_sd(self, steps, eta: float) -> float:
+        """Exact final SD of the DDIM chain along ``steps`` driven by this
+        denoiser from N(0, 1) noise.
 
-class ConditionStub:
-    """Identity-on-condition stub: predicts x0 as one entry of the condition
-    dict (a Volume3D or an array matching x_t)."""
-
-    def __init__(self, key: str):
-        self.key = key
-
-    def __call__(self, x_t, t, condition):
-        value = condition[self.key]
-        data = value.data if isinstance(value, Volume3D) else np.asarray(value)
-        if data.shape != np.shape(x_t):
-            raise ValueError(
-                f"condition {self.key!r} has shape {data.shape}, x_t {np.shape(x_t)}"
-            )
-        return data
+        Every step is linear in x_t plus independent noise, so the variance
+        obeys v <- coef^2 v + sigma^2 with coef = sqrt(q) gain +
+        sqrt(1 - q - sigma^2) sqrt(1 - a) / d, where a and q are alpha_bar at
+        the jump's ends, d = a s^2 + 1 - a and gain = sqrt(a) s^2 / d. Built
+        from ``schedule.alpha_bar`` alone, independently of ``ddim_step``.
+        """
+        abar, s2, v = self.schedule.alpha_bar, self.s2, 1.0
+        for t, p in zip(steps[:-1], steps[1:]):
+            a, q = abar[t], abar[p]
+            d = a * s2 + 1 - a
+            gain = math.sqrt(a) * s2 / d
+            sig2 = eta * eta * (1 - q) / (1 - a) * (1 - a / q) if p > 0 else 0.0
+            coef = math.sqrt(q) * gain + math.sqrt(max(1 - q - sig2, 0)) * math.sqrt(1 - a) / d
+            v = coef * coef * v + sig2
+        return math.sqrt(v)
 
 
 class VolumeDenoiser:

@@ -20,28 +20,26 @@ MORPHOLOGY_OPS = ("dilate", "erode", "close", "open", "fill_holes", "largest_com
 _LABEL_26 = np.ones((3, 3, 3), dtype=bool)
 
 
-def otsu_threshold(vol: Volume3D, bins: int = 256) -> float:
-    """Bin edge maximizing between-class variance over a ``bins``-bin
+def otsu_threshold(vol: Volume3D) -> float:
+    """Bin edge maximizing between-class variance over a 256-bin
     histogram spanning [min, max]; ties break toward the lower edge.
 
     Foreground semantics downstream: voxel is foreground iff intensity is
     strictly greater than the returned threshold.
     """
-    if bins < 2:
-        raise ValueError(f"bins must be >= 2, got {bins}")
     data = vol.data.ravel()
     lo, hi = float(data.min()), float(data.max())
     if lo == hi:
         raise DegenerateInputError("constant volume has no Otsu threshold")
 
-    counts, edges = np.histogram(data, bins=bins, range=(lo, hi))
+    counts, edges = np.histogram(data, bins=256, range=(lo, hi))
     counts = counts.astype(np.float64)
     centers = 0.5 * (edges[:-1] + edges[1:])
     total = counts.sum()
     cum_w = np.cumsum(counts)
     cum_m = np.cumsum(counts * centers)
 
-    w0 = cum_w[:-1]  # split k separates bins [0, k) | [k, bins)
+    w0 = cum_w[:-1]  # split k separates bins [0, k) | [k, 256)
     w1 = total - w0
     with np.errstate(invalid="ignore", divide="ignore"):
         mu0 = cum_m[:-1] / w0
@@ -113,9 +111,9 @@ def _largest_component(data: np.ndarray) -> np.ndarray:
     return labels == candidates[0]
 
 
-def head_mask(vol: Volume3D, bins: int = 256) -> BinaryMask:
+def head_mask(vol: Volume3D) -> BinaryMask:
     """Otsu foreground, then close(radius 2), fill_holes, largest_component."""
-    mask = foreground_mask(vol, otsu_threshold(vol, bins=bins))
+    mask = foreground_mask(vol, otsu_threshold(vol))
     mask = morphology(mask, "close", radius=2)
     mask = morphology(mask, "fill_holes")
     return morphology(mask, "largest_component")

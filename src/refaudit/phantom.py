@@ -87,11 +87,6 @@ class PhantomGeometry:
     brow_radii: tuple
     shell_band: tuple = SHELL_BAND
 
-    def head_value(self, points):
-        points = np.asarray(points, dtype=np.float64)
-        coords = (points[..., 0], points[..., 1], points[..., 2])
-        return _ellipsoid(coords, self.head_center, self.head_radii)
-
     def contains_head(self, points):
         """Membership in the full head union (ellipsoid, nose, brow)."""
         points = np.asarray(points, dtype=np.float64)
@@ -101,11 +96,6 @@ class PhantomGeometry:
             | (_ellipsoid(coords, self.nose_center, self.nose_radii) <= 1.0)
             | (_ellipsoid(coords, self.brow_center, self.brow_radii) <= 1.0)
         )
-
-    def contains_brain(self, points):
-        points = np.asarray(points, dtype=np.float64)
-        coords = (points[..., 0], points[..., 1], points[..., 2])
-        return _ellipsoid(coords, self.brain_center, self.brain_radii) <= 1.0
 
     def nose_tip(self) -> np.ndarray:
         tip = np.array(self.nose_center, dtype=np.float64)

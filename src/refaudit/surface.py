@@ -118,23 +118,6 @@ def _signed_volume(mesh: TriMesh) -> float:
     return float(np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0)
 
 
-def kd_nearest(points: np.ndarray, query) -> tuple:
-    """Exact Euclidean nearest neighbor of ``query`` among ``points``;
-    ties break toward the lowest index. Returns (index, distance mm)."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if len(points) == 0:
-        raise ValueError("point set is empty")
-    query = np.asarray(query, dtype=np.float64)
-    tree = cKDTree(points)
-    d, _ = tree.query(query)
-    candidates = tree.query_ball_point(query, r=float(d) * (1 + 1e-12) + 1e-300)
-    candidates = np.sort(np.asarray(candidates, dtype=np.intp))
-    d2 = ((points[candidates] - query) ** 2).sum(axis=1)
-    best = candidates[d2 == d2.min()][0]
-    dist = math.sqrt(float(((points[best] - query) ** 2).sum()))
-    return int(best), dist
-
-
 def masd(a: TriMesh, b: TriMesh, directed: bool = False) -> float:
     """Mean absolute surface distance between two meshes, in mm.
 

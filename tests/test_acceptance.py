@@ -26,7 +26,7 @@ implementation could meet them:
   variance given the clean image, which is exact only when x0 is known; a
   posterior-mean predictor drops Var(x0 | x_t) on every coarse jump (Bao et
   al., Analytic-DPM, arXiv:2201.06503). The exact linear-Gaussian recursion
-  (``test_ddim.gaussian_oracle_sd``) gives a final SD of 1.8854 at 50 steps
+  (``GaussianPosteriorDenoiser.final_sd``) gives a final SD of 1.8854 at 50 steps
   (a 5.73% deficit) and 1.9937 over the full schedule. The criterion now
   holds the 50-step SD to within 4 standard errors of the recursion and the
   full-schedule SD to within 5% of s.
@@ -53,7 +53,6 @@ from refaudit.phantom import generate_cohort
 from refaudit.surface import TriMesh, face_distance_report, marching_cubes, masd
 from refaudit.volume import Volume3D, read_nifti, write_nifti
 
-from test_ddim import gaussian_oracle_sd
 from test_masks import otsu_oracle
 from test_stats import simulate_table
 from test_surface import digitized_ball, euler_characteristic, is_closed
@@ -194,7 +193,7 @@ def test_criterion_05_ddim_gaussian_oracle():
     # match the exact variance recursion, and only the full schedule is
     # held to 5% of s.
     sd = out.std(ddof=1)
-    want = gaussian_oracle_sd(schedule, steps, s, eta=1.0)
+    want = den.final_sd(steps, eta=1.0)
     sd_tol = 4.0 * want / math.sqrt(2 * (n - 1))
     c.check(abs(sd - want) < sd_tol,
             f"50-step SD {sd:.4f} not within {sd_tol:.3f} of recursion {want:.4f}")

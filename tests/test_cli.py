@@ -33,6 +33,14 @@ def run_cli(args):
     return rc, buf.getvalue()
 
 
+def exit_code(args):
+    """Exit code of the CLI, whether argparse or the command rejects ``args``."""
+    try:
+        return run_cli(args)[0]
+    except SystemExit as exc:
+        return exc.code
+
+
 def csv_rows(text):
     return list(csv.DictReader(io.StringIO(text)))
 
@@ -98,13 +106,24 @@ def no_cohort(*args, **kwargs):
     ("--steps", "0", "need 1 <= sample_steps <= t_steps"),
     ("--steps", "5000", "need 1 <= sample_steps <= t_steps"),
     ("--downsample", "0", "downsample factors must be positive"),
+    ("--buffer-mm", "nan", "--buffer-mm: must be finite and >= 0, got nan"),
+    ("--buffer-mm", "inf", "--buffer-mm: must be finite and >= 0, got inf"),
+    ("--buffer-mm", "-1", "--buffer-mm: must be finite and >= 0, got -1.0"),
+    ("--slab-size", "200", "nz=128 smaller than slab size 200"),
 ])
 def test_bad_sampler_setting_exits_2_before_the_cohort_is_built(
         monkeypatch, tmp_path, capsys, flag, value, message):
     monkeypatch.setattr(cli, "generate_cohort", no_cohort)
-    rc, _ = run_cli(["demo", str(tmp_path / "out"), "-n", "2", flag, value])
-    assert rc == 2
+    assert exit_code(["demo", str(tmp_path / "out"), "-n", "2", flag, value]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["phantom", "demo"])
+def test_zero_count_exits_2_before_the_out_dir_is_made(monkeypatch, tmp_path, capsys, command):
+    monkeypatch.setattr(cli, "generate_cohort", no_cohort)
+    assert exit_code([command, str(tmp_path / "out"), "-n", "0"]) == 2
+    assert "--count: must be a positive integer, got 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,5 +1,7 @@
+import importlib.util
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from refaudit.ddim import (
     uniform_steps,
 )
 from refaudit.denoisers import (
-    ConditionStub,
     DiracDenoiser,
     GaussianPosteriorDenoiser,
     VolumeDenoiser,
@@ -26,27 +27,6 @@ from refaudit.denoisers import (
 from refaudit.deface import quickshear
 from refaudit.errors import ScheduleError
 from refaudit.volume import BinaryMask, Volume3D, downsample, upsample_trilinear
-
-
-def gaussian_oracle_sd(schedule, steps, s, eta):
-    """Exact final SD of the DDIM chain along ``steps`` for data N(mu, s^2)
-    denoised by its exact posterior mean, started from N(0, 1).
-
-    Every step is linear in x_t plus independent noise, so the variance
-    obeys v <- coef^2 v + sigma^2 with coef = sqrt(q) gain +
-    sqrt(1 - q - sigma^2) sqrt(1 - a) / d, where a and q are alpha_bar at the
-    jump's ends, d = a s^2 + 1 - a and gain = sqrt(a) s^2 / d. Derived from
-    ``schedule.alpha_bar`` alone, independently of ``ddim_step``.
-    """
-    v, s2 = 1.0, s * s
-    for t, p in zip(steps[:-1], steps[1:]):
-        a, q = schedule.alpha_bar[t], schedule.alpha_bar[p]
-        d = a * s2 + 1 - a
-        gain = math.sqrt(a) * s2 / d
-        sig2 = eta * eta * (1 - q) / (1 - a) * (1 - a / q) if p > 0 else 0.0
-        coef = math.sqrt(q) * gain + math.sqrt(max(1 - q - sig2, 0)) * math.sqrt(1 - a) / d
-        v = coef * coef * v + sig2
-    return math.sqrt(v)
 
 
 class TestSchedule:
@@ -212,11 +192,11 @@ class TestSample:
         mu, s, n = 3.0, 2.0, 20_000
         sched = make_schedule(1000)
         steps = uniform_steps(1000, 50)
-        expected_sd = gaussian_oracle_sd(sched, steps, s, eta=1.0)
+        den = GaussianPosteriorDenoiser(mu, s, sched)
+        expected_sd = den.final_sd(steps, eta=1.0)
         assert expected_sd == pytest.approx(1.8854, abs=2e-3)
 
-        out = sample(GaussianPosteriorDenoiser(mu, s, sched), None, sched, steps,
-                     eta=1.0, rng=np.random.default_rng(3), shape=(n,))
+        out = sample(den, None, sched, steps, eta=1.0, rng=np.random.default_rng(3), shape=(n,))
         se_sd = expected_sd / math.sqrt(2 * (n - 1))
         assert abs(out.std(ddof=1) - expected_sd) < 4 * se_sd
 
@@ -225,11 +205,28 @@ class TestSample:
         mu, s, n = 3.0, 2.0, 20_000
         sched = make_schedule(1000)
         steps = uniform_steps(1000, 50)
-        expected_sd = gaussian_oracle_sd(sched, steps, s, eta=0.0)
-        out = sample(GaussianPosteriorDenoiser(mu, s, sched), None, sched, steps,
-                     eta=0.0, rng=np.random.default_rng(4), shape=(n,))
+        den = GaussianPosteriorDenoiser(mu, s, sched)
+        expected_sd = den.final_sd(steps, eta=0.0)
+        out = sample(den, None, sched, steps, eta=0.0, rng=np.random.default_rng(4), shape=(n,))
         se_sd = expected_sd / math.sqrt(2 * (n - 1))
         assert abs(out.std(ddof=1) - expected_sd) < 4 * se_sd
+
+    def test_moment_check_script_prints_the_recursion(self, capsys):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "sampler_moment_check.py"
+        spec = importlib.util.spec_from_file_location("sampler_moment_check", script)
+        check = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(check)
+        assert check.main(["--n", "200"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()
+                if line.split() and line.split()[0].isdigit()]
+        exact = {(int(r[0]), float(r[1])): r[4] for r in rows}
+        assert exact == {
+            (25, 0.0): "nan", (25, 1.0): "1.7864",
+            (50, 0.0): "nan", (50, 1.0): "1.8854",
+            (100, 0.0): "nan", (100, 1.0): "1.9402",
+            (250, 0.0): "nan", (250, 1.0): "1.9753",
+            (1000, 0.0): "nan", (1000, 1.0): "1.9937",
+        }
 
     def test_subsequence_validation(self, rng):
         sched = make_schedule(100)
@@ -319,8 +316,8 @@ class TestCascade:
         vol, brain, _ = small_phantom
         defaced, removed = quickshear(vol, brain, buffer_mm=8.0, head=small_head)
         config = CascadeConfig(sample_steps=10, seed=4)
-        out = cascade_reface(defaced, removed, ConditionStub("defaced_lowres"),
-                             ConditionStub("upsampled"), config)
+        out = cascade_reface(defaced, removed, lambda x, t, c: c["defaced_lowres"].data,
+                             lambda x, t, c: c["upsampled"], config)
         outside = ~removed.data
         assert np.array_equal(out.data[outside], defaced.data[outside])
         up = upsample_trilinear(downsample(defaced, 2), 2)
@@ -330,9 +327,33 @@ class TestCascade:
         vol, brain, _ = small_phantom
         removed = brain.with_data(np.zeros(vol.dims, bool))
         config = CascadeConfig(sample_steps=5, seed=0)
-        out = cascade_reface(vol, removed, ConditionStub("defaced_lowres"),
-                             ConditionStub("upsampled"), config)
+        out = cascade_reface(vol, removed, lambda x, t, c: c["defaced_lowres"].data,
+                             lambda x, t, c: c["upsampled"], config)
         assert np.array_equal(out.data, vol.data)
+
+    def test_denoisers_see_only_the_documented_condition(self, small_phantom, small_head):
+        vol, brain, _ = small_phantom
+        defaced, removed = quickshear(vol, brain, buffer_mm=8.0, head=small_head)
+        calls = {1: [], 2: []}
+
+        def recorder(stage):
+            def denoise(x_t, t, condition):
+                calls[stage].append((np.shape(x_t), {
+                    k: v if k == "slab_range" else np.shape(v.data if isinstance(v, Volume3D) else v)
+                    for k, v in condition.items()}))
+                return np.zeros_like(x_t)
+            return denoise
+
+        config = CascadeConfig(sample_steps=2, seed=0)
+        cascade_reface(defaced, removed, recorder(1), recorder(2), config)
+        assert len(calls[1]) == 2
+        for shape, seen in calls[1]:
+            assert seen == {"defaced_lowres": shape}
+        slab_ranges = [seen.pop("slab_range") for _, seen in calls[2]]
+        for shape, seen in calls[2]:
+            assert seen == {"defaced": shape, "upsampled": shape}
+        ranges = stage2_slabs(defaced.dims[2], config.slab)
+        assert slab_ranges == [r for r in ranges for _ in range(2)]
 
     def test_oracle_denoisers_close_the_loop(self, small_phantom, small_head):
         from refaudit.surface import face_distance_report

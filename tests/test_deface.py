@@ -99,6 +99,12 @@ class TestQuickshear:
         with pytest.raises(ValueError):
             quickshear(vol, brain, buffer_mm=-1.0)
 
+    @pytest.mark.parametrize("buffer_mm", [math.nan, math.inf])
+    def test_non_finite_buffer_raises(self, small_phantom, buffer_mm):
+        vol, brain, _ = small_phantom
+        with pytest.raises(ValueError, match="buffer_mm must be finite and >= 0"):
+            quickshear(vol, brain, buffer_mm=buffer_mm)
+
 
 class TestSkullStrip:
     def test_full_brain_is_identity(self, small_phantom):

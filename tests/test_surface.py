@@ -11,7 +11,6 @@ from refaudit.phantom import PhantomParams, generate_phantom
 from refaudit.surface import (
     TriMesh,
     face_distance_report,
-    kd_nearest,
     marching_cubes,
     masd,
 )
@@ -124,31 +123,6 @@ class TestMarchingCubes:
             data[5, 5, 5] = False
         mesh = marching_cubes(mask_of(data))  # TriMesh validates on build
         assert len(mesh.triangles) > 0
-
-
-class TestKdNearest:
-    def test_stored_point_has_zero_distance(self, rng):
-        pts = rng.standard_normal((50, 3))
-        idx, d = kd_nearest(pts, pts[17])
-        assert idx == 17 and d == 0.0
-
-    def test_matches_linear_scan_oracle(self, rng):
-        pts = rng.standard_normal((1000, 3))
-        queries = rng.standard_normal((1000, 3))
-        for q in queries:
-            d2 = ((pts - q) ** 2).sum(axis=1)
-            want_idx = int(np.argmin(d2))
-            want_d = math.sqrt(float(((pts[want_idx] - q) ** 2).sum()))
-            assert kd_nearest(pts, q) == (want_idx, want_d)
-
-    def test_tie_breaks_to_lower_index(self):
-        pts = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0]])
-        idx, d = kd_nearest(pts, np.zeros(3))
-        assert idx == 0 and d == 1.0
-
-    def test_empty_set_raises(self):
-        with pytest.raises(ValueError):
-            kd_nearest(np.zeros((0, 3)), np.zeros(3))
 
 
 def grid_mesh(offset=0.0, n=10):
