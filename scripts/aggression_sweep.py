@@ -24,7 +24,7 @@ BUFFERS_MM = (0.0, 5.0, 10.0, 20.0)
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=10)
+    parser.add_argument("--n", type=positive_int, default=10)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--boot", type=positive_int, default=1000)
     parser.add_argument("--out", default=None, help="per-subject CSV path")
@@ -35,7 +35,8 @@ def main(argv=None):
         head = head_mask(case.volume)
         cuts = {b: quickshear(case.volume, case.brain, buffer_mm=b, head=head)
                 for b in BUFFERS_MM}
-        distances = face_distance_report(case.volume, {b: cut[0] for b, cut in cuts.items()})
+        distances = face_distance_report(case.volume, {b: cut[0] for b, cut in cuts.items()},
+                                         head=head)
         for buffer_mm, (_, removed) in cuts.items():
             d = distances[buffer_mm]
             rows.append((case.subject_id, buffer_mm, removed.count(), d))

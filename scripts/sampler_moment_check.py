@@ -19,13 +19,25 @@ import numpy as np
 from refaudit.ddim import make_schedule, sample, uniform_steps
 from refaudit.denoisers import GaussianPosteriorDenoiser
 
+STEP_LADDER = (25, 50, 100, 250)  # step counts checked below the full schedule
+
+
+def int_at_least(minimum):
+    """argparse type: an integer no smaller than ``minimum``."""
+    def parse(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {value}")
+        return value
+    return parse
+
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--mu", type=float, default=3.0)
     parser.add_argument("--s", type=float, default=2.0)
-    parser.add_argument("--n", type=int, default=10_000)
-    parser.add_argument("--t", type=int, default=1000)
+    parser.add_argument("--n", type=int_at_least(2), default=10_000)  # the SD uses ddof=1
+    parser.add_argument("--t", type=int_at_least(STEP_LADDER[-1]), default=1000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
@@ -33,7 +45,7 @@ def main(argv=None):
     denoiser = GaussianPosteriorDenoiser(args.mu, args.s, schedule)
     print(f"target: N({args.mu}, {args.s}^2), {args.n} samples per row\n")
     print(f"{'steps':>6} {'eta':>4} {'mean':>8} {'sd':>8} {'exact sd':>9} {'sd/s':>6}")
-    for n_steps in (25, 50, 100, 250, args.t):
+    for n_steps in (*STEP_LADDER, args.t):
         steps = uniform_steps(args.t, n_steps)
         for eta in (0.0, 1.0):
             rng = np.random.default_rng(args.seed)

@@ -12,7 +12,7 @@ from .volume import (
     write_nifti,
     write_nifti_file,
 )
-from .masks import face_roi, head_mask, morphology, otsu_threshold
+from .masks import face_roi, head_mask, otsu_threshold
 from .deface import quickshear, regression_preproc, skull_strip
 from .surface import TriMesh, face_distance_report, marching_cubes, masd
 from .quality import intersection_mask, psnr, quality_report, ssim

@@ -179,8 +179,8 @@ def cmd_masd(args) -> int:
         raise ValueError("masd needs ORIGINAL and CANDIDATE paths (or --table)")
     original = read_nifti_file(args.original)
     candidate = read_nifti_file(args.candidate)
-    (d,) = face_distance_report(original, {args.method: candidate},
-                                directed=args.directed).values()
+    (d,) = face_distance_report(original, {args.method: candidate}, directed=args.directed,
+                                head=head_mask(original)).values()
     writer.writerow(["subject_id", "method", "masd_mm"])
     writer.writerow([args.subject_id, args.method, _fmt(d)])
     return EXIT_OK
@@ -214,7 +214,8 @@ def cmd_quality(args) -> int:
     defaced = read_nifti_file(args.defaced)
     refaced = read_nifti_file(args.refaced)
     removed = [read_mask_file(p) for p in args.removed]
-    records = quality_report(original, {"defaced": defaced, "refaced": refaced}, removed)
+    records = quality_report(original, {"defaced": defaced, "refaced": refaced}, removed,
+                             head=head_mask(original))
     writer.writerow(["subject_id", "image", *QUALITY_METRICS])
     for rec in records:
         writer.writerow(_quality_row(args.subject_id, rec))
@@ -268,11 +269,11 @@ def _demo_subject(case, out, config, buffer_mm):
     write_nifti_file(refaced_stub, out / f"{sid}_refaced_stub.nii.gz")
 
     masd_rows = [(sid, method, d) for method, d in face_distance_report(
-        vol, {"defaced": defaced, "refaced-oracle": refaced_oracle, "refaced-stub": refaced_stub}
-    ).items()]
+        vol, {"defaced": defaced, "refaced-oracle": refaced_oracle, "refaced-stub": refaced_stub},
+        head=head).items()]
     quality_rows = [_quality_row(sid, rec) for rec in quality_report(
         vol, {"refaced-oracle": refaced_oracle, "defaced": defaced, "refaced-stub": refaced_stub},
-        removed)]
+        removed, head=head)]
     return masd_rows, quality_rows
 
 

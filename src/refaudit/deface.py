@@ -79,7 +79,8 @@ def quickshear(
     vol: Volume3D,
     brain: BinaryMask,
     buffer_mm: float = DEFAULT_BUFFER_MM,
-    head: BinaryMask | None = None,
+    *,
+    head: BinaryMask,
 ):
     """Shear-plane defacing: zero everything anterior-inferior of a plane
     supported by the mid-sagittal convex hull of the brain mask, offset
@@ -87,11 +88,11 @@ def quickshear(
 
     The plane supports the hull, so brain voxels are never removed, and a
     larger buffer strictly shrinks the removed region. Returns
-    ``(defaced, removed)`` where ``removed`` marks zeroed voxels that were
-    inside ``head_mask(vol)`` (pass a precomputed ``head`` to skip that
-    recomputation).
+    ``(defaced, removed)`` where ``removed`` marks zeroed voxels inside
+    ``head``, the volume's ``head_mask``.
     """
     require_same_geometry(vol, brain, "volume and brain mask")
+    require_same_geometry(vol, head, "volume and head mask")
     if not 0.0 <= buffer_mm < math.inf:
         raise ValueError(f"buffer_mm must be finite and >= 0, got {buffer_mm}")
     idx = np.nonzero(brain.data)
@@ -117,8 +118,6 @@ def quickshear(
     cut = side > 0
 
     defaced = np.where(cut, 0.0, vol.data)
-    if head is None:
-        head = head_mask(vol)
     removed = BinaryMask.like(vol, cut & head.data)
     return vol.with_data(defaced), removed
 

@@ -27,7 +27,7 @@ class GeometryMismatchError(ValueError):
     """Operands do not share dims/spacing/affine."""
 
 
-class FitError(RuntimeError):
+class FitError(ValueError):
     """Model fit cannot proceed (rank-deficient design, too few subjects)."""
 
 

@@ -1,8 +1,8 @@
-"""Head-mask extraction (Otsu + morphology) and the face region-of-interest crop.
+"""Head-mask extraction and the face region-of-interest crop.
 
-The head-mask recipe (threshold, close radius 2, fill holes, keep largest
-component) is a declared surrogate and is tagged "head-mask-v1" in report
-metadata.
+The head-mask recipe (Otsu threshold, close with a radius-2 ball, fill holes,
+keep the largest component) is a declared surrogate and is tagged
+"head-mask-v1" in report metadata.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from .errors import DegenerateInputError
 from .volume import BinaryMask, Volume3D
 
 HEAD_MASK_VERSION = "head-mask-v1"
-
-MORPHOLOGY_OPS = ("dilate", "erode", "close", "open", "fill_holes", "largest_component")
 
 _LABEL_26 = np.ones((3, 3, 3), dtype=bool)
 
@@ -50,10 +48,6 @@ def otsu_threshold(vol: Volume3D) -> float:
     return float(edges[k])
 
 
-def foreground_mask(vol: Volume3D, threshold: float) -> BinaryMask:
-    return BinaryMask.like(vol, vol.data > threshold)
-
-
 def ball_structure(radius: int) -> np.ndarray:
     """Ball structuring element: offsets with squared norm <= radius^2
     (the 6-connected cross at radius 1)."""
@@ -63,40 +57,9 @@ def ball_structure(radius: int) -> np.ndarray:
     return dx * dx + dy * dy + dz * dz <= r * r
 
 
-def morphology(mask: BinaryMask, op: str, radius: int = 1) -> BinaryMask:
-    """Apply one morphological operation; outside-of-volume is background.
-
-    fill_holes fills background components not touching the volume border;
-    largest_component keeps the 26-connected foreground component of maximal
-    voxel count (ties: lowest minimum x-fastest linear index).
-    """
-    if op not in MORPHOLOGY_OPS:
-        raise ValueError(f"unknown morphology op {op!r}, expected one of {MORPHOLOGY_OPS}")
-    data = mask.data
-    if op in ("dilate", "erode", "close", "open"):
-        if radius < 1:
-            raise ValueError(f"radius must be >= 1 for {op}, got {radius}")
-        ball = ball_structure(radius)
-        if op == "dilate":
-            out = ndimage.binary_dilation(data, structure=ball)
-        elif op == "erode":
-            out = ndimage.binary_erosion(data, structure=ball, border_value=0)
-        elif op == "close":
-            out = ndimage.binary_erosion(
-                ndimage.binary_dilation(data, structure=ball), structure=ball, border_value=0
-            )
-        else:  # open
-            out = ndimage.binary_dilation(
-                ndimage.binary_erosion(data, structure=ball, border_value=0), structure=ball
-            )
-    elif op == "fill_holes":
-        out = ndimage.binary_fill_holes(data)
-    else:  # largest_component
-        out = _largest_component(data)
-    return mask.with_data(out)
-
-
 def _largest_component(data: np.ndarray) -> np.ndarray:
+    """The 26-connected foreground component of maximal voxel count (ties:
+    lowest minimum x-fastest linear index)."""
     labels, n = ndimage.label(data, structure=_LABEL_26)
     if n == 0:
         return data.copy()
@@ -112,11 +75,11 @@ def _largest_component(data: np.ndarray) -> np.ndarray:
 
 
 def head_mask(vol: Volume3D) -> BinaryMask:
-    """Otsu foreground, then close(radius 2), fill_holes, largest_component."""
-    mask = foreground_mask(vol, otsu_threshold(vol))
-    mask = morphology(mask, "close", radius=2)
-    mask = morphology(mask, "fill_holes")
-    return morphology(mask, "largest_component")
+    """Otsu foreground, closed with a radius-2 ball (outside the volume is
+    background), holes filled (background not connected to the volume
+    border), then the largest component."""
+    closed = ndimage.binary_closing(vol.data > otsu_threshold(vol), structure=ball_structure(2))
+    return BinaryMask.like(vol, _largest_component(ndimage.binary_fill_holes(closed)))
 
 
 def face_roi(mask: BinaryMask) -> BinaryMask:

@@ -17,7 +17,6 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DegenerateInputError
-from .masks import head_mask
 from .volume import BinaryMask, Volume3D, require_same_geometry
 
 SSIM_SIGMA = 1.5
@@ -69,9 +68,12 @@ def _local_mean(arr: np.ndarray, kernel: np.ndarray, mass: np.ndarray) -> np.nda
     return out / mass
 
 
-def _ssim_map(reference: Volume3D, test: Volume3D) -> np.ndarray:
-    """Local SSIM at every voxel of two volumes with the same geometry."""
-    x, y = reference.data, test.data
+def _ssim_maps(reference: Volume3D, tests):
+    """Local SSIM map of each test volume against the reference, in order;
+    every volume has the reference's geometry. The reference's moments are
+    computed once, and a test's arrays are released before the next map is
+    built."""
+    x = reference.data
     dyn = float(x.max() - x.min())
     if dyn == 0.0:
         raise DegenerateInputError("reference has zero dynamic range")
@@ -81,14 +83,17 @@ def _ssim_map(reference: Volume3D, test: Volume3D) -> np.ndarray:
     kernel = _gaussian_kernel()
     mass = _local_mean(np.ones_like(x), kernel, np.ones_like(x))
     mu_x = _local_mean(x, kernel, mass)
-    mu_y = _local_mean(y, kernel, mass)
     var_x = _local_mean(x * x, kernel, mass) - mu_x * mu_x
-    var_y = _local_mean(y * y, kernel, mass) - mu_y * mu_y
-    cov = _local_mean(x * y, kernel, mass) - mu_x * mu_y
-
-    return ((2 * mu_x * mu_y + c1) * (2 * cov + c2)) / (
-        (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
-    )
+    for test in tests:
+        y = test.data
+        mu_y = _local_mean(y, kernel, mass)
+        var_y = _local_mean(y * y, kernel, mass) - mu_y * mu_y
+        cov = _local_mean(x * y, kernel, mass) - mu_x * mu_y
+        ssim_map = ((2 * mu_x * mu_y + c1) * (2 * cov + c2)) / (
+            (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
+        )
+        yield ssim_map
+        del y, mu_y, var_y, cov, ssim_map
 
 
 def ssim(reference: Volume3D, test: Volume3D, mask: BinaryMask) -> float:
@@ -98,7 +103,8 @@ def ssim(reference: Volume3D, test: Volume3D, mask: BinaryMask) -> float:
     require_same_geometry(reference, mask, "volume and mask")
     if not mask.data.any():
         raise ValueError("mask is empty")
-    return float(_ssim_map(reference, test)[mask.data].mean())
+    (ssim_map,) = _ssim_maps(reference, [test])
+    return float(ssim_map[mask.data].mean())
 
 
 @dataclass(frozen=True)
@@ -113,9 +119,9 @@ class QualityRecord:
     ssim_face: float
 
 
-def quality_report(original: Volume3D, candidates, removed) -> list:
-    """PSNR/SSIM of each candidate image against the original, over the
-    original's head mask and over the changed-area mask.
+def quality_report(original: Volume3D, candidates, removed, *, head: BinaryMask) -> list:
+    """PSNR/SSIM of each candidate image against the original, over
+    ``head`` (the original's ``head_mask``) and over the changed-area mask.
 
     ``candidates`` maps image names to volumes; one record per name comes
     back, in order, with ``image`` set to the name. ``removed`` is one mask
@@ -123,11 +129,12 @@ def quality_report(original: Volume3D, candidates, removed) -> list:
     intersection (callers should name the masks used in report metadata).
     """
     face = intersection_mask([removed] if isinstance(removed, BinaryMask) else removed)
-    head = head_mask(original)
+    ssim_maps = _ssim_maps(original, candidates.values())
     records = []
     for name, img in candidates.items():
+        # psnr checks the geometry of img and both masks before img's map is built
         psnr_head, psnr_face = psnr(original, img, head), psnr(original, img, face)
-        ssim_map = _ssim_map(original, img)  # one per candidate, reduced over both masks
+        ssim_map = next(ssim_maps)  # one per candidate, reduced over both masks
         records.append(QualityRecord(name, psnr_head, psnr_face, float(ssim_map[head.data].mean()),
                                      float(ssim_map[face.data].mean())))
         del ssim_map  # free it before the next candidate's map is built

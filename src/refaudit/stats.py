@@ -60,6 +60,8 @@ class ObservationTable:
             raise ValueError("(subject_id, visit) keys are not unique")
         if not np.isfinite(age).all():
             raise ValueError("age must be finite")
+        if not np.isfinite(y).all():
+            raise ValueError("y must be finite")
         if not np.isin(sex, (0, 1)).all():
             raise ValueError("sex must be coded 0/1")
         for name, arr in (("subject_id", sid), ("visit", visit), ("age", age), ("sex", sex), ("y", y)):
@@ -98,12 +100,15 @@ def read_csv_rows(path, required, kind: str) -> list:
 
 def read_predictions_csv(path) -> dict:
     """Prediction CSV (subject_id, visit, method, y_pred) as
-    {method: {(subject_id, visit): y_pred}}."""
+    {method: {(subject_id, visit): y_pred}}. A NaN y_pred raises ValueError;
+    +-inf is kept, as in ``bootstrap_cells``."""
     out: dict = {}
     for row in read_csv_rows(path, ("subject_id", "visit", "method", "y_pred"), "prediction"):
-        out.setdefault(row["method"], {})[(row["subject_id"], int(row["visit"]))] = float(
-            row["y_pred"]
-        )
+        key = (row["subject_id"], int(row["visit"]))
+        y_pred = float(row["y_pred"])
+        if math.isnan(y_pred):
+            raise ValueError(f"y_pred of {row['method']!r} at {key!r} is NaN")
+        out.setdefault(row["method"], {})[key] = y_pred
     return out
 
 

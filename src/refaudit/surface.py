@@ -137,13 +137,16 @@ def masd(a: TriMesh, b: TriMesh, directed: bool = False) -> float:
     return 0.5 * (mean_ab + mean_ba)
 
 
-def face_distance_report(original: Volume3D, candidates, directed: bool = False) -> dict:
+def face_distance_report(original: Volume3D, candidates, directed: bool = False, *,
+                         head: BinaryMask) -> dict:
     """Composed face-similarity metric: head mask -> face ROI -> marching
     cubes, then MASD in mm (smaller means more similar) from the original's
-    face mesh, built once, to each candidate's. ``candidates`` maps names to
-    volumes; the result maps the same names, in order, to their MASD."""
+    face mesh, built once from ``head`` (its ``head_mask``), to each
+    candidate's. ``candidates`` maps names to volumes; the result maps the
+    same names, in order, to their MASD."""
+    require_same_geometry(original, head, "original volume and head mask")
     for candidate in candidates.values():
         require_same_geometry(original, candidate, "original and candidate volumes")
-    reference = marching_cubes(face_roi(head_mask(original)))
+    reference = marching_cubes(face_roi(head))
     return {name: masd(reference, marching_cubes(face_roi(head_mask(c))), directed=directed)
             for name, c in candidates.items()}

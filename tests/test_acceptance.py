@@ -337,7 +337,7 @@ def test_criterion_10_monotone_aggression(cohort10):
         head = head_mask(case.volume)
         defaced = {b: quickshear(case.volume, case.brain, buffer_mm=b, head=head)[0]
                    for b in (0.0, 5.0, 10.0, 20.0)}
-        ladder = list(face_distance_report(case.volume, defaced).values())
+        ladder = list(face_distance_report(case.volume, defaced, head=head).values())
         ok = all(x >= y - 1e-12 for x, y in zip(ladder, ladder[1:]))
         c.check(ok, f"{case.subject_id} ladder {['%.3f' % v for v in ladder]} not monotone")
     c.finish()

@@ -3,20 +3,28 @@ import importlib.util
 import io
 import json
 import struct
-from contextlib import redirect_stdout
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import refaudit.cli as cli
+import refaudit.masks as masks
 import refaudit.stats as stats
 from refaudit.cli import main
+from refaudit.ddim import CascadeConfig
 from refaudit.deface import quickshear
 from refaudit.masks import head_mask
 from refaudit.phantom import generate_cohort
+from refaudit.quality import quality_report
 from refaudit.surface import face_distance_report
-from refaudit.errors import FormatError
+from refaudit.errors import FormatError, GeometryMismatchError
 from refaudit.volume import (
     read_nifti_file,
     write_mask_file,
@@ -63,6 +71,32 @@ def distance_rows():
 
 def quality_rows():
     return [[f"s{i}", "refaced", f"{20 + i}", f"{11 + i}", "0.9", "0.2"] for i in range(3)]
+
+
+def load_script(name):
+    """A script under scripts/ imported as a module."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_correlate_inputs(tmp_path, subjects, sexes, y=None, y_pred=None):
+    """Observation and prediction CSVs for ``subjects`` subjects with two
+    visits each, sex alternating over ``sexes``; ``y`` and ``y_pred`` map a
+    (subject_id, visit) key to the cell text that replaces its value."""
+    rng = np.random.default_rng(11)
+    obs_rows, pred_rows = [], []
+    for i in range(subjects):
+        for visit in range(2):
+            key = (f"s{i}", visit)
+            obs_rows.append([*key, f"{rng.uniform(45, 75):.3f}", sexes[i % len(sexes)],
+                             (y or {}).get(key, f"{rng.normal(0, 2):.4f}")])
+            pred_rows.append([*key, "dpm", (y_pred or {}).get(key, f"{rng.normal():.4f}")])
+    return (write_csv(tmp_path / "obs.csv", ["subject_id", "visit", "age", "sex", "y"], obs_rows),
+            write_csv(tmp_path / "preds.csv", ["subject_id", "visit", "method", "y_pred"],
+                      pred_rows))
 
 
 @pytest.fixture(scope="module")
@@ -187,7 +221,7 @@ class TestMasdCommand:
         value = float(csv_rows(out)[0]["masd_mm"])
         orig = read_nifti_file(small_files["original"])
         defaced = read_nifti_file(small_files["defaced"])
-        want = face_distance_report(orig, {"defaced": defaced})["defaced"]
+        want = face_distance_report(orig, {"defaced": defaced}, head=head_mask(orig))["defaced"]
         assert value == pytest.approx(want, abs=5e-4)  # CLI prints 3 decimals
 
     def test_directed_flag(self, small_files):
@@ -197,7 +231,8 @@ class TestMasdCommand:
         orig = read_nifti_file(small_files["original"])
         defaced = read_nifti_file(small_files["defaced"])
         assert float(csv_rows(out_dir)[0]["masd_mm"]) == pytest.approx(
-            face_distance_report(orig, {"defaced": defaced}, directed=True)["defaced"], abs=5e-4)
+            face_distance_report(orig, {"defaced": defaced}, directed=True,
+                                 head=head_mask(orig))["defaced"], abs=5e-4)
         assert out_sym != out_dir
 
     def test_unreadable_file_exits_3(self, tmp_path):
@@ -385,6 +420,45 @@ class TestDemoCommand:
             assert (out_dir / name).exists()
 
 
+class TestOriginalSideOnce:
+    def test_demo_subject_builds_one_head_mask_of_the_original(self, monkeypatch, tmp_path):
+        masked = []
+
+        def counting_head_mask(vol):
+            masked.append(vol)
+            return real(vol)
+
+        real = masks.head_mask
+        for name, module in list(sys.modules.items()):
+            if name == "refaudit" or name.startswith("refaudit."):
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, counting_head_mask)
+        case = generate_cohort(1, seed=5, base=SMALL_PARAMS)[0]
+        cli._demo_subject(case, tmp_path, CascadeConfig(sample_steps=1, seed=5), 10.0)
+        # the original's mask, then one per candidate inside face_distance_report
+        assert len(masked) == 4
+        assert sum(vol is case.volume for vol in masked) == 1
+
+    @pytest.mark.parametrize("function", ["quickshear", "face_distance_report",
+                                          "quality_report"])
+    def test_shifted_head_mask_is_a_geometry_mismatch(self, small_phantom, small_head,
+                                                      function):
+        vol, brain, _ = small_phantom
+        affine = small_head.affine.copy()
+        affine[0, 3] += 1.0
+        shifted = replace(small_head, affine=affine)
+        calls = {
+            "quickshear": lambda: quickshear(vol, brain, buffer_mm=10.0, head=shifted),
+            "face_distance_report": lambda: face_distance_report(vol, {"self": vol},
+                                                                 head=shifted),
+            "quality_report": lambda: quality_report(vol, {"self": vol}, small_head,
+                                                     head=shifted),
+        }
+        with pytest.raises(GeometryMismatchError):
+            calls[function]()
+
+
 class TestHostileInputs:
     @pytest.mark.parametrize("boot", ["0", "-3"])
     @pytest.mark.parametrize("command", ["masd", "quality", "correlate", "demo"])
@@ -469,14 +543,57 @@ class TestHostileInputs:
         assert "voxel values are not all finite" in capsys.readouterr().err
 
     def test_aggression_sweep_nonpositive_boot_exits_2(self, capsys):
-        script = Path(__file__).resolve().parents[1] / "scripts" / "aggression_sweep.py"
-        spec = importlib.util.spec_from_file_location("aggression_sweep", script)
-        sweep = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sweep)
         with pytest.raises(SystemExit) as exc:
-            sweep.main(["--boot", "0"])
+            load_script("aggression_sweep").main(["--boot", "0"])
         assert exc.value.code == 2
         assert "--boot: must be a positive integer" in capsys.readouterr().err
+
+    def test_moment_check_flags_out_of_range_exit_2(self, capsys):
+        moment_check = load_script("sampler_moment_check")
+        for flags, message in ((["--t", "0"], "--t: must be an integer >= 250, got 0"),
+                               (["--t", "30"], "--t: must be an integer >= 250, got 30"),
+                               (["--n", "1"], "--n: must be an integer >= 2, got 1")):
+            with pytest.raises(SystemExit) as exc:
+                moment_check.main(flags)
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
+
+    def test_aggression_sweep_nonpositive_n_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            load_script("aggression_sweep").main(["--n", "0"])
+        assert exc.value.code == 2
+        assert "--n: must be a positive integer, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subjects, sexes, message", [
+        (2, (0, 1), "need >= 3 subjects, got 2"),
+        (4, (1, 1), "design matrix [1, age, sex] is rank deficient"),
+    ])
+    def test_unfittable_observations_exit_2(self, tmp_path, capsys, subjects, sexes, message):
+        obs, preds = write_correlate_inputs(tmp_path, subjects, sexes)
+        rc, out = run_cli(["correlate", obs, preds, "--boot", "20"])
+        assert rc == 2 and out == ""
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("y", "nan", "y must be finite"),
+        ("y", "-inf", "y must be finite"),
+        ("y_pred", "nan", "y_pred of 'dpm' at ('s1', 0) is NaN"),
+    ])
+    def test_non_finite_observation_or_nan_prediction_exits_2_without_report(
+            self, tmp_path, capsys, column, value, message):
+        obs, preds = write_correlate_inputs(tmp_path, 6, (0, 1), **{column: {("s1", 0): value}})
+        target = tmp_path / "report.json"
+        rc, _ = run_cli(["correlate", obs, preds, "--boot", "20", "--out", str(target)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not target.exists()
+
+    def test_infinite_prediction_is_kept(self, tmp_path):
+        obs, preds = write_correlate_inputs(tmp_path, 6, (0, 1), y_pred={("s1", 0): "inf"})
+        rc, out = run_cli(["correlate", obs, preds, "--boot", "20"])
+        assert rc == 0
+        json.loads(out, parse_constant=reject_nan)
 
     def test_short_distance_row_exits_2(self, tmp_path, capsys):
         table = write_csv(tmp_path / "d.csv", DISTANCE_HEADER, distance_rows() + [["s9", "dpm"]])
@@ -491,3 +608,148 @@ class TestHostileInputs:
         rc, _ = run_cli(["quality", "--table", table, "--boot", "20"])
         assert rc == 2
         assert "quality CSV missing columns: ['psnr_face', 'ssim_face']" in capsys.readouterr().err
+
+
+HOSTILE_CELLS = ("nan", "inf", "-inf", "", "abc")
+TABLE_ATTACKS = ("cell", "duplicate", "short", "few subjects")
+FLAG_ATTACKS = ("boot", "seed")
+OBSERVATION_HEADER = ["subject_id", "visit", "age", "sex", "y"]
+PREDICTION_HEADER = ["subject_id", "visit", "method", "y_pred"]
+
+
+@st.composite
+def attacks(draw, names):
+    """The attacks of one run: up to two of ``names``, so that about a third
+    of the runs are clean and reach the success path."""
+    return {draw(st.sampled_from(names)) for _ in range(draw(st.integers(0, 2)))}
+
+
+@st.composite
+def attacked(draw, rows, attacks, numeric):
+    """``rows`` after the table attacks in ``attacks``: a hostile token in
+    one cell of a ``numeric`` column, a repeated row (a duplicate key), a row
+    cut short."""
+    rows = [list(row) for row in rows]
+    if not rows:
+        return rows
+
+    def any_row():
+        return rows[draw(st.integers(0, len(rows) - 1))]
+
+    if "cell" in attacks:
+        any_row()[draw(st.sampled_from(numeric))] = draw(st.sampled_from(HOSTILE_CELLS))
+    if "duplicate" in attacks:
+        rows.append(list(any_row()))
+    if "short" in attacks:
+        any_row().pop()
+    return rows
+
+
+@st.composite
+def subjects(draw, attacks, most):
+    """Subject ids, 0 to 2 of them under the "few subjects" attack and 5 to
+    ``most`` otherwise, and a generator for the finite cells."""
+    low, high = (0, 2) if "few subjects" in attacks else (5, most)
+    ids = [f"s{i}" for i in range(draw(st.integers(low, high)))]
+    return ids, np.random.default_rng(draw(st.integers(0, 2**16)))
+
+
+@st.composite
+def flags(draw, attacks):
+    """``--boot`` and ``--seed``, hostile under the "boot" and "seed" attacks."""
+    boot = draw(st.sampled_from(["0", "-3", "abc", "2.5"] if "boot" in attacks else ["1", "9"]))
+    seed = draw(st.sampled_from(["-1", "abc", "1e3"] if "seed" in attacks
+                                else ["0", "7", str(2**70)]))
+    return ["--boot", boot, "--seed", seed]
+
+
+@st.composite
+def correlate_argv(draw, tmp):
+    """``correlate`` over observation and prediction CSVs written to ``tmp``;
+    the table attacks hit one of the two."""
+    chosen = draw(attacks(TABLE_ATTACKS + FLAG_ATTACKS + ("single sex", "missing prediction")))
+    target = draw(st.sampled_from(["observations", "predictions"]))
+    ids, rng = draw(subjects(chosen, 6))
+    sexes = (1,) if "single sex" in chosen else (0, 1)  # one sex: a rank-deficient design
+    methods = draw(st.sampled_from(["a", "ab"]))  # two methods add the pairwise Wilcoxon
+    observations, predictions = [], []
+    for i, sid in enumerate(ids):
+        for visit in range(draw(st.integers(1, 2))):
+            observations.append([sid, visit, f"{rng.uniform(40, 80):.2f}", sexes[i % len(sexes)],
+                                 f"{rng.normal(0, 2):.4f}"])
+            predictions += [[sid, visit, method, f"{rng.normal():.4f}"] for method in methods]
+    if "missing prediction" in chosen and predictions:
+        predictions.pop(draw(st.integers(0, len(predictions) - 1)))
+    # y and y_pred come first: hypothesis draws the first elements most often
+    if target == "observations":
+        observations = draw(attacked(observations, chosen, (4, 1, 2, 3)))
+    else:
+        predictions = draw(attacked(predictions, chosen, (3, 1)))
+    return ["correlate", write_csv(tmp / "obs.csv", OBSERVATION_HEADER, observations),
+            write_csv(tmp / "preds.csv", PREDICTION_HEADER, predictions), *draw(flags(chosen))]
+
+
+@st.composite
+def table_argv(draw, tmp, command, header, names):
+    """``command --table`` over (subject_id, name, value...) rows, every
+    subject having every name."""
+    chosen = draw(attacks(TABLE_ATTACKS + FLAG_ATTACKS))
+    ids, rng = draw(subjects(chosen, 7))
+    rows = [[sid, name, *(f"{v:.4f}" for v in rng.uniform(0.1, 40.0, len(header) - 2))]
+            for sid in ids for name in names]
+    rows = draw(attacked(rows, chosen, range(2, len(header))))
+    return [command, "--table", write_csv(tmp / "table.csv", header, rows), *draw(flags(chosen))]
+
+
+def contract_run(argv):
+    """Exit code and stdout of one CLI run, asserting the exit-code contract."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 2, 3, 4, 5), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    return rc, out.getvalue()
+
+
+def reject_nan(token):
+    """``parse_constant`` hook that fails on a NaN in JSON output."""
+    if token == "NaN":
+        raise AssertionError("JSON output holds NaN")
+    return float(token)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestExitCodeContract:
+    """Hostile CSV cells and flags end in exit 0/2/3/4/5, never in a
+    traceback, and a successful run writes no NaN into its JSON."""
+
+    @given(st.data())
+    @settings(max_examples=500)
+    def test_correlate(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            rc, out = contract_run(data.draw(correlate_argv(Path(tmp))))
+        if rc == 0:
+            json.loads(out, parse_constant=reject_nan)
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_masd_table(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = data.draw(table_argv(Path(tmp), "masd", DISTANCE_HEADER, "ab"))
+            compare = data.draw(st.sampled_from([[], ["a", "b"], ["b", "a"], ["a", "a"],
+                                                 ["a", "zzz"]]))
+            summary = Path(tmp) / "summary.json"
+            rc, _ = contract_run([*argv, *(["--compare", *compare] if compare else []),
+                                  "--summary", str(summary)])
+            if rc == 0:
+                json.loads(summary.read_text(), parse_constant=reject_nan)
+
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_quality_table(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            contract_run(data.draw(table_argv(Path(tmp), "quality", QUALITY_HEADER,
+                                              ("defaced", "refaced"))))

@@ -365,7 +365,8 @@ class TestCascade:
                              VolumeDenoiser(downsample(vol, config.downsample_factor)),
                              VolumeDenoiser(vol), config)
         assert np.allclose(out.data, vol.data, atol=1e-9)
-        assert face_distance_report(vol, {"refaced": out})["refaced"] == pytest.approx(0.0, abs=1e-9)
+        distance = face_distance_report(vol, {"refaced": out}, head=small_head)["refaced"]
+        assert distance == pytest.approx(0.0, abs=1e-9)
 
     def test_cascade_is_deterministic_given_seed(self, small_phantom, small_head):
         vol, brain, _ = small_phantom

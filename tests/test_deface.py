@@ -49,21 +49,21 @@ def quickshear_oracle_removed(vol, brain):
 
 
 class TestQuickshear:
-    def test_huge_buffer_removes_nothing(self, small_phantom):
+    def test_huge_buffer_removes_nothing(self, small_phantom, small_head):
         vol, brain, _ = small_phantom
-        defaced, removed = quickshear(vol, brain, buffer_mm=500.0)
+        defaced, removed = quickshear(vol, brain, buffer_mm=500.0, head=small_head)
         assert removed.count() == 0
         assert np.array_equal(defaced.data, vol.data)
 
-    def test_brain_is_never_zeroed(self, small_phantom):
+    def test_brain_is_never_zeroed(self, small_phantom, small_head):
         vol, brain, _ = small_phantom
         for buf in (0.0, 5.0, 20.0):
-            defaced, _ = quickshear(vol, brain, buffer_mm=buf)
+            defaced, _ = quickshear(vol, brain, buffer_mm=buf, head=small_head)
             assert np.array_equal(defaced.data[brain.data], vol.data[brain.data])
 
-    def test_removed_matches_independent_halfspace_oracle(self, small_phantom):
+    def test_removed_matches_independent_halfspace_oracle(self, small_phantom, small_head):
         vol, brain, _ = small_phantom
-        _, removed = quickshear(vol, brain, buffer_mm=10.0)
+        _, removed = quickshear(vol, brain, buffer_mm=10.0, head=small_head)
         assert np.array_equal(removed.data, quickshear_oracle_removed(vol, brain))
 
     def test_monotone_in_buffer(self, small_phantom):
@@ -76,34 +76,34 @@ class TestQuickshear:
                 assert not (removed.data & ~previous).any()  # shrinking sets
             previous = removed.data
 
-    def test_untouched_outside_removed_region(self, small_phantom):
+    def test_untouched_outside_removed_region(self, small_phantom, small_head):
         vol, brain, _ = small_phantom
-        defaced, removed = quickshear(vol, brain, buffer_mm=5.0)
+        defaced, removed = quickshear(vol, brain, buffer_mm=5.0, head=small_head)
         outside = ~removed.data
         assert np.array_equal(defaced.data[outside], vol.data[outside])
 
-    def test_empty_brain_raises(self, small_phantom):
+    def test_empty_brain_raises(self, small_phantom, small_head):
         vol, brain, _ = small_phantom
         empty = brain.with_data(np.zeros(vol.dims, bool))
         with pytest.raises(ValueError, match="empty"):
-            quickshear(vol, empty)
+            quickshear(vol, empty, head=small_head)
 
-    def test_geometry_mismatch_raises(self, small_phantom, phantom_default):
+    def test_geometry_mismatch_raises(self, small_phantom, small_head, phantom_default):
         vol, _, _ = small_phantom
         _, brain_big, _ = phantom_default
         with pytest.raises(GeometryMismatchError):
-            quickshear(vol, brain_big)
+            quickshear(vol, brain_big, head=small_head)
 
-    def test_negative_buffer_raises(self, small_phantom):
+    def test_negative_buffer_raises(self, small_phantom, small_head):
         vol, brain, _ = small_phantom
         with pytest.raises(ValueError):
-            quickshear(vol, brain, buffer_mm=-1.0)
+            quickshear(vol, brain, buffer_mm=-1.0, head=small_head)
 
     @pytest.mark.parametrize("buffer_mm", [math.nan, math.inf])
-    def test_non_finite_buffer_raises(self, small_phantom, buffer_mm):
+    def test_non_finite_buffer_raises(self, small_phantom, small_head, buffer_mm):
         vol, brain, _ = small_phantom
         with pytest.raises(ValueError, match="buffer_mm must be finite and >= 0"):
-            quickshear(vol, brain, buffer_mm=buffer_mm)
+            quickshear(vol, brain, buffer_mm=buffer_mm, head=small_head)
 
 
 class TestSkullStrip:

@@ -1,18 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy import ndimage
 
 from refaudit.errors import DegenerateInputError
-from refaudit.masks import (
-    ball_structure,
-    face_roi,
-    foreground_mask,
-    head_mask,
-    morphology,
-    otsu_threshold,
-)
+from refaudit.masks import _largest_component, ball_structure, face_roi, head_mask, otsu_threshold
 from refaudit.volume import BinaryMask, Volume3D
 
 
@@ -50,8 +43,8 @@ class TestOtsu:
         data[4:] = 100.0
         thr = otsu_threshold(vol_of(data))
         assert 0.0 < thr < 100.0
-        fg = foreground_mask(vol_of(data), thr)
-        assert np.array_equal(fg.data, data == 100.0)
+        fg = vol_of(data).data > thr
+        assert np.array_equal(fg, data == 100.0)
 
     def test_matches_exhaustive_scan(self, rng):
         for _ in range(20):
@@ -82,24 +75,14 @@ class TestOtsu:
         assert np.array_equal(fg, fg_mapped)
 
 
-def brute_morph(data, radius, dilate):
-    """Structuring-element sweep straight from the definition."""
-    r = radius
-    offsets = [(dx, dy, dz)
-               for dx in range(-r, r + 1)
-               for dy in range(-r, r + 1)
-               for dz in range(-r, r + 1)
-               if dx * dx + dy * dy + dz * dz <= r * r]
-    padded = np.pad(data, r, constant_values=False)
-    out = np.zeros_like(data)
-    nx, ny, nz = data.shape
-    for dx, dy, dz in offsets:
-        view = padded[r + dx : r + dx + nx, r + dy : r + dy + ny, r + dz : r + dz + nz]
-        if dilate:
-            out |= view
-        else:
-            out = out | ~view  # collect misses, invert at the end
-    return out if dilate else ~out
+def erode1(data):
+    """Erosion by the 6-connected cross; outside the volume is background."""
+    return ndimage.binary_erosion(data, structure=ball_structure(1))
+
+
+def dilate1(data):
+    """Dilation by the 6-connected cross."""
+    return ndimage.binary_dilation(data, structure=ball_structure(1))
 
 
 class TestMorphology:
@@ -107,75 +90,41 @@ class TestMorphology:
         ball = ball_structure(1)
         assert ball.sum() == 7
 
+    def test_ball_radius_two_has_33_offsets(self):
+        # 1 centre, 6 at distance 1, 12 at sqrt 2, 8 at sqrt 3 and 6 at distance 2
+        assert ball_structure(2).sum() == 33
+
     def test_close_fills_single_voxel_pit(self):
-        cube = np.zeros((11, 11, 11), bool)
-        cube[1:10, 1:10, 1:10] = True
+        cube = np.zeros((15, 15, 15), bool)
+        cube[3:12, 3:12, 3:12] = True
         pitted = cube.copy()
-        pitted[5, 5, 5] = False
-        closed = morphology(mask_of(pitted), "close", 1)
+        pitted[7, 7, 7] = False
+        closed = head_mask(vol_of(np.where(pitted, 100.0, 0.0)))
         assert np.array_equal(closed.data, cube)
 
     def test_largest_component_prefers_more_voxels(self):
         data = np.zeros((16, 16, 16), bool)
         data[1:11, 1, 1] = True  # 10 voxels
         data[1:6, 8, 8] = True  # 5 voxels
-        out = morphology(mask_of(data), "largest_component")
-        assert out.data.sum() == 10
-        assert out.data[:, 1, 1].any() and not out.data[:, 8, 8].any()
+        out = _largest_component(data)
+        assert out.sum() == 10
+        assert out[:, 1, 1].any() and not out[:, 8, 8].any()
 
     def test_largest_component_tie_breaks_on_linear_index(self):
         data = np.zeros((8, 8, 8), bool)
         data[0, 0, 0] = True
         data[4, 4, 4] = True
-        out = morphology(mask_of(data), "largest_component")
-        assert out.data[0, 0, 0] and not out.data[4, 4, 4]
-
-    def test_dilate_erode_match_bruteforce_and_compose_to_close(self, rng):
-        for trial in range(50):
-            data = rng.random((16, 16, 16)) < 0.12
-            m = mask_of(data)
-            r = 1 if trial % 2 else 2
-            d = morphology(m, "dilate", r)
-            assert np.array_equal(d.data, brute_morph(data, r, dilate=True))
-            e = morphology(m, "erode", r)
-            assert np.array_equal(e.data, brute_morph(data, r, dilate=False))
-            closed = morphology(m, "close", r)
-            assert np.array_equal(closed.data, morphology(d, "erode", r).data)
+        out = _largest_component(data)
+        assert out[0, 0, 0] and not out[4, 4, 4]
 
     def test_fill_holes_fills_enclosed_background_only(self):
-        data = np.zeros((10, 10, 10), bool)
-        data[1:9, 1:9, 1:9] = True
-        data[4:6, 4:6, 4:6] = False  # enclosed cavity
-        data[0, 0, :] = False  # border background stays
-        out = morphology(mask_of(data), "fill_holes")
-        assert out.data[4:6, 4:6, 4:6].all()
-        assert out.data.sum() == 8 * 8 * 8
-
-    def test_empty_mask_passes_through(self):
-        empty = mask_of(np.zeros((6, 6, 6), bool))
-        for op in ("dilate", "erode", "close", "open", "fill_holes", "largest_component"):
-            assert morphology(empty, op, 1).data.sum() == 0
-
-    def test_invalid_radius_and_op(self):
-        m = mask_of(np.ones((4, 4, 4), bool))
-        with pytest.raises(ValueError):
-            morphology(m, "dilate", 0)
-        with pytest.raises(ValueError):
-            morphology(m, "sharpen")
-
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=20)
-    def test_close_is_extensive_and_idempotent_in_the_interior(self, seed):
-        # away from the border (outside-of-volume counts as background, so
-        # closing may shave border voxels; the classical properties hold for
-        # interior-supported masks)
-        data = np.zeros((14, 14, 14), bool)
-        data[3:11, 3:11, 3:11] = np.random.default_rng(seed).random((8, 8, 8)) < 0.2
-        m = mask_of(data)
-        closed = morphology(m, "close", 1)
-        assert (closed.data | data).sum() == closed.data.sum()  # contains input
-        again = morphology(closed, "close", 1)
-        assert np.array_equal(again.data, closed.data)
+        # the 6^3 cavity is wider than the radius-2 closing can bridge
+        data = np.zeros((16, 16, 16), bool)
+        data[3:13, 3:13, 3:13] = True
+        data[5:11, 5:11, 5:11] = False  # enclosed cavity
+        out = head_mask(vol_of(np.where(data, 100.0, 0.0)))
+        assert out.data[5:11, 5:11, 5:11].all()
+        assert out.data.sum() == 10 * 10 * 10
 
 
 class TestHeadMask:
@@ -183,9 +132,9 @@ class TestHeadMask:
         vol, _, geom = phantom_default
         idx = np.indices(vol.dims).reshape(3, -1).T
         world = idx @ vol.affine[:3, :3].T + vol.affine[:3, 3]
-        analytic = mask_of(geom.contains_head(world).reshape(vol.dims))
-        inner = morphology(analytic, "erode", 1).data
-        outer = morphology(analytic, "dilate", 1).data
+        analytic = geom.contains_head(world).reshape(vol.dims)
+        inner = erode1(analytic)
+        outer = dilate1(analytic)
         assert not (inner & ~phantom_head.data).any()
         assert not (phantom_head.data & ~outer).any()
 
@@ -196,9 +145,8 @@ class TestHeadMask:
         ball = (idx**2).sum(axis=0) <= 12.0**2
         data[ball] = 100.0 + rng.normal(0, 1.0, int(ball.sum()))
         mask = head_mask(vol_of(data))
-        ball_m = mask_of(ball)
-        assert not (morphology(ball_m, "erode", 1).data & ~mask.data).any()
-        assert not (mask.data & ~morphology(ball_m, "dilate", 1).data).any()
+        assert not (erode1(ball) & ~mask.data).any()
+        assert not (mask.data & ~dilate1(ball)).any()
 
     def test_single_connected_component_without_cavities(self, phantom_head):
         labels, n = ndimage.label(phantom_head.data, structure=np.ones((3, 3, 3)))

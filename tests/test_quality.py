@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
+import refaudit.quality as quality
 from refaudit.errors import DegenerateInputError, GeometryMismatchError
 from refaudit.quality import intersection_mask, psnr, quality_report, ssim
 from refaudit.volume import BinaryMask, Volume3D
@@ -177,7 +179,8 @@ class TestQualityReport:
         from refaudit.deface import quickshear
 
         defaced, removed = quickshear(vol, brain, buffer_mm=10.0, head=small_head)
-        records = quality_report(vol, {"defaced": defaced, "refaced": vol}, removed)
+        records = quality_report(vol, {"defaced": defaced, "refaced": vol}, removed,
+                                 head=small_head)
         by_image = {r.image: r for r in records}
         assert by_image["refaced"].ssim_head == 1.0
         assert by_image["refaced"].psnr_head == math.inf
@@ -191,7 +194,7 @@ class TestQualityReport:
         refaced = vol.data.copy()
         refaced[removed.data] += 2.5  # known MSE inside the changed area only
         records = quality_report(vol, {"defaced": defaced, "refaced": vol.with_data(refaced)},
-                                 removed)
+                                 removed, head=small_head)
         rec = {r.image: r for r in records}["refaced"]
         peak = vol.data.max()
         want_face = 10 * math.log10(peak**2 / 2.5**2)
@@ -206,7 +209,7 @@ class TestQualityReport:
         defaced, removed = quickshear(vol, brain, buffer_mm=10.0, head=small_head)
         candidates = {"refaced": mirror_fill(defaced, removed), "defaced": defaced,
                       "self": vol}
-        records = quality_report(vol, candidates, removed)
+        records = quality_report(vol, candidates, removed, head=small_head)
         assert [r.image for r in records] == list(candidates)
         for rec in records:
             img = candidates[rec.image]
@@ -214,7 +217,7 @@ class TestQualityReport:
             assert rec.psnr_face == psnr(vol, img, removed)
             assert rec.ssim_head == ssim(vol, img, small_head)
             assert rec.ssim_face == ssim(vol, img, removed)
-            assert quality_report(vol, {rec.image: img}, removed) == [rec]
+            assert quality_report(vol, {rec.image: img}, removed, head=small_head) == [rec]
 
     def test_candidate_geometry_mismatch_raises(self, small_phantom, small_head):
         vol, brain, _ = small_phantom
@@ -224,4 +227,27 @@ class TestQualityReport:
         affine = vol.affine.copy()
         affine[0, 3] += 1.0
         with pytest.raises(GeometryMismatchError):
-            quality_report(vol, {"self": vol, "shifted": replace(vol, affine=affine)}, removed)
+            quality_report(vol, {"self": vol, "shifted": replace(vol, affine=affine)}, removed,
+                           head=small_head)
+
+    def test_reference_moments_are_filtered_once_per_call(self, monkeypatch, rng):
+        # 3 passes each for the border mass, the original's mean and its
+        # second moment, then 3 each for a candidate's mean, second moment
+        # and cross moment
+        passes = []
+
+        class CountingNdimage:
+            def correlate1d(self, *args, **kwargs):
+                passes.append(1)
+                return ndimage.correlate1d(*args, **kwargs)
+
+        monkeypatch.setattr(quality, "ndimage", CountingNdimage())
+        dims = (12, 12, 12)
+        vol = vol_of(rng.random(dims))
+        head = mask_of(np.ones(dims, bool))
+        removed = mask_of(rng.random(dims) < 0.3)
+        for k in (1, 2, 3):
+            passes.clear()
+            candidates = {f"c{i}": vol_of(rng.random(dims)) for i in range(k)}
+            assert len(quality_report(vol, candidates, removed, head=head)) == k
+            assert len(passes) == 9 + 9 * k

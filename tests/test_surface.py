@@ -191,9 +191,9 @@ def ellipsoid_cap_samples(center, radii, y_frac_min, n=250):
 
 
 class TestFaceDistanceReport:
-    def test_identical_volumes_give_zero(self, small_phantom):
+    def test_identical_volumes_give_zero(self, small_phantom, small_head):
         vol, _, _ = small_phantom
-        assert face_distance_report(vol, {"self": vol}) == {"self": 0.0}
+        assert face_distance_report(vol, {"self": vol}, head=small_head) == {"self": 0.0}
 
     def test_enlarged_nose_matches_analytic_offset_oracle(self):
         # +3 mm nose protrusion; compare the cap-region masd against an
@@ -231,9 +231,11 @@ class TestFaceDistanceReport:
         from refaudit.deface import quickshear
 
         defaced, _ = quickshear(vol, brain, buffer_mm=10.0, head=small_head)
-        sym = face_distance_report(vol, {"defaced": defaced})["defaced"]
-        d_ab = face_distance_report(vol, {"defaced": defaced}, directed=True)["defaced"]
-        d_ba = face_distance_report(defaced, {"original": vol}, directed=True)["original"]
+        sym = face_distance_report(vol, {"defaced": defaced}, head=small_head)["defaced"]
+        d_ab = face_distance_report(vol, {"defaced": defaced}, directed=True,
+                                    head=small_head)["defaced"]
+        d_ba = face_distance_report(defaced, {"original": vol}, directed=True,
+                                    head=head_mask(defaced))["original"]
         assert sym == pytest.approx(0.5 * (d_ab + d_ba), abs=1e-12)
 
     @pytest.mark.parametrize("directed", [False, True])
@@ -245,19 +247,21 @@ class TestFaceDistanceReport:
         candidates = {f"buffer {b}": quickshear(vol, brain, buffer_mm=b, head=small_head)[0]
                       for b in (0.0, 10.0)}
         candidates["self"] = vol
-        batched = face_distance_report(vol, candidates, directed=directed)
+        batched = face_distance_report(vol, candidates, directed=directed, head=small_head)
         assert list(batched) == list(candidates)
         reference = marching_cubes(face_roi(head_mask(vol)))
         for name, candidate in candidates.items():
-            single = face_distance_report(vol, {name: candidate}, directed=directed)
+            single = face_distance_report(vol, {name: candidate}, directed=directed,
+                                          head=small_head)
             assert single == {name: batched[name]}
             mesh = marching_cubes(face_roi(head_mask(candidate)))
             assert batched[name] == masd(reference, mesh, directed=directed)
 
-    def test_candidate_geometry_mismatch_raises(self, small_phantom):
+    def test_candidate_geometry_mismatch_raises(self, small_phantom, small_head):
         vol, _, _ = small_phantom
         affine = vol.affine.copy()
         affine[0, 3] += 1.0
         with pytest.raises(GeometryMismatchError):
-            face_distance_report(vol, {"self": vol, "shifted": replace(vol, affine=affine)})
+            face_distance_report(vol, {"self": vol, "shifted": replace(vol, affine=affine)},
+                                 head=small_head)
 
