@@ -253,6 +253,9 @@ def _demo_subject(case, out, config, buffer_mm):
     vol, brain = case.volume, case.brain
     head = head_mask(vol)
     defaced, removed = quickshear(vol, brain, buffer_mm=buffer_mm, head=head)
+    if not removed.data.any():
+        raise ValueError(f"{case.subject_id}: --buffer-mm {buffer_mm} leaves no face voxel "
+                         "to remove, so there is nothing to reface or score")
 
     oracle_low = VolumeDenoiser(downsample(vol, config.downsample_factor))
     refaced_oracle = cascade_reface(defaced, removed, oracle_low, VolumeDenoiser(vol), config)

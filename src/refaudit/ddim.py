@@ -2,14 +2,22 @@
 step, conditional sampling, slab tiling for the 2.5D super-resolution stage,
 and slab merging.
 
-The denoiser predicts the clean image x0 at each step; the noise estimate is
-recovered from it as eps = (x_t - sqrt(abar_t) x0) / sqrt(1 - abar_t) and the
-step update is
+The denoiser predicts the clean image x0 at each step. With the noise
+estimate eps = (x_t - sqrt(abar_t) x0) / sqrt(1 - abar_t), the DDIM update
+(Song, Meng & Ermon 2021) is
 
     x_prev = sqrt(abar_prev) x0
              + sqrt(1 - abar_prev - sigma^2) eps + sigma z,
 
 with sigma = eta sqrt((1-abar_prev)/(1-abar_t)) sqrt(1 - abar_t/abar_prev).
+It is linear in x_t and x0, so ``ddim_step`` computes it as
+
+    x_prev = c_x x_t + c_0 x0 + sigma z,
+    c_x = sqrt(1 - abar_prev - sigma^2) / sqrt(1 - abar_t),
+    c_0 = sqrt(abar_prev) - c_x sqrt(abar_t).
+
+At the data end abar_prev = 1 and sigma = 0, so c_x = 0 and c_0 = 1: the
+last step returns the final x0 prediction exactly for any finite x_t.
 eta=0 gives deterministic trajectories. The sampler core operates on plain
 arrays; geometry-carrying volumes enter only at the cascade boundary.
 """
@@ -22,7 +30,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ScheduleError
 from .volume import (
     BinaryMask,
     Volume3D,
@@ -37,31 +44,26 @@ Denoiser = Callable[[np.ndarray, int, Any], np.ndarray]
 
 @dataclass(frozen=True)
 class DiffusionSchedule:
-    """Per-step noise variances beta[1..T] and signal retentions
-    alpha_bar[0..T] with alpha_bar[0] = 1 at the data end."""
+    """Signal retentions alpha_bar[0..T]: alpha_bar[0] = 1 at the data end,
+    strictly decreasing to alpha_bar[T] > 0. These are exactly the sequences
+    cumprod(1 - beta) with every per-step variance beta in (0, 1)."""
 
-    beta: np.ndarray
     alpha_bar: np.ndarray
 
     def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=np.float64)
         abar = np.asarray(self.alpha_bar, dtype=np.float64)
-        if beta.ndim != 1 or len(beta) < 1:
-            raise ValueError("beta must be a nonempty 1D array")
-        if len(abar) != len(beta) + 1 or abar[0] != 1.0:
-            raise ValueError("alpha_bar must have length T+1 with alpha_bar[0] == 1")
-        if not ((beta > 0) & (beta < 1)).all():
-            raise ValueError("beta values must lie in (0, 1)")
-        if not (np.diff(abar) < 0).all():
-            raise ValueError("alpha_bar must be strictly decreasing")
-        beta.setflags(write=False)
+        if abar.ndim != 1 or len(abar) < 2 or not np.isfinite(abar).all():
+            raise ValueError("alpha_bar must be a finite 1D array of length T+1 >= 2")
+        if abar[0] != 1.0 or not (np.diff(abar) < 0).all() or not abar[-1] > 0.0:
+            raise ValueError(
+                "alpha_bar must decrease strictly from alpha_bar[0] == 1 to alpha_bar[T] > 0"
+            )
         abar.setflags(write=False)
-        object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "alpha_bar", abar)
 
     @property
     def num_steps(self) -> int:
-        return len(self.beta)
+        return len(self.alpha_bar) - 1
 
     def sigma(self, t: int, t_prev: int, eta: float) -> float:
         """DDIM noise scale for the jump t -> t_prev; 0 when eta = 0 and at
@@ -84,9 +86,8 @@ def make_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> D
         raise ValueError(
             f"need 0 < beta_start <= beta_end < 1, got [{beta_start}, {beta_end}]"
         )
-    beta = np.linspace(beta_start, beta_end, T) if T > 1 else np.array([beta_start])
-    alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - beta)])
-    return DiffusionSchedule(beta=beta, alpha_bar=alpha_bar)
+    beta = np.linspace(beta_start, beta_end, T)
+    return DiffusionSchedule(alpha_bar=np.concatenate([[1.0], np.cumprod(1.0 - beta)]))
 
 
 def uniform_steps(T: int, n: int) -> list:
@@ -100,23 +101,21 @@ def uniform_steps(T: int, n: int) -> list:
 def ddim_step(x_t, t: int, t_prev: int, x0_pred, schedule: DiffusionSchedule,
               eta: float = 0.0, rng=None):
     """One x0-parameterized DDIM update from step t to t_prev."""
-    if not 0 <= t_prev < t:
-        raise ValueError(f"need t > t_prev >= 0, got t={t}, t_prev={t_prev}")
+    sigma = schedule.sigma(t, t_prev, eta)
     x_t = np.asarray(x_t, dtype=np.float64)
     x0_pred = np.asarray(x0_pred, dtype=np.float64)
     if x0_pred.shape != x_t.shape:
         raise ValueError(f"x0_pred shape {x0_pred.shape} != x_t shape {x_t.shape}")
     a = schedule.alpha_bar[t]
     q = schedule.alpha_bar[t_prev]
-    if a >= 1.0:
-        raise ScheduleError(f"alpha_bar[{t}] = {a} at t > 0")
-    sigma = schedule.sigma(t, t_prev, eta)
-    eps = (x_t - np.sqrt(a) * x0_pred) / np.sqrt(1.0 - a)
-    out = np.sqrt(q) * x0_pred + np.sqrt(max(1.0 - q - sigma * sigma, 0.0)) * eps
+    c_x = math.sqrt(max(1.0 - q - sigma * sigma, 0.0)) / math.sqrt(1.0 - a)
+    c_0 = math.sqrt(q) - c_x * math.sqrt(a)
+    out = c_x * x_t
+    out += c_0 * x0_pred
     if sigma > 0.0:
         if rng is None:
             raise ValueError("eta > 0 requires an rng")
-        out = out + sigma * rng.standard_normal(x_t.shape)
+        out += sigma * rng.standard_normal(x_t.shape)
     return out
 
 
@@ -141,8 +140,7 @@ def sample(denoiser: Denoiser, condition, schedule: DiffusionSchedule, steps,
             raise ValueError("sampling from noise requires rng and shape")
         x = rng.standard_normal(shape)
     for t, t_prev in zip(steps[:-1], steps[1:]):
-        x0_pred = np.asarray(denoiser(x, t, condition), dtype=np.float64)
-        x = ddim_step(x, t, t_prev, x0_pred, schedule, eta=eta, rng=rng)
+        x = ddim_step(x, t, t_prev, denoiser(x, t, condition), schedule, eta=eta, rng=rng)
     return x
 
 

@@ -37,7 +37,3 @@ class JoinError(ValueError):
     def __init__(self, message, missing_keys=()):
         super().__init__(message)
         self.missing_keys = list(missing_keys)
-
-
-class ScheduleError(ValueError):
-    """Diffusion schedule is invalid at the requested step."""

@@ -100,15 +100,19 @@ def read_csv_rows(path, required, kind: str) -> list:
 
 def read_predictions_csv(path) -> dict:
     """Prediction CSV (subject_id, visit, method, y_pred) as
-    {method: {(subject_id, visit): y_pred}}. A NaN y_pred raises ValueError;
-    +-inf is kept, as in ``bootstrap_cells``."""
+    {method: {(subject_id, visit): y_pred}}. A NaN y_pred or a repeated
+    (method, subject_id, visit) raises ValueError; +-inf is kept, as in
+    ``bootstrap_cells``."""
     out: dict = {}
     for row in read_csv_rows(path, ("subject_id", "visit", "method", "y_pred"), "prediction"):
         key = (row["subject_id"], int(row["visit"]))
         y_pred = float(row["y_pred"])
         if math.isnan(y_pred):
             raise ValueError(f"y_pred of {row['method']!r} at {key!r} is NaN")
-        out.setdefault(row["method"], {})[key] = y_pred
+        per_method = out.setdefault(row["method"], {})
+        if key in per_method:
+            raise ValueError(f"duplicate prediction row for {(row['method'], *key)!r}")
+        per_method[key] = y_pred
     return out
 
 
@@ -269,7 +273,9 @@ def spearman(x, y) -> float:
 def wilcoxon_signed_rank(a, b) -> tuple:
     """Two-sided Wilcoxon signed-rank test on paired samples.
 
-    Zero differences are dropped; ties get average ranks. Exact p by
+    Equal pairs are zero differences and are dropped, so a pair that is inf
+    in both samples counts as zero; a finite-vs-inf pair keeps its infinite
+    difference and takes the top rank. Ties get average ranks. Exact p by
     sign-pattern dynamic programming for n <= 25, normal approximation with
     continuity (and tie) correction otherwise. Returns (W, p) where W is the
     positive-rank sum.
@@ -278,8 +284,8 @@ def wilcoxon_signed_rank(a, b) -> tuple:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("wilcoxon needs two equal-length 1D arrays")
-    d = a - b
-    d = d[d != 0.0]
+    differ = a != b
+    d = a[differ] - b[differ]
     if len(d) == 0:
         raise DegenerateInputError("all differences are zero")
     n = len(d)

@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import io
 import json
+import math
 import struct
 import sys
 import tempfile
@@ -20,18 +21,23 @@ import refaudit.stats as stats
 from refaudit.cli import main
 from refaudit.ddim import CascadeConfig
 from refaudit.deface import quickshear
+from refaudit.denoisers import mirror_fill
 from refaudit.masks import head_mask
 from refaudit.phantom import generate_cohort
 from refaudit.quality import quality_report
 from refaudit.surface import face_distance_report
 from refaudit.errors import FormatError, GeometryMismatchError
 from refaudit.volume import (
+    BinaryMask,
+    Volume3D,
     read_nifti_file,
     write_mask_file,
+    write_nifti,
     write_nifti_file,
 )
 
 from conftest import SMALL_PARAMS
+from test_volume_io import HEADER_MUTATIONS
 
 
 def run_cli(args):
@@ -490,6 +496,49 @@ class TestHostileInputs:
         assert rc == 2
         assert "duplicate row for ('s0', 'refaced')" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_compare_drops_a_subject_infinite_for_both_methods(self, tmp_path, capsys):
+        # s4 is inf for both methods: an equal pair, dropped as a zero
+        # difference; s5 is inf for one only and takes the top rank
+        a = ["0.5", "0.9", "1.1", "0.4", "inf", "inf"]
+        b = ["0.7", "0.6", "1.6", "0.2", "inf", "1.0"]
+        rows = [[f"s{i}", method, v] for i, pair in enumerate(zip(a, b))
+                for method, v in zip("ab", pair)]
+        rc, out = run_cli(["masd", "--table", write_csv(tmp_path / "d.csv", DISTANCE_HEADER, rows),
+                           "--boot", "20", "--compare", "a", "b"])
+        err = capsys.readouterr().err
+        assert rc == 0, err
+        assert "Warning" not in err
+        wrow = [r for r in csv_rows(out) if r["kind"] == "wilcoxon"][0]
+        w, p = float(wrow["w"]), float(wrow["p"])
+        assert math.isfinite(w) and math.isfinite(p)
+        w_want, p_want = stats.wilcoxon_signed_rank([0.5, 0.9, 1.1, 0.4, 9.0],
+                                                    [0.7, 0.6, 1.6, 0.2, 1.0])
+        assert w == w_want and p == pytest.approx(p_want, rel=1e-5)
+        assert wrow["n"] == "6"
+
+    def test_repeated_prediction_row_exits_2_without_report(self, tmp_path, capsys):
+        obs, preds = write_correlate_inputs(tmp_path, 6, (0, 1))
+        with open(preds, "a", newline="") as fh:
+            csv.writer(fh).writerow(["s2", "1", "dpm", "99.0"])
+        target = tmp_path / "report.json"
+        rc, _ = run_cli(["correlate", obs, preds, "--boot", "20", "--out", str(target)])
+        assert rc == 2
+        assert "duplicate prediction row for ('dpm', 's2', 1)" in capsys.readouterr().err
+        assert not target.exists()
+
+    def test_demo_subject_with_empty_changed_area_fails_before_any_work(
+            self, monkeypatch, tmp_path):
+        def no_cascade(*args, **kwargs):
+            raise AssertionError("cascade_reface called on an empty changed area")
+
+        monkeypatch.setattr(cli, "cascade_reface", no_cascade)
+        case = generate_cohort(1, seed=5, base=SMALL_PARAMS)[0]
+        with pytest.raises(ValueError, match="phantom-000: --buffer-mm 500.0 leaves no face "
+                                             "voxel to remove"):
+            cli._demo_subject(case, tmp_path, CascadeConfig(sample_steps=1, seed=5), 500.0)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_nan_value_exits_2_and_inf_is_kept(self, tmp_path, capsys):
         rows = distance_rows()
@@ -701,6 +750,59 @@ def table_argv(draw, tmp, command, header, names):
     return [command, "--table", write_csv(tmp / "table.csv", header, rows), *draw(flags(chosen))]
 
 
+@pytest.fixture(scope="module")
+def subject_bytes():
+    """One small subject as uncompressed NIfTI bytes: original, defaced,
+    refaced (mirror fill) and removed mask, plus the removed mask shifted by
+    1 mm and cut by one slice (two other geometries)."""
+    case = generate_cohort(1, seed=17, base=SMALL_PARAMS)[0]
+    defaced, removed = quickshear(case.volume, case.brain, buffer_mm=8.0,
+                                  head=head_mask(case.volume))
+    shifted = removed.affine.copy()
+    shifted[0, 3] += 1.0
+    masks = {"removed": removed, "shifted removed": replace(removed, affine=shifted),
+             "cut removed": BinaryMask(data=removed.data[:, :, 1:], spacing=removed.spacing,
+                                       affine=removed.affine)}
+    return {"original": write_nifti(case.volume), "defaced": write_nifti(defaced),
+            "refaced": write_nifti(mirror_fill(defaced, removed)),
+            **{name: write_nifti(Volume3D(data=m.data.astype(np.float64), spacing=m.spacing,
+                                          affine=m.affine))
+               for name, m in masks.items()}}
+
+
+MASD_FILES = ["original", "refaced"]
+QUALITY_FILES = ["original", "defaced", "refaced", "removed"]
+
+
+@st.composite
+def files_attack(draw, names):
+    """One attack on the files ``names``: (name, (offset, format, value)) for
+    one header field of that file overwritten or, when the removed mask is
+    among them, ("removed", name of that mask on another geometry)."""
+    target = draw(st.sampled_from(names + (["other geometry"] if "removed" in names else [])))
+    if target == "other geometry":
+        return "removed", draw(st.sampled_from(["shifted removed", "cut removed"]))
+    return target, draw(HEADER_MUTATIONS)
+
+
+def write_attacked(tmp, raw, names, attack):
+    """The files ``names`` of ``raw`` written to ``tmp`` after ``attack``;
+    {name: path}."""
+    files = {name: raw[name] for name in names}
+    target, how = attack
+    if isinstance(how, str):
+        files[target] = raw[how]
+    else:
+        mutated = bytearray(files[target])
+        struct.pack_into(how[1], mutated, how[0], how[2])
+        files[target] = bytes(mutated)
+    paths = {}
+    for name, data in files.items():
+        paths[name] = str(tmp / f"{name}.nii")
+        Path(paths[name]).write_bytes(data)
+    return paths
+
+
 def contract_run(argv):
     """Exit code and stdout of one CLI run, asserting the exit-code contract."""
     out, err = io.StringIO(), io.StringIO()
@@ -723,8 +825,9 @@ def reject_nan(token):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestExitCodeContract:
-    """Hostile CSV cells and flags end in exit 0/2/3/4/5, never in a
-    traceback, and a successful run writes no NaN into its JSON."""
+    """Hostile CSV cells, NIfTI headers, mask geometries and flags end in
+    exit 0/2/3/4/5, never in a traceback, and a successful run writes no NaN
+    into its JSON."""
 
     @given(st.data())
     @settings(max_examples=500)
@@ -753,3 +856,18 @@ class TestExitCodeContract:
         with tempfile.TemporaryDirectory() as tmp:
             contract_run(data.draw(table_argv(Path(tmp), "quality", QUALITY_HEADER,
                                               ("defaced", "refaced"))))
+
+    @given(attack=files_attack(MASD_FILES))
+    @settings(max_examples=60)
+    def test_masd_files(self, subject_bytes, attack):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = write_attacked(Path(tmp), subject_bytes, MASD_FILES, attack)
+            contract_run(["masd", paths["original"], paths["refaced"]])
+
+    @given(attack=files_attack(QUALITY_FILES))
+    @settings(max_examples=60)
+    def test_quality_files(self, subject_bytes, attack):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = write_attacked(Path(tmp), subject_bytes, QUALITY_FILES, attack)
+            contract_run(["quality", paths["original"], paths["defaced"], paths["refaced"],
+                          "--removed", paths["removed"]])

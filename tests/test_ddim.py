@@ -1,6 +1,5 @@
 import importlib.util
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +8,7 @@ from scipy import ndimage
 
 from refaudit.ddim import (
     CascadeConfig,
+    DiffusionSchedule,
     SlabSpec,
     cascade_reface,
     ddim_step,
@@ -25,7 +25,6 @@ from refaudit.denoisers import (
     mirror_fill,
 )
 from refaudit.deface import quickshear
-from refaudit.errors import ScheduleError
 from refaudit.volume import BinaryMask, Volume3D, downsample, upsample_trilinear
 
 
@@ -66,19 +65,25 @@ class TestSchedule:
         with pytest.raises(ValueError, match="eta must be finite and >= 0"):
             make_schedule(100).sigma(50, 20, eta)
 
+    @pytest.mark.parametrize("alpha_bar", [
+        [0.9, 0.5, 0.1],
+        [1.0, 0.5, 0.5, 0.1],
+        [1.0, 0.5, 0.0],
+        [1.0, 0.5, -0.1],
+        [1.0],
+        [1.0, math.nan, 0.1],
+        [1.0, 0.5, -math.inf],
+    ], ids=["first-not-1", "flat-step", "last-zero", "last-negative", "no-step", "nan",
+            "minus-inf"])
+    def test_rejects_invalid_alpha_bar(self, alpha_bar):
+        with pytest.raises(ValueError, match="alpha_bar must"):
+            DiffusionSchedule(alpha_bar=np.array(alpha_bar))
+
     def test_sigma_bounded_by_target_noise(self):
         sched = make_schedule(200)
         for t, p in ((200, 150), (150, 60), (60, 1)):
             sigma = sched.sigma(t, p, 1.0)
             assert sigma**2 <= 1.0 - sched.alpha_bar[p] + 1e-15
-
-
-@dataclass
-class _RiggedSchedule:
-    alpha_bar: np.ndarray
-
-    def sigma(self, t, t_prev, eta):
-        return 0.0
 
 
 class TestDdimStep:
@@ -87,18 +92,29 @@ class TestDdimStep:
         x_t = rng.standard_normal((7,))
         x0 = rng.standard_normal((7,))
         out = ddim_step(x_t, 5, 0, x0, sched, eta=0.0)
-        assert np.array_equal(out, x0)
+        assert out.tobytes() == x0.tobytes()
+        # sigma is 0 at the data end, so eta=1 draws no noise either
+        g = np.random.default_rng(8)
+        out = ddim_step(x_t, 5, 0, x0, sched, eta=1.0, rng=g)
+        assert out.tobytes() == x0.tobytes()
+        assert g.bit_generator.state == np.random.default_rng(8).bit_generator.state
 
     def test_matches_independent_formula_evaluation(self, rng):
+        # the textbook eps form of the update, over jumps from the noise end
+        # to the data end and over eta
         sched = make_schedule(500)
         x_t = rng.standard_normal((100,))
         x0 = rng.standard_normal((100,))
-        t, p = 300, 120
-        got = ddim_step(x_t, t, p, x0, sched, eta=0.0)
-        a, q = sched.alpha_bar[t], sched.alpha_bar[p]
-        eps = (x_t - math.sqrt(a) * x0) / math.sqrt(1 - a)
-        want = math.sqrt(q) * x0 + math.sqrt(1 - q) * eps
-        assert np.allclose(got, want, atol=1e-12)
+        jumps = [(500, 499), (500, 250), (300, 120), (120, 1), (2, 1), (1, 0), (500, 0)]
+        for eta in (0.0, 0.5, 1.0):
+            for t, p in jumps:
+                got = ddim_step(x_t, t, p, x0, sched, eta=eta, rng=np.random.default_rng(t))
+                a, q = sched.alpha_bar[t], sched.alpha_bar[p]
+                sigma = eta * math.sqrt((1 - q) / (1 - a)) * math.sqrt(1 - a / q)
+                eps = (x_t - math.sqrt(a) * x0) / math.sqrt(1 - a)
+                z = np.random.default_rng(t).standard_normal((100,)) if sigma > 0 else 0.0
+                want = math.sqrt(q) * x0 + math.sqrt(max(1 - q - sigma**2, 0.0)) * eps + sigma * z
+                assert np.allclose(got, want, rtol=0.0, atol=1e-12), (eta, t, p)
 
     def test_eta_noise_term_matches_formula(self, rng):
         sched = make_schedule(500)
@@ -114,15 +130,12 @@ class TestDdimStep:
         want = math.sqrt(q) * x0 + math.sqrt(1 - q - sigma**2) * eps + sigma * z
         assert np.allclose(got, want, atol=1e-12)
 
-    def test_alpha_bar_one_above_data_end_is_schedule_error(self, rng):
-        rigged = _RiggedSchedule(alpha_bar=np.array([1.0, 1.0, 0.5]))
-        with pytest.raises(ScheduleError):
-            ddim_step(np.zeros(3), 1, 0, np.zeros(3), rigged)
-
     def test_step_order_validation(self):
         sched = make_schedule(10)
         with pytest.raises(ValueError):
             ddim_step(np.zeros(2), 3, 3, np.zeros(2), sched)
+        with pytest.raises(ValueError, match="need 0 <= t_prev < t <= T, got t=11, t_prev=3"):
+            ddim_step(np.zeros(2), 11, 3, np.zeros(2), sched)
 
     def test_shape_mismatch(self):
         sched = make_schedule(10)
@@ -367,6 +380,23 @@ class TestCascade:
         assert np.allclose(out.data, vol.data, atol=1e-9)
         distance = face_distance_report(vol, {"refaced": out}, head=small_head)["refaced"]
         assert distance == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    def test_volume_denoisers_give_the_merged_volume_bitwise(self, small_phantom, small_head,
+                                                             eta):
+        # the last step returns the denoiser's x0 exactly, so a cascade whose
+        # denoisers ignore x_t is the merged slabs of their volume inside
+        # removed, however the intermediate steps are computed
+        vol, brain, _ = small_phantom
+        defaced, removed = quickshear(vol, brain, buffer_mm=8.0, head=small_head)
+        filled = mirror_fill(defaced, removed)
+        config = CascadeConfig(sample_steps=5, eta=eta, seed=6)
+        out = cascade_reface(defaced, removed,
+                             VolumeDenoiser(downsample(filled, config.downsample_factor)),
+                             VolumeDenoiser(filled), config)
+        ranges = stage2_slabs(defaced.dims[2], config.slab)
+        merged = merge_slabs([filled.data[..., z0:z1] for z0, z1 in ranges], ranges)
+        assert out.data.tobytes() == np.where(removed.data, merged, defaced.data).tobytes()
 
     def test_cascade_is_deterministic_given_seed(self, small_phantom, small_head):
         vol, brain, _ = small_phantom

@@ -121,6 +121,10 @@ FLOAT_FIELDS = ([76 + 4 * i for i in range(8)] + [108, 112, 116]  # pixdim, vox_
 INT16_FIELDS = [40 + 2 * i for i in range(8)] + [70, 72, 252, 254]  # dim, datatype, bitpix, codes
 HOSTILE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-30, 3.4e38,
                                   -3.4e38, -1.0]) | st.floats(width=32)
+# one header field overwritten: (byte offset, struct format, value)
+HEADER_MUTATIONS = st.one_of(
+    st.tuples(st.sampled_from(FLOAT_FIELDS), st.just("<f"), HOSTILE_FLOATS),
+    st.tuples(st.sampled_from(INT16_FIELDS), st.just("<h"), st.integers(-32768, 32767)))
 
 
 class TestReader:
@@ -205,9 +209,7 @@ class TestReader:
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=400)
-@given(st.sampled_from(list(VALID_FILES.values())), st.one_of(
-    st.tuples(st.sampled_from(FLOAT_FIELDS), st.just("<f"), HOSTILE_FLOATS),
-    st.tuples(st.sampled_from(INT16_FIELDS), st.just("<h"), st.integers(-32768, 32767))))
+@given(st.sampled_from(list(VALID_FILES.values())), HEADER_MUTATIONS)
 def test_header_mutation_parses_finite_or_raises_format_error(raw, mutation):
     offset, fmt, value = mutation
     raw = bytearray(raw)
