@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def nonnegative_float(text: str) -> float:
     value = float(text)
     if not 0.0 <= value < math.inf:
@@ -86,15 +94,29 @@ def _base_metadata(seed) -> dict:
             "conventions": dict(CONVENTIONS)}
 
 
-def _ensure_out_dir(path: str) -> Path:
+@contextmanager
+def _output_dir(path: str):
+    """Yield the output directory ``path``, made if missing. If the body
+    raises, delete the files it added there and the directories made here;
+    files that were already there stay."""
     out = Path(path)
+    made = [p for p in (out, *out.parents) if not p.exists()]
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValueError(f"invalid output directory {out}: {exc}") from exc
     if not out.is_dir():
         raise ValueError(f"invalid output directory {out}: not a directory")
-    return out
+    before = set(out.iterdir())
+    try:
+        yield out
+    except BaseException:
+        for p in set(out.iterdir()) - before:
+            p.unlink(missing_ok=True)
+        for d in made:
+            with suppress(OSError):
+                d.rmdir()
+        raise
 
 
 def _fmt(x: float, decimals: int = 3) -> str:
@@ -113,26 +135,26 @@ def _quality_row(subject_id: str, rec) -> list:
 
 
 def cmd_phantom(args) -> int:
-    out = _ensure_out_dir(args.out_dir)
     workers = thread_count()
-    cohort = generate_cohort(args.count, args.seed)
+    with _output_dir(args.out_dir) as out:
+        cohort = generate_cohort(args.count, args.seed)
 
-    def write_case(case):
-        write_nifti_file(case.volume, out / f"{case.subject_id}.nii.gz")
-        if args.write_brain_masks:
-            write_mask_file(case.brain, out / f"{case.subject_id}_brain.nii.gz")
-        record = {**_base_metadata(args.seed), "subject_id": case.subject_id,
-                  "geometry": case.geometry.to_json_dict()}
-        (out / f"{case.subject_id}.json").write_text(
-            json.dumps(record, indent=2, sort_keys=True) + "\n"
-        )
+        def write_case(case):
+            write_nifti_file(case.volume, out / f"{case.subject_id}.nii.gz")
+            if args.write_brain_masks:
+                write_mask_file(case.brain, out / f"{case.subject_id}_brain.nii.gz")
+            record = {**_base_metadata(args.seed), "subject_id": case.subject_id,
+                      "geometry": case.geometry.to_json_dict()}
+            (out / f"{case.subject_id}.json").write_text(
+                json.dumps(record, indent=2, sort_keys=True) + "\n"
+            )
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(write_case, cohort))
-    manifest = {**_base_metadata(args.seed), "kind": "phantom-cohort",
-                "count": args.count,
-                "subjects": [c.subject_id for c in cohort]}
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(write_case, cohort))
+        manifest = {**_base_metadata(args.seed), "kind": "phantom-cohort",
+                    "count": args.count,
+                    "subjects": [c.subject_id for c in cohort]}
+        (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -288,10 +310,19 @@ def cmd_demo(args) -> int:
         slab=SlabSpec(size=args.slab_size, overlap=args.overlap),
         seed=args.seed,
     )
-    # a slab taller than the phantoms fails here, before any output or phantom
-    stage2_slabs(PhantomParams().dims[2], config.slab)
-    out = _ensure_out_dir(args.out_dir)
+    # a slab taller than the phantoms, or a downsample factor wider, fails
+    # here, before any output or phantom
+    dims = PhantomParams().dims
+    stage2_slabs(dims[2], config.slab)
+    if args.downsample > min(dims):
+        raise ValueError(f"--downsample {args.downsample} exceeds the phantoms' "
+                         f"{min(dims)} voxels")
     workers = thread_count()
+    with _output_dir(args.out_dir) as out:
+        return _run_demo(args, config, workers, out)
+
+
+def _run_demo(args, config, workers, out) -> int:
     cohort = generate_cohort(args.count, args.seed)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -347,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phantom", help="generate a phantom cohort")
     p.add_argument("out_dir")
     p.add_argument("-n", "--count", type=positive_int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--write-brain-masks", action="store_true")
     p.set_defaults(func=cmd_phantom)
 
@@ -361,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare", nargs=2, metavar=("A", "B"),
                    help="Wilcoxon on per-subject paired distances of two methods")
     p.add_argument("--boot", type=positive_int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--summary", help="write a JSON summary here")
     p.set_defaults(func=cmd_masd)
 
@@ -374,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subject-id", default="subject")
     p.add_argument("--table", help="CSV of per-subject quality rows to aggregate")
     p.add_argument("--boot", type=positive_int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--summary", help="write a JSON summary here")
     p.set_defaults(func=cmd_quality)
 
@@ -382,14 +413,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("observations")
     p.add_argument("predictions")
     p.add_argument("--boot", type=positive_int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(func=cmd_correlate)
 
     p = sub.add_parser("demo", help="end-to-end phantom walkthrough")
     p.add_argument("out_dir")
     p.add_argument("-n", "--count", type=positive_int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--buffer-mm", type=nonnegative_float, default=10.0)
     p.add_argument("--downsample", type=int, default=2)
     p.add_argument("--slab-size", type=int, default=8)

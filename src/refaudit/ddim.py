@@ -192,18 +192,23 @@ def merge_slabs(slabs, ranges) -> np.ndarray:
     1/(k+1) ... k/(k+1) while the outgoing slab carries the complement, so
     every slice's weights sum to 1; non-overlap slices are copied. The result
     does not depend on slab processing order.
+
+    A slab given as ``None`` adds nothing; the weights still come from the
+    full range list, so only the slices that ``None`` slabs do not cover
+    hold their merged value.
     """
-    slabs = [np.asarray(s, dtype=np.float64) for s in slabs]
+    slabs = [None if s is None else np.asarray(s, dtype=np.float64) for s in slabs]
     ranges = [(int(a), int(b)) for a, b in ranges]
-    if len(slabs) != len(ranges) or not slabs:
-        raise ValueError("slabs and ranges must be nonempty and parallel")
+    given = [s for s in slabs if s is not None]
+    if len(slabs) != len(ranges) or not given:
+        raise ValueError("slabs and ranges must be parallel, with at least one slab given")
     order = sorted(range(len(ranges)), key=lambda i: ranges[i])
     slabs = [slabs[i] for i in order]
     ranges = [ranges[i] for i in order]
 
-    lead = slabs[0].shape[:-1]
+    lead = given[0].shape[:-1]
     for s, (z0, z1) in zip(slabs, ranges):
-        if s.shape[:-1] != lead or s.shape[-1] != z1 - z0:
+        if s is not None and (s.shape[:-1] != lead or s.shape[-1] != z1 - z0):
             raise ValueError(f"slab shape {s.shape} inconsistent with range ({z0}, {z1})")
     nz = ranges[-1][1]
     for i in range(1, len(ranges)):
@@ -216,6 +221,8 @@ def merge_slabs(slabs, ranges) -> np.ndarray:
 
     out = np.zeros(lead + (nz,), dtype=np.float64)
     for i, (s, (z0, z1)) in enumerate(zip(slabs, ranges)):
+        if s is None:
+            continue
         w = np.ones(z1 - z0)
         if i > 0:
             k = ranges[i - 1][1] - z0
@@ -282,14 +289,22 @@ def cascade_reface(
     "slab_range"}``: the defaced image's and the cropped stage-1 upsample's
     ``[:, :, z0:z1]`` arrays, shaped like x_t, and the slab's ``(z0, z1)``.
 
-    Slabs use independent RNG streams derived from (seed, slab index), so the
-    merged result is invariant to slab completion order. The final composite
-    preserves observed voxels: generated content replaces the input only
-    inside ``removed``.
+    Denoisers must be pure functions of ``(x_t, t, condition)``. The final
+    composite preserves observed voxels: generated content replaces the input
+    only inside ``removed``. So a slab that covers no slice of ``removed`` is
+    never read and is not sampled, and an empty ``removed`` returns a copy of
+    ``defaced`` before any sampling. Slab i of the full ``stage2_slabs``
+    tiling draws from its own RNG stream (seed, 1, i) whichever slabs are
+    sampled, so the merged result is invariant to slab completion order and
+    every sampled chain is the one a full pass would draw.
     """
     require_same_geometry(defaced, removed, "defaced volume and removed mask")
     schedule = make_schedule(config.t_steps, config.beta_start, config.beta_end)
     steps = uniform_steps(config.t_steps, config.sample_steps)
+    ranges = stage2_slabs(defaced.dims[2], config.slab)
+    touched = removed.data.any(axis=(0, 1))
+    if not touched.any():
+        return defaced.with_data(defaced.data.copy())
 
     low = downsample(defaced, config.downsample_factor)
     x_low = sample(
@@ -300,9 +315,11 @@ def cascade_reface(
     up = upsample_trilinear(low_refaced, config.downsample_factor)
     up_data = up.data[: defaced.dims[0], : defaced.dims[1], : defaced.dims[2]]
 
-    ranges = stage2_slabs(defaced.dims[2], config.slab)
     slab_out = []
     for i, (z0, z1) in enumerate(ranges):
+        if not touched[z0:z1].any():
+            slab_out.append(None)
+            continue
         cond2 = {
             "defaced": defaced.data[:, :, z0:z1],
             "upsampled": up_data[:, :, z0:z1],

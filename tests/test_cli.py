@@ -9,6 +9,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -146,10 +147,12 @@ def no_cohort(*args, **kwargs):
     ("--steps", "0", "need 1 <= sample_steps <= t_steps"),
     ("--steps", "5000", "need 1 <= sample_steps <= t_steps"),
     ("--downsample", "0", "downsample factors must be positive"),
+    ("--downsample", "129", "--downsample 129 exceeds the phantoms' 128 voxels"),
     ("--buffer-mm", "nan", "--buffer-mm: must be finite and >= 0, got nan"),
     ("--buffer-mm", "inf", "--buffer-mm: must be finite and >= 0, got inf"),
     ("--buffer-mm", "-1", "--buffer-mm: must be finite and >= 0, got -1.0"),
     ("--slab-size", "200", "nz=128 smaller than slab size 200"),
+    ("--seed", "-1", "--seed: must be a non-negative integer, got -1"),
 ])
 def test_bad_sampler_setting_exits_2_before_the_cohort_is_built(
         monkeypatch, tmp_path, capsys, flag, value, message):
@@ -165,6 +168,44 @@ def test_zero_count_exits_2_before_the_out_dir_is_made(monkeypatch, tmp_path, ca
     assert exit_code([command, str(tmp_path / "out"), "-n", "0"]) == 2
     assert "--count: must be a positive integer, got 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["phantom", "masd", "quality", "correlate"])
+def test_negative_seed_exits_2_before_any_output(monkeypatch, tmp_path, capsys, command):
+    monkeypatch.setattr(cli, "generate_cohort", no_cohort)
+    monkeypatch.chdir(tmp_path)
+    positional = {"phantom": ["out"], "correlate": ["obs.csv", "preds.csv"]}
+    assert exit_code([command, *positional.get(command, []), "--seed", "-1"]) == 2
+    assert "--seed: must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_failing_demo_leaves_only_what_was_there(monkeypatch, tmp_path, capsys, existing):
+    # the second subject fails after both have written their volumes
+    out = tmp_path / "out"
+    if existing:
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+    scored = []
+
+    def fail_second(*args, **kwargs):
+        scored.append(args[0])
+        if len(scored) == 2:
+            raise ValueError("scoring failed")
+        return face_distance_report(*args, **kwargs)
+
+    monkeypatch.setenv("REFAUDIT_THREADS", "1")
+    monkeypatch.setattr(cli, "generate_cohort",
+                        lambda n, seed: generate_cohort(n, seed, base=SMALL_PARAMS))
+    monkeypatch.setattr(cli, "face_distance_report", fail_second)
+    assert exit_code(["demo", str(out), "-n", "2", "--steps", "2", "--boot", "50"]) == 2
+    assert "scoring failed" in capsys.readouterr().err
+    assert len(scored) == 2
+    if existing:
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+    else:
+        assert not out.exists()
 
 
 def test_demo_outputs_do_not_depend_on_the_thread_count(monkeypatch, tmp_path):
@@ -816,6 +857,31 @@ def contract_run(argv):
     return rc, out.getvalue()
 
 
+class FlagsAccepted(Exception):
+    """Raised in place of the cohort build: every flag passed its checks."""
+
+
+def accept_flags(*args, **kwargs):
+    raise FlagsAccepted
+
+
+HOSTILE_FLAG_VALUES = ("-1", "0", "1e308", str(10**30), "nan", "inf", "-inf", "abc", "", "2.5")
+COHORT_FLAGS = {"phantom": ("-n", "--seed"),
+                "demo": ("-n", "--seed", "--eta", "--steps", "--downsample", "--slab-size",
+                         "--overlap", "--buffer-mm")}
+
+
+@st.composite
+def cohort_argv(draw, out):
+    """``phantom`` or ``demo`` writing to ``out``, with one to three of its
+    flags set to hostile values."""
+    command = draw(st.sampled_from(sorted(COHORT_FLAGS)))
+    argv = [command, out]
+    for flag in draw(st.sets(st.sampled_from(COHORT_FLAGS[command]), min_size=1, max_size=3)):
+        argv += [flag, draw(st.sampled_from(HOSTILE_FLAG_VALUES))]
+    return argv
+
+
 def reject_nan(token):
     """``parse_constant`` hook that fails on a NaN in JSON output."""
     if token == "NaN":
@@ -856,6 +922,21 @@ class TestExitCodeContract:
         with tempfile.TemporaryDirectory() as tmp:
             contract_run(data.draw(table_argv(Path(tmp), "quality", QUALITY_HEADER,
                                               ("defaced", "refaced"))))
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_phantom_and_demo_flags(self, data):
+        # a run that passes every flag check stops at the cohort build
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(cli, "generate_cohort", accept_flags):
+            out = Path(tmp) / "out"
+            argv = data.draw(cohort_argv(str(out)))
+            try:
+                rc, _ = contract_run(argv)
+            except FlagsAccepted:
+                return
+            assert rc == 2, argv
+            assert not out.exists(), argv
 
     @given(attack=files_attack(MASD_FILES))
     @settings(max_examples=60)

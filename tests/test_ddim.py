@@ -4,12 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from refaudit.ddim import (
     CascadeConfig,
     DiffusionSchedule,
     SlabSpec,
+    _stage_rng,
     cascade_reface,
     ddim_step,
     make_schedule,
@@ -323,8 +326,121 @@ class TestMergeSlabs:
         with pytest.raises(ValueError):
             merge_slabs([np.zeros((2, 2, 8)), np.zeros((3, 2, 8))], [(0, 8), (4, 12)])
 
+    def test_none_slab_adds_nothing(self, rng):
+        # slices that no None slab covers get the full merge bitwise; slices
+        # that only None slabs cover stay 0
+        nz = 30
+        ranges = stage2_slabs(nz)
+        slabs = [rng.standard_normal((4, 4, z1 - z0)) for z0, z1 in ranges]
+        kept = [s if i in (1, 2, 5) else None for i, s in enumerate(slabs)]
+        given_cover, none_cover = np.zeros(nz, bool), np.zeros(nz, bool)
+        for s, (z0, z1) in zip(kept, ranges):
+            (none_cover if s is None else given_cover)[z0:z1] = True
+        exact = given_cover & ~none_cover
+        assert exact.any() and (given_cover & none_cover).any() and (~given_cover).any()
+        full, partial = merge_slabs(slabs, ranges), merge_slabs(kept, ranges)
+        assert partial[..., exact].tobytes() == full[..., exact].tobytes()
+        assert (partial[..., ~given_cover] == 0).all()
+
+    def test_none_slabs_keep_the_checks_on_the_given_ones(self):
+        with pytest.raises(ValueError, match="at least one slab given"):
+            merge_slabs([None, None], [(0, 8), (4, 12)])
+        with pytest.raises(ValueError, match="inconsistent with range"):
+            merge_slabs([np.zeros((2, 2, 8)), None, np.zeros((3, 2, 8))],
+                        [(0, 8), (4, 12), (8, 16)])
+        with pytest.raises(ValueError, match="three slabs"):
+            merge_slabs([np.zeros((2, 2, 8)), None, np.zeros((2, 2, 8))],
+                        [(0, 8), (2, 10), (4, 12)])
+        with pytest.raises(ValueError, match="do not tile"):
+            merge_slabs([None, np.zeros((2, 2, 8))], [(2, 10), (6, 14)])
+
+
+def full_tiling_cascade(defaced, removed, stage1, stage2, config):
+    """The cascade as one chain per slab of the whole tiling, each slab i on
+    its (seed, 1, i) stream, merged and composited inside ``removed``."""
+    schedule = make_schedule(config.t_steps, config.beta_start, config.beta_end)
+    steps = uniform_steps(config.t_steps, config.sample_steps)
+    low = downsample(defaced, config.downsample_factor)
+    x_low = sample(stage1, {"defaced_lowres": low}, schedule, steps, eta=config.eta,
+                   rng=_stage_rng(config.seed, 0), shape=low.dims)
+    nx, ny, nz = defaced.dims
+    up = upsample_trilinear(low.with_data(x_low), config.downsample_factor).data[:nx, :ny, :nz]
+    ranges = stage2_slabs(nz, config.slab)
+    slabs = [sample(stage2, {"defaced": defaced.data[:, :, z0:z1], "upsampled": up[:, :, z0:z1],
+                             "slab_range": (z0, z1)},
+                    schedule, steps, eta=config.eta, rng=_stage_rng(config.seed, 1, i),
+                    shape=(nx, ny, z1 - z0))
+             for i, (z0, z1) in enumerate(ranges)]
+    return np.where(removed.data, merge_slabs(slabs, ranges), defaced.data)
+
+
+def ranges_meeting(gone, spec):
+    """The slab ranges that cover a slice holding a voxel of ``gone``."""
+    zs = np.flatnonzero(gone.any(axis=(0, 1)))
+    return [(z0, z1) for z0, z1 in stage2_slabs(gone.shape[2], spec)
+            if ((zs >= z0) & (zs < z1)).any()]
+
+
+@st.composite
+def slab_cases(draw):
+    """A slab geometry, a volume tall enough for a gap wider than one slab,
+    and a removed mask: a voxel in slice 0 and one in slice nz - 1, a single
+    voxel in a slice two slabs cover, two blocks more than one slab apart,
+    or nothing."""
+    spec = draw(st.sampled_from([SlabSpec(), SlabSpec(6, 3), SlabSpec(4, 2)]))
+    nx, ny, nz = 4, 6, draw(st.integers(3 * spec.size, 5 * spec.size))
+    removed = np.zeros((nx, ny, nz), bool)
+
+    def voxel(z):
+        removed[draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1)), z] = True
+
+    kind = draw(st.sampled_from(["ends", "overlap voxel", "two blocks", "empty"]))
+    if kind == "ends":
+        voxel(0)
+        voxel(nz - 1)
+    elif kind == "overlap voxel":
+        counts = np.zeros(nz, int)
+        for z0, z1 in stage2_slabs(nz, spec):
+            counts[z0:z1] += 1
+        voxel(draw(st.sampled_from(np.flatnonzero(counts == 2).tolist())))
+    elif kind == "two blocks":
+        gap = draw(st.integers(spec.size + 1, nz - 2))
+        a = draw(st.integers(0, nz - gap - 2))
+        b = draw(st.integers(a + 1, nz - gap - 1))
+        c = draw(st.integers(b + gap + 1, nz))
+        x0, y0 = draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1))
+        removed[x0:, y0:, a:b] = True
+        removed[:x0 + 1, :y0 + 1, b + gap:c] = True
+    return spec, removed
+
 
 class TestCascade:
+    @given(case=slab_cases(), eta=st.sampled_from([0.0, 1.0]),
+           steps=st.integers(1, 4), seed=st.integers(0, 2**16))
+    @settings(max_examples=100)
+    def test_equals_the_full_tiling_bitwise(self, case, eta, steps, seed):
+        # predictions depend on x_t, so a slab on another noise stream, a
+        # skipped slab that is read or a changed merge order would show
+        spec, gone = case
+        data = np.random.default_rng(seed).standard_normal(gone.shape)
+        defaced = Volume3D(data=np.where(gone, 0.0, data), spacing=(1.0, 1.0, 1.0),
+                           affine=np.eye(4))
+        removed = BinaryMask.like(defaced, gone)
+        config = CascadeConfig(sample_steps=steps, eta=eta, slab=spec, seed=seed)
+        sampled = []
+
+        def stage1(x, t, c):
+            return c["defaced_lowres"].data + 0.05 * np.tanh(x)
+
+        def stage2(x, t, c):
+            sampled.append(c["slab_range"])
+            return c["upsampled"] + 0.05 * np.tanh(x)
+
+        out = cascade_reface(defaced, removed, stage1, stage2, config)
+        assert sampled == [r for r in ranges_meeting(gone, spec) for _ in range(steps)]
+        want = full_tiling_cascade(defaced, removed, stage1, stage2, config)
+        assert out.data.tobytes() == want.tobytes()
+
     def test_identity_stubs_give_upsampled_stage1_inside_removed(self, small_phantom, small_head):
         vol, brain, _ = small_phantom
         defaced, removed = quickshear(vol, brain, buffer_mm=8.0, head=small_head)
@@ -340,9 +456,13 @@ class TestCascade:
         vol, brain, _ = small_phantom
         removed = brain.with_data(np.zeros(vol.dims, bool))
         config = CascadeConfig(sample_steps=5, seed=0)
-        out = cascade_reface(vol, removed, lambda x, t, c: c["defaced_lowres"].data,
-                             lambda x, t, c: c["upsampled"], config)
+
+        def never(x_t, t, condition):
+            raise AssertionError("a denoiser ran for an empty removed mask")
+
+        out = cascade_reface(vol, removed, never, never, config)
         assert np.array_equal(out.data, vol.data)
+        assert out.data is not vol.data
 
     def test_denoisers_see_only_the_documented_condition(self, small_phantom, small_head):
         vol, brain, _ = small_phantom
@@ -365,8 +485,11 @@ class TestCascade:
         slab_ranges = [seen.pop("slab_range") for _, seen in calls[2]]
         for shape, seen in calls[2]:
             assert seen == {"defaced": shape, "upsampled": shape}
-        ranges = stage2_slabs(defaced.dims[2], config.slab)
-        assert slab_ranges == [r for r in ranges for _ in range(2)]
+        # exactly the slabs that cover a slice holding a removed voxel, in
+        # tiling order, each for both steps
+        meeting = ranges_meeting(removed.data, config.slab)
+        assert 0 < len(meeting) < len(stage2_slabs(defaced.dims[2], config.slab))
+        assert slab_ranges == [r for r in meeting for _ in range(2)]
 
     def test_oracle_denoisers_close_the_loop(self, small_phantom, small_head):
         from refaudit.surface import face_distance_report
