@@ -12,7 +12,7 @@ import argparse
 import csv
 import sys
 
-from refaudit.cli import positive_int
+from refaudit.cli import nonnegative_int, positive_int
 from refaudit.deface import quickshear
 from refaudit.masks import head_mask
 from refaudit.phantom import generate_cohort
@@ -25,7 +25,7 @@ BUFFERS_MM = (0.0, 5.0, 10.0, 20.0)
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=positive_int, default=10)
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=nonnegative_int, default=42)
     parser.add_argument("--boot", type=positive_int, default=1000)
     parser.add_argument("--out", default=None, help="per-subject CSV path")
     args = parser.parse_args(argv)

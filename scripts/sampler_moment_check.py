@@ -16,6 +16,7 @@ import sys
 
 import numpy as np
 
+from refaudit.cli import nonnegative_int
 from refaudit.ddim import make_schedule, sample, uniform_steps
 from refaudit.denoisers import GaussianPosteriorDenoiser
 
@@ -38,9 +39,16 @@ def main(argv=None):
     parser.add_argument("--s", type=float, default=2.0)
     parser.add_argument("--n", type=int_at_least(2), default=10_000)  # the SD uses ddof=1
     parser.add_argument("--t", type=int_at_least(STEP_LADDER[-1]), default=1000)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=nonnegative_int, default=0)
     args = parser.parse_args(argv)
+    try:
+        report(args)
+    except (ValueError, OverflowError) as exc:  # a --mu or --s the chain cannot carry
+        parser.error(str(exc))
+    return 0
 
+
+def report(args):
     schedule = make_schedule(args.t)
     denoiser = GaussianPosteriorDenoiser(args.mu, args.s, schedule)
     print(f"target: N({args.mu}, {args.s}^2), {args.n} samples per row\n")
@@ -54,7 +62,6 @@ def main(argv=None):
             exact = denoiser.final_sd(steps, eta) if eta else float("nan")
             print(f"{n_steps:6d} {eta:4.1f} {out.mean():8.4f} {out.std(ddof=1):8.4f} "
                   f"{exact:9.4f} {out.std(ddof=1) / args.s:6.4f}")
-    return 0
 
 
 if __name__ == "__main__":

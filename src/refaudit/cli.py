@@ -29,7 +29,7 @@ from .deface import QUICKSHEAR_VERSION, quickshear
 from .denoisers import VolumeDenoiser, mirror_fill
 from .errors import FormatError, GeometryMismatchError, JoinError
 from .masks import HEAD_MASK_VERSION, head_mask
-from .quality import QUALITY_CONVENTIONS, quality_report
+from .quality import QUALITY_CONVENTIONS, intersection_mask, quality_report
 from .stats import (
     STATS_CONVENTIONS,
     bootstrap_cells,
@@ -235,7 +235,7 @@ def cmd_quality(args) -> int:
     original = read_nifti_file(args.original)
     defaced = read_nifti_file(args.defaced)
     refaced = read_nifti_file(args.refaced)
-    removed = [read_mask_file(p) for p in args.removed]
+    removed = intersection_mask([read_mask_file(p) for p in args.removed])
     records = quality_report(original, {"defaced": defaced, "refaced": refaced}, removed,
                              head=head_mask(original))
     writer.writerow(["subject_id", "image", *QUALITY_METRICS])

@@ -141,6 +141,8 @@ def sample(denoiser: Denoiser, condition, schedule: DiffusionSchedule, steps,
         x = rng.standard_normal(shape)
     for t, t_prev in zip(steps[:-1], steps[1:]):
         x = ddim_step(x, t, t_prev, denoiser(x, t, condition), schedule, eta=eta, rng=rng)
+    if not np.isfinite(x).all():
+        raise ValueError(f"the DDIM chain at eta={eta} ended in non-finite values")
     return x
 
 
@@ -159,65 +161,55 @@ class SlabSpec:
         if not 0 < self.overlap < self.size:
             raise ValueError(f"need 0 < overlap < size, got {self}")
 
-    @property
-    def stride(self) -> int:
-        return self.size - self.overlap
-
 
 def stage2_slabs(nz: int, spec: SlabSpec = SlabSpec()) -> list:
-    """Half-open slab ranges covering [0, nz): starts at multiples of the
-    stride, with the last slab clamped to end at nz.
+    """Half-open slab ranges tiling [0, nz) in order: starts at multiples of
+    size - overlap and, if the last of those does not end at nz, a slab
+    clamped to end there. The clamped slab replaces the last regular one
+    when it would overlap the slab before that one.
 
-    When clamping would leave three slabs over one slice (possible whenever
-    overlap >= size/2), the last regular slab is dropped; every slice stays
-    covered and interior multiplicity stays <= 2 for the canonical
-    size=2*overlap geometry.
+    Every slab overlaps its neighbours and no slice lies under three slabs;
+    a geometry that cannot tile so (any 2 * overlap > size, and some clamped
+    tails) raises.
     """
-    if nz < spec.size:
-        raise ValueError(f"nz={nz} smaller than slab size {spec.size}")
-    starts = list(range(0, nz - spec.size + 1, spec.stride))
-    if starts[-1] + spec.size != nz:
-        clamped = nz - spec.size
-        if len(starts) >= 2 and 2 * spec.stride <= spec.size:
-            starts = starts[:-1]
+    size = spec.size
+    if nz < size:
+        raise ValueError(f"nz={nz} smaller than slab size {size}")
+    starts = list(range(0, nz - size + 1, size - spec.overlap))
+    clamped = nz - size
+    if starts[-1] != clamped:
+        if len(starts) >= 2 and clamped < starts[-2] + size:
+            starts.pop()
         starts.append(clamped)
-    return [(s, s + spec.size) for s in starts]
+    for i in range(2, len(starts)):
+        if starts[i] < starts[i - 2] + size:
+            raise ValueError(f"slab size {size} with overlap {spec.overlap} puts a slice under "
+                             f"three slabs of nz={nz}")
+    return [(s, s + size) for s in starts]
 
 
-def merge_slabs(slabs, ranges) -> np.ndarray:
-    """Merge overlapping axial slabs into a full array spanning [0, nz), nz
-    being the end of the last range.
+def merge_slabs(slabs, nz: int, spec: SlabSpec = SlabSpec()) -> np.ndarray:
+    """Merge the slabs of the ``stage2_slabs(nz, spec)`` tiling, one per
+    range in tiling order, into a full array spanning [0, nz).
 
     Within a k-slice overlap the incoming slab ramps with weights
     1/(k+1) ... k/(k+1) while the outgoing slab carries the complement, so
-    every slice's weights sum to 1; non-overlap slices are copied. The result
-    does not depend on slab processing order.
+    every slice's weights sum to 1; non-overlap slices are copied.
 
     A slab given as ``None`` adds nothing; the weights still come from the
-    full range list, so only the slices that ``None`` slabs do not cover
-    hold their merged value.
+    full tiling, so only the slices that ``None`` slabs do not cover hold
+    their merged value.
     """
+    ranges = stage2_slabs(nz, spec)
     slabs = [None if s is None else np.asarray(s, dtype=np.float64) for s in slabs]
-    ranges = [(int(a), int(b)) for a, b in ranges]
     given = [s for s in slabs if s is not None]
     if len(slabs) != len(ranges) or not given:
-        raise ValueError("slabs and ranges must be parallel, with at least one slab given")
-    order = sorted(range(len(ranges)), key=lambda i: ranges[i])
-    slabs = [slabs[i] for i in order]
-    ranges = [ranges[i] for i in order]
-
+        raise ValueError(f"need one slab per range of the {len(ranges)}-slab tiling, with at "
+                         f"least one slab given; got {len(slabs)}, {len(given)} given")
     lead = given[0].shape[:-1]
     for s, (z0, z1) in zip(slabs, ranges):
         if s is not None and (s.shape[:-1] != lead or s.shape[-1] != z1 - z0):
             raise ValueError(f"slab shape {s.shape} inconsistent with range ({z0}, {z1})")
-    nz = ranges[-1][1]
-    for i in range(1, len(ranges)):
-        if ranges[i][0] < ranges[i - 1][0] + 1 or ranges[i][0] > ranges[i - 1][1]:
-            raise ValueError(f"slab ranges neither ordered nor contiguous: {ranges}")
-        if i >= 2 and ranges[i][0] < ranges[i - 2][1]:
-            raise ValueError(f"slice covered by three slabs: {ranges}")
-    if ranges[0][0] != 0:
-        raise ValueError(f"slab ranges do not tile [0, {nz}): {ranges}")
 
     out = np.zeros(lead + (nz,), dtype=np.float64)
     for i, (s, (z0, z1)) in enumerate(zip(slabs, ranges)):
@@ -332,6 +324,6 @@ def cascade_reface(
                 shape=(defaced.dims[0], defaced.dims[1], z1 - z0),
             )
         )
-    merged = merge_slabs(slab_out, ranges)
+    merged = merge_slabs(slab_out, defaced.dims[2], config.slab)
     composite = np.where(removed.data, merged, defaced.data)
     return defaced.with_data(composite)

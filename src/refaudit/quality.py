@@ -119,23 +119,23 @@ class QualityRecord:
     ssim_face: float
 
 
-def quality_report(original: Volume3D, candidates, removed, *, head: BinaryMask) -> list:
+def quality_report(original: Volume3D, candidates, removed: BinaryMask, *,
+                   head: BinaryMask) -> list:
     """PSNR/SSIM of each candidate image against the original, over
-    ``head`` (the original's ``head_mask``) and over the changed-area mask.
+    ``head`` (the original's ``head_mask``) and over the changed-area mask
+    ``removed`` (a caller with several masks passes their
+    ``intersection_mask``).
 
     ``candidates`` maps image names to volumes; one record per name comes
-    back, in order, with ``image`` set to the name. ``removed`` is one mask
-    or an iterable of masks; with several, the changed area is their
-    intersection (callers should name the masks used in report metadata).
+    back, in order, with ``image`` set to the name.
     """
-    face = intersection_mask([removed] if isinstance(removed, BinaryMask) else removed)
     ssim_maps = _ssim_maps(original, candidates.values())
     records = []
     for name, img in candidates.items():
         # psnr checks the geometry of img and both masks before img's map is built
-        psnr_head, psnr_face = psnr(original, img, head), psnr(original, img, face)
+        psnr_head, psnr_face = psnr(original, img, head), psnr(original, img, removed)
         ssim_map = next(ssim_maps)  # one per candidate, reduced over both masks
         records.append(QualityRecord(name, psnr_head, psnr_face, float(ssim_map[head.data].mean()),
-                                     float(ssim_map[face.data].mean())))
+                                     float(ssim_map[removed.data].mean())))
         del ssim_map  # free it before the next candidate's map is built
     return records

@@ -222,9 +222,9 @@ def test_criterion_06_slab_tiling_and_merge():
         c.check(counts.max() <= 2, f"nz={nz} has multiplicity {counts.max()}")
     for nz in (8, 17, 64, 123):
         field = np.linspace(-2.0, 5.0, nz)
-        ranges = stage2_slabs(nz, spec)
-        slabs = [np.broadcast_to(field[z0:z1], (2, 2, z1 - z0)).copy() for z0, z1 in ranges]
-        merged = merge_slabs(slabs, ranges)
+        slabs = [np.broadcast_to(field[z0:z1], (2, 2, z1 - z0)).copy()
+                 for z0, z1 in stage2_slabs(nz, spec)]
+        merged = merge_slabs(slabs, nz, spec)
         c.check(np.allclose(merged, np.broadcast_to(field, (2, 2, nz)), atol=1e-12),
                 f"nz={nz} linear field not reproduced")
     c.finish()

@@ -141,6 +141,10 @@ def no_cohort(*args, **kwargs):
     raise AssertionError("generate_cohort called before the arguments were checked")
 
 
+def small_cohort(n, seed):
+    return generate_cohort(n, seed, base=SMALL_PARAMS)
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--eta", "-1", "eta must be finite and >= 0, got -1.0"),
     ("--eta", "nan", "eta must be finite and >= 0, got nan"),
@@ -152,6 +156,7 @@ def no_cohort(*args, **kwargs):
     ("--buffer-mm", "inf", "--buffer-mm: must be finite and >= 0, got inf"),
     ("--buffer-mm", "-1", "--buffer-mm: must be finite and >= 0, got -1.0"),
     ("--slab-size", "200", "nz=128 smaller than slab size 200"),
+    ("--overlap", "5", "slab size 8 with overlap 5 puts a slice under three slabs"),
     ("--seed", "-1", "--seed: must be a non-negative integer, got -1"),
 ])
 def test_bad_sampler_setting_exits_2_before_the_cohort_is_built(
@@ -196,8 +201,7 @@ def test_failing_demo_leaves_only_what_was_there(monkeypatch, tmp_path, capsys, 
         return face_distance_report(*args, **kwargs)
 
     monkeypatch.setenv("REFAUDIT_THREADS", "1")
-    monkeypatch.setattr(cli, "generate_cohort",
-                        lambda n, seed: generate_cohort(n, seed, base=SMALL_PARAMS))
+    monkeypatch.setattr(cli, "generate_cohort", small_cohort)
     monkeypatch.setattr(cli, "face_distance_report", fail_second)
     assert exit_code(["demo", str(out), "-n", "2", "--steps", "2", "--boot", "50"]) == 2
     assert "scoring failed" in capsys.readouterr().err
@@ -206,6 +210,28 @@ def test_failing_demo_leaves_only_what_was_there(monkeypatch, tmp_path, capsys, 
         assert [p.name for p in out.iterdir()] == ["notes.txt"]
     else:
         assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_huge_eta_exits_2_naming_eta(monkeypatch, tmp_path, capsys):
+    # the noise term overflows, so the chain ends in inf * 0 = nan
+    monkeypatch.setattr(cli, "generate_cohort", small_cohort)
+    assert exit_code(["demo", str(tmp_path / "out"), "-n", "1", "--steps", "2",
+                      "--eta", "1e308"]) == 2
+    assert "DDIM chain at eta=1e+308 ended in non-finite values" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_clamped_tail_geometry_runs(monkeypatch, tmp_path):
+    # on 64 slices the 8/3 tiling's clamped slab replaces the last regular
+    # one, which would otherwise put slices 56 and 57 under three slabs
+    monkeypatch.setattr(cli, "generate_cohort", small_cohort)
+    out = tmp_path / "out"
+    rc, _ = run_cli(["demo", str(out), "-n", "1", "--steps", "1", "--boot", "50",
+                     "--slab-size", "8", "--overlap", "3"])
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["sampler_config"]["slab"] == {"size": 8, "overlap": 3}
 
 
 def test_demo_outputs_do_not_depend_on_the_thread_count(monkeypatch, tmp_path):
@@ -642,11 +668,20 @@ class TestHostileInputs:
         moment_check = load_script("sampler_moment_check")
         for flags, message in ((["--t", "0"], "--t: must be an integer >= 250, got 0"),
                                (["--t", "30"], "--t: must be an integer >= 250, got 30"),
-                               (["--n", "1"], "--n: must be an integer >= 2, got 1")):
+                               (["--n", "1"], "--n: must be an integer >= 2, got 1"),
+                               (["--seed", "-1"], "--seed: must be a non-negative integer, got -1"),
+                               (["--mu", "nan"], "DDIM chain at eta=0.0 ended in non-finite"),
+                               (["--s", "1e200"], "Numerical result out of range")):
             with pytest.raises(SystemExit) as exc:
                 moment_check.main(flags)
             assert exc.value.code == 2
             assert message in capsys.readouterr().err
+
+    def test_aggression_sweep_negative_seed_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            load_script("aggression_sweep").main(["--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed: must be a non-negative integer, got -1" in capsys.readouterr().err
 
     def test_aggression_sweep_nonpositive_n_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -244,6 +244,15 @@ class TestSample:
             (1000, 0.0): "nan", (1000, 1.0): "1.9937",
         }
 
+    def test_non_finite_chain_raises_naming_eta(self):
+        # sigma ~ 1e308 overflows sigma * z wherever |z| > ~2; the data-end
+        # step then multiplies inf by c_x = 0
+        sched = make_schedule(1000)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match=r"DDIM chain at eta=1e\+308 ended in non-finite"):
+            sample(DiracDenoiser(np.zeros(1000)), None, sched, uniform_steps(1000, 2),
+                   eta=1e308, rng=np.random.default_rng(0), shape=(1000,))
+
     def test_subsequence_validation(self, rng):
         sched = make_schedule(100)
         den = DiracDenoiser(np.zeros(2))
@@ -264,15 +273,34 @@ class TestSlabs:
         assert stage2_slabs(10) == [(0, 8), (2, 10)]
 
     def test_coverage_and_multiplicity_for_all_sizes(self):
-        spec = SlabSpec()
-        for nz in range(8, 301):
-            ranges = stage2_slabs(nz, spec)
-            counts = np.zeros(nz, dtype=int)
-            for z0, z1 in ranges:
-                assert 0 <= z0 < z1 <= nz and z1 - z0 == spec.size
-                counts[z0:z1] += 1
-            assert (counts >= 1).all()
-            assert counts.max() <= 2
+        # every geometry either raises or tiles [0, nz) with overlapping
+        # neighbours and every slice under one or two slabs
+        tiled = rejected = 0
+        for size in range(2, 17):
+            for overlap in range(1, size):
+                spec = SlabSpec(size, overlap)
+                for nz in range(size, 301):
+                    try:
+                        ranges = stage2_slabs(nz, spec)
+                    except ValueError as exc:
+                        assert "three slabs" in str(exc)
+                        rejected += 1
+                        continue
+                    tiled += 1
+                    assert ranges[0][0] == 0 and ranges[-1][1] == nz
+                    assert all(z1 - z0 == size for z0, z1 in ranges)
+                    assert all(a0 < b0 < a1 for (a0, a1), (b0, _) in zip(ranges, ranges[1:]))
+                    counts = np.zeros(nz, dtype=int)
+                    for z0, z1 in ranges:
+                        counts[z0:z1] += 1
+                    assert counts.min() >= 1 and counts.max() <= 2
+        assert tiled and rejected
+
+    def test_clamped_tail_replaces_the_last_regular_slab(self):
+        assert stage2_slabs(128, SlabSpec(7, 2))[-3:] == [(110, 117), (115, 122), (121, 128)]
+        assert stage2_slabs(128, SlabSpec(11, 5))[-2:] == [(108, 119), (117, 128)]
+        with pytest.raises(ValueError, match="puts a slice under three slabs"):
+            stage2_slabs(128, SlabSpec(8, 5))
 
     def test_too_small_volume_raises(self):
         with pytest.raises(ValueError):
@@ -287,19 +315,18 @@ class TestSlabs:
 
 class TestMergeSlabs:
     def slabs_for(self, nz, fill):
-        ranges = stage2_slabs(nz)
-        return [fill(z0, z1) for z0, z1 in ranges], ranges
+        return [fill(z0, z1) for z0, z1 in stage2_slabs(nz)]
 
     def test_constant_slabs_merge_to_constant(self):
-        slabs, ranges = self.slabs_for(20, lambda a, b: np.full((3, 3, b - a), 4.5))
-        out = merge_slabs(slabs, ranges)
+        slabs = self.slabs_for(20, lambda a, b: np.full((3, 3, b - a), 4.5))
+        out = merge_slabs(slabs, 20)
         assert np.allclose(out, 4.5)
 
     def test_global_linear_field_is_reproduced_exactly(self):
         nz = 26
         field = np.arange(nz, dtype=float) * 0.7 - 3.0
-        slabs, ranges = self.slabs_for(nz, lambda a, b: np.broadcast_to(field[a:b], (2, 2, b - a)).copy())
-        out = merge_slabs(slabs, ranges)
+        slabs = self.slabs_for(nz, lambda a, b: np.broadcast_to(field[a:b], (2, 2, b - a)).copy())
+        out = merge_slabs(slabs, nz)
         assert np.allclose(out, np.broadcast_to(field, (2, 2, nz)), atol=1e-12)
 
     def test_constant_offset_ramps_through_overlap(self):
@@ -307,24 +334,15 @@ class TestMergeSlabs:
         # must follow the 1/(k+1)..k/(k+1) cross-fade weights
         delta = 10.0
         slabs = [np.zeros((1, 1, 8)), np.full((1, 1, 8), delta)]
-        ranges = [(0, 4 + 4), (4, 12)]
-        out = merge_slabs(slabs, ranges)[0, 0]
+        assert stage2_slabs(12) == [(0, 8), (4, 12)]
+        out = merge_slabs(slabs, 12)[0, 0]
         want = np.array([0, 0, 0, 0, delta / 5, 2 * delta / 5, 3 * delta / 5,
                          4 * delta / 5, delta, delta, delta, delta])
         assert np.allclose(out, want, atol=1e-12)
 
-    def test_order_independence(self, rng):
-        nz = 30
-        ranges = stage2_slabs(nz)
-        slabs = [rng.standard_normal((4, 4, z1 - z0)) for z0, z1 in ranges]
-        base = merge_slabs(slabs, ranges)
-        perm = rng.permutation(len(slabs))
-        shuffled = merge_slabs([slabs[i] for i in perm], [ranges[i] for i in perm])
-        assert np.array_equal(base, shuffled)
-
     def test_inconsistent_geometry_raises(self):
         with pytest.raises(ValueError):
-            merge_slabs([np.zeros((2, 2, 8)), np.zeros((3, 2, 8))], [(0, 8), (4, 12)])
+            merge_slabs([np.zeros((2, 2, 8)), np.zeros((3, 2, 8))], 12)
 
     def test_none_slab_adds_nothing(self, rng):
         # slices that no None slab covers get the full merge bitwise; slices
@@ -338,21 +356,17 @@ class TestMergeSlabs:
             (none_cover if s is None else given_cover)[z0:z1] = True
         exact = given_cover & ~none_cover
         assert exact.any() and (given_cover & none_cover).any() and (~given_cover).any()
-        full, partial = merge_slabs(slabs, ranges), merge_slabs(kept, ranges)
+        full, partial = merge_slabs(slabs, nz), merge_slabs(kept, nz)
         assert partial[..., exact].tobytes() == full[..., exact].tobytes()
         assert (partial[..., ~given_cover] == 0).all()
 
     def test_none_slabs_keep_the_checks_on_the_given_ones(self):
         with pytest.raises(ValueError, match="at least one slab given"):
-            merge_slabs([None, None], [(0, 8), (4, 12)])
+            merge_slabs([None, None], 12)
         with pytest.raises(ValueError, match="inconsistent with range"):
-            merge_slabs([np.zeros((2, 2, 8)), None, np.zeros((3, 2, 8))],
-                        [(0, 8), (4, 12), (8, 16)])
-        with pytest.raises(ValueError, match="three slabs"):
-            merge_slabs([np.zeros((2, 2, 8)), None, np.zeros((2, 2, 8))],
-                        [(0, 8), (2, 10), (4, 12)])
-        with pytest.raises(ValueError, match="do not tile"):
-            merge_slabs([None, np.zeros((2, 2, 8))], [(2, 10), (6, 14)])
+            merge_slabs([np.zeros((2, 2, 8)), None, np.zeros((3, 2, 8))], 16)
+        with pytest.raises(ValueError, match="one slab per range of the 3-slab tiling"):
+            merge_slabs([None, np.zeros((2, 2, 8))], 16)
 
 
 def full_tiling_cascade(defaced, removed, stage1, stage2, config):
@@ -371,7 +385,7 @@ def full_tiling_cascade(defaced, removed, stage1, stage2, config):
                     schedule, steps, eta=config.eta, rng=_stage_rng(config.seed, 1, i),
                     shape=(nx, ny, z1 - z0))
              for i, (z0, z1) in enumerate(ranges)]
-    return np.where(removed.data, merge_slabs(slabs, ranges), defaced.data)
+    return np.where(removed.data, merge_slabs(slabs, nz, config.slab), defaced.data)
 
 
 def ranges_meeting(gone, spec):
@@ -387,7 +401,8 @@ def slab_cases(draw):
     and a removed mask: a voxel in slice 0 and one in slice nz - 1, a single
     voxel in a slice two slabs cover, two blocks more than one slab apart,
     or nothing."""
-    spec = draw(st.sampled_from([SlabSpec(), SlabSpec(6, 3), SlabSpec(4, 2)]))
+    spec = draw(st.sampled_from([SlabSpec(), SlabSpec(6, 3), SlabSpec(4, 2), SlabSpec(7, 2),
+                                 SlabSpec(11, 5)]))
     nx, ny, nz = 4, 6, draw(st.integers(3 * spec.size, 5 * spec.size))
     removed = np.zeros((nx, ny, nz), bool)
 
@@ -517,8 +532,9 @@ class TestCascade:
         out = cascade_reface(defaced, removed,
                              VolumeDenoiser(downsample(filled, config.downsample_factor)),
                              VolumeDenoiser(filled), config)
-        ranges = stage2_slabs(defaced.dims[2], config.slab)
-        merged = merge_slabs([filled.data[..., z0:z1] for z0, z1 in ranges], ranges)
+        nz = defaced.dims[2]
+        merged = merge_slabs([filled.data[..., z0:z1] for z0, z1 in stage2_slabs(nz, config.slab)],
+                             nz, config.slab)
         assert out.data.tobytes() == np.where(removed.data, merged, defaced.data).tobytes()
 
     def test_cascade_is_deterministic_given_seed(self, small_phantom, small_head):
