@@ -13,7 +13,7 @@ from .volume import (
     write_nifti_file,
 )
 from .masks import face_roi, head_mask, otsu_threshold
-from .deface import quickshear, regression_preproc, skull_strip
+from .deface import quickshear
 from .surface import TriMesh, face_distance_report, marching_cubes, masd
 from .quality import intersection_mask, psnr, quality_report, ssim
 from .stats import (

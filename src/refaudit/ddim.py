@@ -139,8 +139,11 @@ def sample(denoiser: Denoiser, condition, schedule: DiffusionSchedule, steps,
         if rng is None or shape is None:
             raise ValueError("sampling from noise requires rng and shape")
         x = rng.standard_normal(shape)
-    for t, t_prev in zip(steps[:-1], steps[1:]):
-        x = ddim_step(x, t, t_prev, denoiser(x, t, condition), schedule, eta=eta, rng=rng)
+    # a huge eta can overflow the chain; the finiteness check below reports it
+    # once, and errstate is thread-local, so it is set here, not by callers
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, t_prev in zip(steps[:-1], steps[1:]):
+            x = ddim_step(x, t, t_prev, denoiser(x, t, condition), schedule, eta=eta, rng=rng)
     if not np.isfinite(x).all():
         raise ValueError(f"the DDIM chain at eta={eta} ended in non-finite values")
     return x
@@ -218,12 +221,10 @@ def merge_slabs(slabs, nz: int, spec: SlabSpec = SlabSpec()) -> np.ndarray:
         w = np.ones(z1 - z0)
         if i > 0:
             k = ranges[i - 1][1] - z0
-            if k > 0:
-                w[:k] = np.arange(1, k + 1) / (k + 1)
+            w[:k] = np.arange(1, k + 1) / (k + 1)
         if i < len(ranges) - 1:
             k = z1 - ranges[i + 1][0]
-            if k > 0:
-                w[-k:] = np.arange(k, 0, -1) / (k + 1)
+            w[-k:] = np.arange(k, 0, -1) / (k + 1)
         out[..., z0:z1] += s * w
     return out
 

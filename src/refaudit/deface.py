@@ -1,9 +1,8 @@
-"""Defacing and skull-stripping surrogates plus facial-voxel preprocessing
-for regression inputs.
+"""Quickshear defacing surrogate.
 
-The quickshear implementation is a declared variant ("quickshear-v1"): a
-single global shear plane supported by the sagittal convex hull of the brain
-mask, not a bit-compatible clone of any public implementation.
+The implementation is a declared variant ("quickshear-v1"): a single global
+shear plane supported by the sagittal convex hull of the brain mask, not a
+bit-compatible clone of any public implementation.
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateInputError
-from .masks import head_mask
 from .volume import BinaryMask, Volume3D, require_same_geometry
 
 QUICKSHEAR_VERSION = "quickshear-v1"
@@ -121,54 +118,3 @@ def quickshear(
     removed = BinaryMask.like(vol, cut & head.data)
     return vol.with_data(defaced), removed
 
-
-def skull_strip(vol: Volume3D, brain: BinaryMask) -> Volume3D:
-    """Zero all voxels outside the brain mask."""
-    require_same_geometry(vol, brain, "volume and brain mask")
-    return vol.with_data(np.where(brain.data, vol.data, 0.0))
-
-
-def regression_preproc(
-    vol: Volume3D, brain: BinaryMask, crop_box=None
-) -> Volume3D:
-    """Facial-voxel preprocessing for regression inputs: crop to the anterior
-    third of the head's y extent, mask out the brain, then z-score the
-    retained nonzero voxels (mean 0, SD 1).
-
-    ``crop_box`` overrides the computed crop as ((x0,x1),(y0,y1),(z0,z1))
-    half-open voxel ranges, e.g. to reproduce a fixed template-frame box.
-    The input is assumed registered to a common frame already.
-    """
-    require_same_geometry(vol, brain, "volume and brain mask")
-    if crop_box is None:
-        ys = np.nonzero(head_mask(vol).data)[1]
-        ymin, ymax = int(ys.min()), int(ys.max())
-        extent = ymax - ymin + 1
-        n_keep = int(math.ceil(extent / 3.0))
-        crop_box = ((0, vol.dims[0]), (ymax - n_keep + 1, ymax + 1), (0, vol.dims[2]))
-
-    (x0, x1), (y0, y1), (z0, z1) = crop_box
-    if not (0 <= x0 < x1 <= vol.dims[0] and 0 <= y0 < y1 <= vol.dims[1] and 0 <= z0 < z1 <= vol.dims[2]):
-        raise ValueError(f"crop box {crop_box} outside volume dims {vol.dims}")
-    data = vol.data[x0:x1, y0:y1, z0:z1].copy()
-    data[brain.data[x0:x1, y0:y1, z0:z1]] = 0.0
-
-    retained = data != 0
-    n = int(retained.sum())
-    if n < 2:
-        raise DegenerateInputError(f"only {n} voxels retained, need >= 2")
-    vals = data[retained]
-    sd = float(vals.std())
-    if sd == 0.0:
-        raise DegenerateInputError("retained voxels are constant")
-    data[retained] = (vals - vals.mean()) / sd
-
-    affine = vol.affine.copy()
-    affine[:3, 3] = vol.affine[:3, 3] + vol.affine[:3, :3] @ np.array([x0, y0, z0], dtype=float)
-    return Volume3D(
-        data=data,
-        spacing=vol.spacing,
-        affine=affine,
-        intensity_units="z-score",
-        reorientation=vol.reorientation,
-    )

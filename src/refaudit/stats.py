@@ -215,12 +215,13 @@ def fit_lmm(table: ObservationTable, theta=None) -> LmmFit:
     )
 
 
-def _maximize_theta(X, y, codes, counts, lo=1e-10, hi=1e3, tol=1e-8):
+def _maximize_theta(X, y, codes, counts):
     def nll(u):
         return -_profile(X, y, codes, counts, math.exp(u))[2]
 
-    # coarse bracket over the log grid, boundary theta=0 included at the end
-    grid = np.linspace(math.log(lo), math.log(hi), 33)
+    # coarse bracket over the log grid of theta in [1e-10, 1e3], boundary
+    # theta=0 included at the end
+    grid = np.linspace(math.log(1e-10), math.log(1e3), 33)
     vals = [nll(u) for u in grid]
     k = int(np.argmin(vals))
     a = grid[max(k - 1, 0)]
@@ -230,7 +231,7 @@ def _maximize_theta(X, y, codes, counts, lo=1e-10, hi=1e3, tol=1e-8):
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = nll(c), nll(d)
-    while b - a > tol:
+    while b - a > 1e-8:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -338,11 +339,8 @@ class StatSummary:
     n_boot: int
     seed: int
 
-    def format(self, decimals: int = 2) -> str:
-        return (
-            f"{self.mean:.{decimals}f} "
-            f"[{self.ci_low:.{decimals}f}, {self.ci_high:.{decimals}f}]"
-        )
+    def format(self) -> str:
+        return f"{self.mean:.2f} [{self.ci_low:.2f}, {self.ci_high:.2f}]"
 
     @classmethod
     def from_replicates(cls, replicates: np.ndarray, seed: int) -> "StatSummary":

@@ -61,7 +61,6 @@ class Volume3D:
     data: np.ndarray
     spacing: tuple
     affine: np.ndarray
-    intensity_units: str = "arbitrary"
     reorientation: tuple | None = None
 
     def __post_init__(self):
@@ -121,11 +120,11 @@ class BinaryMask:
         return cls(data=data, spacing=vol.spacing, affine=vol.affine)
 
 
-def same_geometry(a, b, atol=1e-6) -> bool:
+def same_geometry(a, b) -> bool:
     return (
         a.dims == b.dims
-        and np.allclose(a.spacing, b.spacing, atol=atol)
-        and np.allclose(a.affine, b.affine, atol=atol)
+        and np.allclose(a.spacing, b.spacing, atol=1e-6)
+        and np.allclose(a.affine, b.affine, atol=1e-6)
     )
 
 
@@ -380,13 +379,7 @@ def downsample(vol: Volume3D, factor) -> Volume3D:
     affine[:3, :3] = vol.affine[:3, :3] * f
     affine[:3, 3] = vol.affine[:3, 3] + vol.affine[:3, :3] @ ((f - 1) / 2.0)
     spacing = tuple(s * fi for s, fi in zip(vol.spacing, (fx, fy, fz)))
-    return Volume3D(
-        data=pooled,
-        spacing=spacing,
-        affine=affine,
-        intensity_units=vol.intensity_units,
-        reorientation=vol.reorientation,
-    )
+    return replace(vol, data=pooled, spacing=spacing, affine=affine)
 
 
 def _trilinear_at(src: np.ndarray, axes):
@@ -427,10 +420,4 @@ def upsample_trilinear(vol: Volume3D, factor) -> Volume3D:
     affine[:3, :3] = vol.affine[:3, :3] / f
     affine[:3, 3] = vol.affine[:3, 3] + vol.affine[:3, :3] @ (0.5 / f - 0.5)
     spacing = tuple(s / fi for s, fi in zip(vol.spacing, (fx, fy, fz)))
-    return Volume3D(
-        data=data,
-        spacing=spacing,
-        affine=affine,
-        intensity_units=vol.intensity_units,
-        reorientation=vol.reorientation,
-    )
+    return replace(vol, data=data, spacing=spacing, affine=affine)

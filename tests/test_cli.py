@@ -212,7 +212,7 @@ def test_failing_demo_leaves_only_what_was_there(monkeypatch, tmp_path, capsys, 
         assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_huge_eta_exits_2_naming_eta(monkeypatch, tmp_path, capsys):
     # the noise term overflows, so the chain ends in inf * 0 = nan
     monkeypatch.setattr(cli, "generate_cohort", small_cohort)

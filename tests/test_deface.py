@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from refaudit.deface import quickshear, regression_preproc, skull_strip
-from refaudit.errors import DegenerateInputError, GeometryMismatchError
+from refaudit.deface import quickshear
+from refaudit.errors import GeometryMismatchError
 from refaudit.masks import head_mask
-from refaudit.volume import BinaryMask, Volume3D
 
 
 def quickshear_oracle_removed(vol, brain):
@@ -104,76 +103,3 @@ class TestQuickshear:
         vol, brain, _ = small_phantom
         with pytest.raises(ValueError, match="buffer_mm must be finite and >= 0"):
             quickshear(vol, brain, buffer_mm=buffer_mm, head=small_head)
-
-
-class TestSkullStrip:
-    def test_full_brain_is_identity(self, small_phantom):
-        vol, _, _ = small_phantom
-        full = BinaryMask.like(vol, np.ones(vol.dims, bool))
-        assert np.array_equal(skull_strip(vol, full).data, vol.data)
-
-    def test_empty_brain_zeroes_everything(self, small_phantom):
-        vol, _, _ = small_phantom
-        empty = BinaryMask.like(vol, np.zeros(vol.dims, bool))
-        assert not skull_strip(vol, empty).data.any()
-
-    def test_retained_count_equals_popcount(self, small_phantom):
-        vol, brain, _ = small_phantom
-        stripped = skull_strip(vol, brain)
-        assert int((stripped.data != 0).sum()) == brain.count()
-
-    def test_idempotent(self, small_phantom):
-        vol, brain, _ = small_phantom
-        once = skull_strip(vol, brain)
-        twice = skull_strip(once, brain)
-        assert np.array_equal(once.data, twice.data)
-
-    def test_geometry_mismatch(self, small_phantom, phantom_default):
-        vol, _, _ = small_phantom
-        _, brain_big, _ = phantom_default
-        with pytest.raises(GeometryMismatchError):
-            skull_strip(vol, brain_big)
-
-
-class TestRegressionPreproc:
-    def test_paper_frame_crop_box_dims(self):
-        # template-frame geometry: 201 x 261 x 261 at 1 mm, anterior third of y
-        dims = (201, 261, 261)
-        affine = np.eye(4)
-        data = np.zeros(dims)
-        gx, gy, gz = np.meshgrid(*(np.arange(n, dtype=float) for n in dims), indexing="ij")
-        head = ((gx - 100) / 80) ** 2 + ((gy - 130) / 95) ** 2 + ((gz - 130) / 90) ** 2 <= 1
-        data[head] = 80.0 + 0.05 * gz[head]
-        brain_region = ((gx - 100) / 50) ** 2 + ((gy - 115) / 60) ** 2 + ((gz - 140) / 55) ** 2 <= 1
-        data[brain_region] = 100.0
-        vol = Volume3D(data=data, spacing=(1, 1, 1), affine=affine)
-        brain = BinaryMask.like(vol, brain_region)
-        out = regression_preproc(vol, brain, crop_box=((0, 201), (174, 261), (0, 261)))
-        assert out.dims == (201, 87, 261)
-        assert out.spacing == (1.0, 1.0, 1.0)
-
-    def test_default_crop_keeps_anterior_third_of_head(self, small_phantom, small_head):
-        vol, brain, _ = small_phantom
-        out = regression_preproc(vol, brain)
-        ys = np.nonzero(small_head.data)[1]
-        extent = int(ys.max() - ys.min() + 1)
-        assert out.dims == (vol.dims[0], math.ceil(extent / 3), vol.dims[2])
-
-    def test_retained_voxels_are_z_scored(self, small_phantom):
-        vol, brain, _ = small_phantom
-        out = regression_preproc(vol, brain)
-        vals = out.data[out.data != 0]
-        assert abs(vals.mean()) < 1e-9
-        assert abs(vals.std() - 1.0) < 1e-9
-
-    def test_brain_voxels_are_zeroed(self, small_phantom):
-        vol, brain, _ = small_phantom
-        crop = ((0, vol.dims[0]), (0, vol.dims[1]), (0, vol.dims[2]))
-        out = regression_preproc(vol, brain, crop_box=crop)
-        assert not out.data[brain.data].any()
-
-    def test_brain_covering_head_is_degenerate(self, small_phantom, small_head):
-        vol, _, _ = small_phantom
-        everything = BinaryMask.like(vol, vol.data != 0)
-        with pytest.raises(DegenerateInputError):
-            regression_preproc(vol, everything)

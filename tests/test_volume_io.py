@@ -206,6 +206,16 @@ class TestReader:
         assert np.allclose(back.affine @ [1, 0, 0, 1], affine @ [0, 0, 0, 1])
         assert back.affine[0, 0] > 0
 
+    def test_resampling_keeps_reorientation(self):
+        # voxel axes stored as (y, -x, z): the reader permutes and flips, and
+        # both resamplers carry that record to their result
+        affine = np.array([[0.0, -1, 0, 5], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        data = np.arange(4 * 6 * 8, dtype=np.float64).reshape(4, 6, 8)
+        vol = read_nifti(write_nifti(Volume3D(data=data, spacing=(1, 1, 1), affine=affine)))
+        assert vol.reorientation == ((1, 0, 2), (True, False, False))
+        assert downsample(vol, 2).reorientation == vol.reorientation
+        assert upsample_trilinear(vol, 2).reorientation == vol.reorientation
+
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=400)
