@@ -91,19 +91,27 @@ def mirror_fill(defaced: Volume3D, removed: BinaryMask) -> Volume3D:
     A deterministic, training-free surrogate that extends the remaining head
     shape across the cut; used as the demo's stub x0-predictor.
     """
-    gone = removed.data
-    if not gone.any():
+    box = removed.bounding_box(1)
+    if box is None:
         return defaced
+    gone = removed.data
+    # Every voxel of the one-voxel ring around the removed voxels' box is
+    # observed (or the box meets the grid border), and an observed voxel
+    # outside the box is strictly farther than its projection onto the ring,
+    # so the feature transform of the box alone finds the nearest voxels.
+    crop = gone[box]
     nearest = ndimage.distance_transform_edt(
-        gone, sampling=defaced.spacing, return_distances=False, return_indices=True
+        crop, sampling=defaced.spacing, return_distances=False, return_indices=True
     )
-    at = np.nonzero(gone)
-    near = nearest[(slice(None), *at)]
+    local = np.nonzero(crop)
+    origin = np.array([s.start for s in box])[:, None]
+    near = nearest[(slice(None), *local)] + origin
+    at = np.array(local) + origin
     mirror = 2 * near - at
     inside = ((mirror >= 0) & (mirror < np.array(gone.shape)[:, None])).all(axis=0)
     # out of bounds, the reflection falls back to the nearest observed voxel
     mirror = np.where(inside, mirror, near)
     data = defaced.data
     filled = data.copy()
-    filled[at] = np.where(gone[tuple(mirror)], data[tuple(near)], data[tuple(mirror)])
+    filled[tuple(at)] = np.where(gone[tuple(mirror)], data[tuple(near)], data[tuple(mirror)])
     return defaced.with_data(filled)

@@ -90,16 +90,16 @@ def face_roi(mask: BinaryMask) -> BinaryMask:
     Crop planes track the mask bounding box, not the scanner FOV; requires a
     RAS-oriented mask.
     """
-    if not mask.data.any():
+    box = mask.bounding_box(0)
+    if box is None:
         raise ValueError("face_roi requires a nonempty mask")
-    xs, ys, zs = np.nonzero(mask.data)
-    zmin, zmax = int(zs.min()), int(zs.max())
-    if zmax - zmin + 1 < 11:
+    _, ys, zs = box
+    zmin = zs.start
+    if zs.stop - zmin < 11:
         raise DegenerateInputError(
-            f"mask bounding box spans {zmax - zmin + 1} axial slices, need >= 11"
+            f"mask bounding box spans {zs.stop - zmin} axial slices, need >= 11"
         )
-    ymin, ymax = int(ys.min()), int(ys.max())
-    y_keep = int(np.ceil((ymin + ymax) / 2.0))  # keep y >= midpoint
+    y_keep = int(np.ceil((ys.start + ys.stop - 1) / 2.0))  # keep y >= midpoint
     out = mask.data.copy()
     out[:, :, zmin : zmin + 10] = False
     out[:, :y_keep, :] = False

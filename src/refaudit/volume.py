@@ -112,6 +112,18 @@ class BinaryMask:
     def count(self) -> int:
         return int(self.data.sum())
 
+    def bounding_box(self, pad: int):
+        """Slices of the smallest box holding every set voxel, grown by
+        ``pad`` voxels on each side and clipped to the grid; ``None`` when
+        the mask is empty."""
+        box = []
+        for axis, n in enumerate(self.data.shape):
+            hit = np.flatnonzero(self.data.any(axis=tuple(a for a in range(3) if a != axis)))
+            if hit.size == 0:
+                return None
+            box.append(slice(max(int(hit[0]) - pad, 0), min(int(hit[-1]) + 1 + pad, n)))
+        return tuple(box)
+
     def with_data(self, data: np.ndarray) -> "BinaryMask":
         return replace(self, data=data)
 

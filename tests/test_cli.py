@@ -830,7 +830,8 @@ def table_argv(draw, tmp, command, header, names):
 def subject_bytes():
     """One small subject as uncompressed NIfTI bytes: original, defaced,
     refaced (mirror fill) and removed mask, plus the removed mask shifted by
-    1 mm and cut by one slice (two other geometries)."""
+    1 mm and cut by one slice (two other geometries) and the original
+    shifted to a maximum of 0 (no PSNR peak)."""
     case = generate_cohort(1, seed=17, base=SMALL_PARAMS)[0]
     defaced, removed = quickshear(case.volume, case.brain, buffer_mm=8.0,
                                   head=head_mask(case.volume))
@@ -839,7 +840,9 @@ def subject_bytes():
     masks = {"removed": removed, "shifted removed": replace(removed, affine=shifted),
              "cut removed": BinaryMask(data=removed.data[:, :, 1:], spacing=removed.spacing,
                                        affine=removed.affine)}
+    zero_peak = case.volume.with_data(case.volume.data - case.volume.data.max())
     return {"original": write_nifti(case.volume), "defaced": write_nifti(defaced),
+            "zero-peak original": write_nifti(zero_peak),
             "refaced": write_nifti(mirror_fill(defaced, removed)),
             **{name: write_nifti(Volume3D(data=m.data.astype(np.float64), spacing=m.spacing,
                                           affine=m.affine))
@@ -987,3 +990,14 @@ class TestExitCodeContract:
             paths = write_attacked(Path(tmp), subject_bytes, QUALITY_FILES, attack)
             contract_run(["quality", paths["original"], paths["defaced"], paths["refaced"],
                           "--removed", paths["removed"]])
+
+    def test_quality_zero_peak_original_exits_2_naming_the_peak(self, subject_bytes):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = write_attacked(Path(tmp), subject_bytes, QUALITY_FILES,
+                                   ("original", "zero-peak original"))
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                rc = main(["quality", paths["original"], paths["defaced"], paths["refaced"],
+                           "--removed", paths["removed"]])
+        assert rc == 2
+        assert err.getvalue().startswith("refaudit: PSNR peak (the reference maximum) is 0")

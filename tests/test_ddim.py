@@ -585,17 +585,30 @@ class TestMirrorFill:
         empty = brain.with_data(np.zeros(vol.dims, bool))
         assert mirror_fill(vol, empty) is vol
 
-    def test_matches_per_voxel_reflection_rule(self, rng):
+    @pytest.mark.parametrize("seed, shape, spacing", [
+        (1234, (9, 10, 11), (1.0, 2.0, 1.5)),
+        (5, (9, 10, 11), (1.0, 1.0, 1.0)),
+        (6, (12, 8, 10), (2.0, 1.0, 1.0)),
+        (7, (10, 13, 9), (0.5, 1.5, 3.0)),
+        (8, (11, 11, 12), (1.0, 1.0, 2.0)),
+    ], ids=["seed1234", "seed5-isotropic", "seed6", "seed7", "seed8"])
+    def test_matches_per_voxel_reflection_rule(self, seed, shape, spacing):
         """Each removed voxel takes the value at its reflection through its
         nearest observed voxel, or that voxel's value when the reflection is
         out of bounds or removed; checked voxel by voxel, with both fallbacks
-        reached by removed regions that touch the border."""
-        shape, spacing = (9, 10, 11), (1.0, 2.0, 1.5)
+        reached by removed regions that touch the border. The nearest voxel
+        comes from the feature transform of the whole grid, so a fill that
+        transforms only the removed region's box must break distance ties
+        the same way."""
+        rng = np.random.default_rng(seed)
         vol = Volume3D(data=rng.standard_normal(shape), spacing=spacing,
                        affine=np.diag([*spacing, 1.0]))
         gx, gy, _ = np.indices(shape)
+        interior = np.zeros(shape, bool)
+        interior[2:-2, 3:-2, 2:-3] = True
         branches = {"mirrored": 0, "out of bounds": 0, "removed": 0}
-        for gone in (rng.random(shape) < 0.5, gx + 2 * gy > 12, gy < 3):
+        for gone in (rng.random(shape) < 0.5, gx + 2 * gy > 12, gy < 3,
+                     interior & (rng.random(shape) < 0.7)):
             removed = BinaryMask.like(vol, gone)
             _, nearest = ndimage.distance_transform_edt(gone, sampling=spacing,
                                                         return_indices=True)

@@ -114,6 +114,14 @@ class TestPsnr:
         with pytest.raises(ValueError):
             psnr(v, v, mask_of(np.zeros((6, 6, 6), bool)))
 
+    @pytest.mark.parametrize("top", [0.0, -0.5])
+    def test_non_positive_peak_raises_naming_it(self, rng, top):
+        data = rng.random((6, 6, 6))
+        ref = vol_of(data - data.max() + top)
+        m = mask_of(np.ones((6, 6, 6), bool))
+        with pytest.raises(DegenerateInputError, match="peak"):
+            psnr(ref, vol_of(ref.data + 0.1), m)
+
 
 class TestSsim:
     def test_identical_is_one(self, rng):
@@ -171,6 +179,90 @@ class TestSsim:
         m = mask_of(np.ones((14, 14, 14), bool))
         value = ssim(ref, test, m)
         assert -1.0 <= value <= 1.0
+
+
+def full_grid_ssim_map(x, y):
+    """The local SSIM map filtered over the whole grid, the definition the
+    cropped maps must reproduce bit for bit."""
+    kernel = quality._gaussian_kernel()
+
+    def local_sum(a):
+        for axis in range(3):
+            a = ndimage.correlate1d(a, kernel, axis=axis, mode="constant", cval=0.0)
+        return a
+
+    dyn = x.max() - x.min()
+    c1, c2 = (0.01 * dyn) ** 2, (0.03 * dyn) ** 2
+    mass = local_sum(np.ones_like(x)) / np.ones_like(x)
+    mu_x, mu_y = local_sum(x) / mass, local_sum(y) / mass
+    var_x = local_sum(x * x) / mass - mu_x * mu_x
+    var_y = local_sum(y * y) / mass - mu_y * mu_y
+    cov = local_sum(x * y) / mass - mu_x * mu_y
+    return ((2 * mu_x * mu_y + c1) * (2 * cov + c2)) / (
+        (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
+    )
+
+
+def changed(x, rng, *boxes):
+    """``x`` with fresh random values inside each box."""
+    y = x.copy()
+    for box in boxes:
+        y[box] = rng.random(y[box].shape)
+    return y
+
+
+class TestSsimCrop:
+    """Maps filtered on the box where a candidate differs are the full-grid
+    maps bit for bit."""
+
+    @pytest.mark.parametrize("kinds", [
+        ("box a", "box b", "identical"),
+        ("boxes a and b",),
+        ("border",),
+        ("everywhere", "identical"),
+        ("identical", "identical"),
+        ("boxes a and b", "border", "box a"),
+    ])
+    def test_maps_equal_full_grid_maps(self, rng, kinds):
+        dims = (40, 36, 32)
+        x = rng.random(dims) * 50
+        a = np.s_[8:11, 5:9, 6:9]
+        b = np.s_[28:31, 25:29, 20:24]
+        make = {
+            "box a": lambda: changed(x, rng, a),
+            "box b": lambda: changed(x, rng, b),
+            "boxes a and b": lambda: changed(x, rng, a, b),
+            "border": lambda: changed(x, rng, np.s_[:3, 30:, 12:20]),
+            "everywhere": lambda: x + rng.standard_normal(dims),
+            "identical": lambda: x.copy(),
+        }
+        ys = [make[kind]() for kind in kinds]
+        maps = list(quality._ssim_maps(vol_of(x), [vol_of(y) for y in ys]))
+        assert len(maps) == len(ys)
+        for y, got in zip(ys, maps):
+            assert np.array_equal(got, full_grid_ssim_map(x, y))
+
+    def test_identical_candidates_are_not_filtered(self, monkeypatch, rng):
+        # the original's moments cost 9 passes, each changed candidate 9
+        # more; identical candidates cost none, and so does a call whose
+        # candidates are all identical
+        passes = []
+
+        class CountingNdimage:
+            def correlate1d(self, *args, **kwargs):
+                passes.append(1)
+                return ndimage.correlate1d(*args, **kwargs)
+
+        monkeypatch.setattr(quality, "ndimage", CountingNdimage())
+        dims = (16, 16, 16)
+        x = rng.random(dims)
+        box = np.s_[5:9, 6:10, 4:8]
+        for n_changed, n_same in ((1, 0), (1, 2), (2, 1), (0, 1), (0, 3)):
+            passes.clear()
+            ys = [changed(x, rng, box) for _ in range(n_changed)] + [x.copy()] * n_same
+            maps = list(quality._ssim_maps(vol_of(x), [vol_of(y) for y in ys]))
+            assert len(passes) == (9 + 9 * n_changed if n_changed else 0)
+            assert all((m == 1.0).all() for m in maps[n_changed:])
 
 
 class TestQualityReport:
@@ -251,3 +343,10 @@ class TestQualityReport:
             candidates = {f"c{i}": vol_of(rng.random(dims)) for i in range(k)}
             assert len(quality_report(vol, candidates, removed, head=head)) == k
             assert len(passes) == 9 + 9 * k
+
+    def test_no_candidates_give_no_records(self, small_phantom, small_head):
+        vol, brain, _ = small_phantom
+        from refaudit.deface import quickshear
+
+        _, removed = quickshear(vol, brain, buffer_mm=10.0, head=small_head)
+        assert quality_report(vol, {}, removed, head=small_head) == []

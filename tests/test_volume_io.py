@@ -390,3 +390,26 @@ class TestValidation:
         vol = random_volume(rng, np.float32)
         with pytest.raises(ValueError):
             vol.data[0, 0, 0] = 1.0
+
+
+class TestBoundingBox:
+    def mask(self, data):
+        return BinaryMask(data=data, spacing=(1, 1, 1), affine=np.eye(4))
+
+    def test_empty_mask_has_no_box(self):
+        assert self.mask(np.zeros((4, 5, 6), bool)).bounding_box(3) is None
+
+    def test_pad_zero_is_tight(self, rng):
+        data = np.zeros((12, 10, 9), bool)
+        data[3:7, 2:9, 4:6] = rng.random((4, 7, 2)) < 0.6
+        data[3, 2, 4] = data[6, 8, 5] = True
+        box = self.mask(data).bounding_box(0)
+        assert box == (slice(3, 7), slice(2, 9), slice(4, 6))
+        assert data[box].sum() == data.sum()
+
+    def test_pad_grows_each_side_and_is_clipped_at_both_borders(self):
+        data = np.zeros((12, 10, 9), bool)
+        data[2, 4, 5] = data[9, 5, 6] = True
+        mask = self.mask(data)
+        assert mask.bounding_box(2) == (slice(0, 12), slice(2, 8), slice(3, 9))
+        assert mask.bounding_box(50) == (slice(0, 12), slice(0, 10), slice(0, 9))
