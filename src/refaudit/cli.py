@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .ddim import CascadeConfig, SlabSpec, cascade_reface, stage2_slabs
-from .deface import QUICKSHEAR_VERSION, quickshear
+from .deface import DEFAULT_BUFFER_MM, QUICKSHEAR_VERSION, quickshear
 from .denoisers import VolumeDenoiser, mirror_fill
 from .errors import FormatError, GeometryMismatchError, JoinError
 from .masks import HEAD_MASK_VERSION, head_mask
@@ -421,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_dir")
     p.add_argument("-n", "--count", type=positive_int, default=10)
     p.add_argument("--seed", type=nonnegative_int, default=0)
-    p.add_argument("--buffer-mm", type=nonnegative_float, default=10.0)
+    p.add_argument("--buffer-mm", type=nonnegative_float, default=DEFAULT_BUFFER_MM)
     p.add_argument("--downsample", type=int, default=2)
     p.add_argument("--slab-size", type=int, default=8)
     p.add_argument("--overlap", type=int, default=4)

@@ -238,7 +238,8 @@ def generate_cohort(n: int, seed: int, base: PhantomParams | None = None) -> lis
     base = base or PhantomParams()
     cases = []
     for i in range(n):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        subject_ss = np.random.SeedSequence(seed, spawn_key=(i,))
+        rng = np.random.default_rng(subject_ss)
         radii = tuple(
             float(np.clip(r * rng.uniform(0.93, 1.07), *_RANGES["head_radii"]))
             for r in base.head_radii
@@ -254,9 +255,7 @@ def generate_cohort(n: int, seed: int, base: PhantomParams | None = None) -> lis
             dims=base.dims,
             spacing=base.spacing,
         )
-        subject_seed = int(
-            np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1)[0]
-        )
+        subject_seed = int(subject_ss.generate_state(1)[0])
         vol, brain, geom = generate_phantom(subject_seed, params)
         cases.append(
             PhantomCase(

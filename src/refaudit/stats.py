@@ -336,19 +336,17 @@ class StatSummary:
     mean: float
     ci_low: float
     ci_high: float
-    n_boot: int
-    seed: int
 
     def format(self) -> str:
         return f"{self.mean:.2f} [{self.ci_low:.2f}, {self.ci_high:.2f}]"
 
     @classmethod
-    def from_replicates(cls, replicates: np.ndarray, seed: int) -> "StatSummary":
+    def from_replicates(cls, replicates: np.ndarray) -> "StatSummary":
         """Summary of one statistic's replicates, a contiguous 1D array (its
         layout sets the summation order of the mean, down to the last bits)."""
         ordered = np.sort(replicates)
         return cls(mean=float(replicates.mean()), ci_low=_percentile(ordered, 2.5),
-                   ci_high=_percentile(ordered, 97.5), n_boot=len(replicates), seed=seed)
+                   ci_high=_percentile(ordered, 97.5))
 
 
 def _percentile(ordered: np.ndarray, q: float) -> float:
@@ -404,7 +402,7 @@ def bootstrap_replicates(data, statistic, n_boot: int, seed: int) -> np.ndarray:
 def bootstrap(data, statistic, n_boot: int = 1000, seed: int = 0) -> StatSummary:
     """Percentile bootstrap of a scalar ``statistic`` over row resamples of
     ``data`` (see ``bootstrap_replicates`` for the redraw rule)."""
-    return StatSummary.from_replicates(bootstrap_replicates(data, statistic, n_boot, seed), seed)
+    return StatSummary.from_replicates(bootstrap_replicates(data, statistic, n_boot, seed))
 
 
 Cell = namedtuple("Cell", "values summary")  # {subject_id: value}, StatSummary of the mean
@@ -520,7 +518,7 @@ def correlation_report(
     replicates = dict(zip(methods, bootstrap_replicates(np.arange(n), rhos, n_boot, seed)))
     summaries = []
     for m in methods:
-        s = StatSummary.from_replicates(replicates[m], seed)
+        s = StatSummary.from_replicates(replicates[m])
         summaries.append(MethodCorrelation(m, s, significant=s.ci_low > 0 or s.ci_high < 0))
 
     pairwise = {}

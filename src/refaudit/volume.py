@@ -3,8 +3,9 @@
 Scope: single-file NIfTI-1 (.nii / .nii.gz), little-endian, datatypes
 uint8 / int16 / float32, 3D only. Files are reoriented to RAS at load time
 (+x right, +y anterior, +z superior; axial slices are constant-z planes)
-using the dominant axes of the affine; the applied permutation/flips are
-recorded on the volume.
+using the dominant axes of the affine. Every voxel keeps its world position;
+no record of the file's own orientation is stored, and files are written
+with the RAS affine.
 
 All internal computation is float64; written payloads are float32.
 Volumes are immutable: arrays are set read-only and every operation
@@ -50,21 +51,20 @@ def _check_geometry(data: np.ndarray, spacing, affine: np.ndarray):
 
 
 @dataclass(frozen=True)
-class Volume3D:
-    """A scalar voxel grid with spacing and a voxel-index -> world-mm affine.
+class _Grid:
+    """A voxel grid with spacing and a voxel-index -> world-mm affine.
 
-    ``data`` is indexed ``[x, y, z]``; world coordinates follow RAS.
-    ``reorientation`` records the (axis permutation, flips) applied when the
-    volume was loaded from a non-RAS file, or ``None``.
+    ``data`` is indexed ``[x, y, z]``; world coordinates follow RAS. Each
+    subclass coerces its data in ``_coerce``; the geometry is then checked and
+    both arrays are set read-only.
     """
 
     data: np.ndarray
     spacing: tuple
     affine: np.ndarray
-    reorientation: tuple | None = None
 
     def __post_init__(self):
-        data = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
+        data = self._coerce(self.data)
         affine = np.asarray(self.affine, dtype=np.float64)
         spacing = tuple(float(s) for s in self.spacing)
         _check_geometry(data, spacing, affine)
@@ -78,36 +78,34 @@ class Volume3D:
     def dims(self) -> tuple:
         return self.data.shape
 
-    def with_data(self, data: np.ndarray) -> "Volume3D":
+    def with_data(self, data: np.ndarray):
         return replace(self, data=data)
 
+    @classmethod
+    def like(cls, grid: "_Grid", data):
+        """``data`` on the spacing and affine of ``grid``."""
+        return cls(data=data, spacing=grid.spacing, affine=grid.affine)
 
-@dataclass(frozen=True)
-class BinaryMask:
+
+class Volume3D(_Grid):
+    """A scalar voxel grid; data is contiguous float64."""
+
+    @staticmethod
+    def _coerce(data) -> np.ndarray:
+        return np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+
+
+class BinaryMask(_Grid):
     """Boolean voxel set sharing the geometry of the volume it annotates."""
 
-    data: np.ndarray
-    spacing: tuple
-    affine: np.ndarray
-
-    def __post_init__(self):
-        data = np.ascontiguousarray(np.asarray(self.data))
+    @staticmethod
+    def _coerce(data) -> np.ndarray:
+        data = np.ascontiguousarray(np.asarray(data))
         if data.dtype != np.bool_:
             if not np.isin(data, (0, 1)).all():
                 raise ValueError("mask data must be boolean or 0/1")
             data = data.astype(bool)
-        affine = np.asarray(self.affine, dtype=np.float64)
-        spacing = tuple(float(s) for s in self.spacing)
-        _check_geometry(data, spacing, affine)
-        data.setflags(write=False)
-        affine.setflags(write=False)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "affine", affine)
-        object.__setattr__(self, "spacing", spacing)
-
-    @property
-    def dims(self) -> tuple:
-        return self.data.shape
+        return data
 
     def count(self) -> int:
         return int(self.data.sum())
@@ -124,24 +122,13 @@ class BinaryMask:
             box.append(slice(max(int(hit[0]) - pad, 0), min(int(hit[-1]) + 1 + pad, n)))
         return tuple(box)
 
-    def with_data(self, data: np.ndarray) -> "BinaryMask":
-        return replace(self, data=data)
 
-    @classmethod
-    def like(cls, vol, data) -> "BinaryMask":
-        return cls(data=data, spacing=vol.spacing, affine=vol.affine)
-
-
-def same_geometry(a, b) -> bool:
-    return (
+def require_same_geometry(a, b, what="operands"):
+    if not (
         a.dims == b.dims
         and np.allclose(a.spacing, b.spacing, atol=1e-6)
         and np.allclose(a.affine, b.affine, atol=1e-6)
-    )
-
-
-def require_same_geometry(a, b, what="operands"):
-    if not same_geometry(a, b):
+    ):
         raise GeometryMismatchError(f"{what} do not share dims/spacing/affine")
 
 
@@ -186,7 +173,7 @@ def _dominant_axes(affine):
 def _reorient_to_ras(data, spacing, affine):
     axes = _dominant_axes(affine)
     if axes is None:
-        return data, spacing, affine, None
+        return data, spacing, affine
     perm, flips = axes
     new_data = np.transpose(data, axes=perm)
     for i, f in enumerate(flips):
@@ -204,7 +191,7 @@ def _reorient_to_ras(data, spacing, affine):
             M[j, i] = 1.0
     new_affine = affine @ M
     new_spacing = tuple(spacing[perm[i]] for i in range(3))
-    return np.ascontiguousarray(new_data), new_spacing, new_affine, (perm, flips)
+    return np.ascontiguousarray(new_data), new_spacing, new_affine
 
 
 def read_nifti(raw: bytes) -> Volume3D:
@@ -296,10 +283,7 @@ def read_nifti(raw: bytes) -> Volume3D:
     except ValueError as exc:
         raise FormatError(f"header geometry: {exc}") from None
 
-    data, spacing, affine, reorient = _reorient_to_ras(data, spacing, affine)
-    return Volume3D(
-        data=data, spacing=spacing, affine=affine, reorientation=reorient
-    )
+    return Volume3D(*_reorient_to_ras(data, spacing, affine))
 
 
 def write_nifti(vol: Volume3D) -> bytes:
@@ -346,14 +330,11 @@ def write_nifti_file(vol: Volume3D, path) -> None:
 def read_mask_file(path) -> BinaryMask:
     """Load a NIfTI mask (uint8 payload expected); nonzero voxels are True."""
     vol = read_nifti_file(path)
-    return BinaryMask(data=vol.data != 0, spacing=vol.spacing, affine=vol.affine)
+    return BinaryMask.like(vol, vol.data != 0)
 
 
 def write_mask_file(mask: BinaryMask, path) -> None:
-    vol = Volume3D(
-        data=mask.data.astype(np.float64), spacing=mask.spacing, affine=mask.affine
-    )
-    write_nifti_file(vol, path)
+    write_nifti_file(Volume3D.like(mask, mask.data), path)
 
 
 # ---------------------------------------------------------------------------

@@ -194,27 +194,29 @@ class TestReader:
             read_nifti(assemble_nifti((2, 2, 2), 16, payload))
 
     def test_reorientation_to_ras(self):
-        # LAS file (x flipped): reader must flip back to RAS and record it
+        # LAS file (x flipped): reader must flip back to RAS
         data = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
         affine = np.diag([-1.0, 1.0, 1.0, 1.0])
         affine[0, 3] = 1.0
         vol = Volume3D(data=data, spacing=(1, 1, 1), affine=affine)
         back = read_nifti(write_nifti(vol))
-        assert back.reorientation == ((0, 1, 2), (True, False, False))
         assert np.array_equal(back.data, data[::-1])
         # world position of every voxel is preserved by the reorientation
         assert np.allclose(back.affine @ [1, 0, 0, 1], affine @ [0, 0, 0, 1])
         assert back.affine[0, 0] > 0
 
-    def test_resampling_keeps_reorientation(self):
-        # voxel axes stored as (y, -x, z): the reader permutes and flips, and
-        # both resamplers carry that record to their result
-        affine = np.array([[0.0, -1, 0, 5], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    def test_permuted_axes_read_back(self):
+        # voxel axes stored as (y, -x, z): the reader swaps the first two axes
+        # and flips the new x axis
+        affine = np.array([[0.0, -2, 0, 5], [1, 0, 0, 0], [0, 0, 3, 0], [0, 0, 0, 1]])
         data = np.arange(4 * 6 * 8, dtype=np.float64).reshape(4, 6, 8)
-        vol = read_nifti(write_nifti(Volume3D(data=data, spacing=(1, 1, 1), affine=affine)))
-        assert vol.reorientation == ((1, 0, 2), (True, False, False))
-        assert downsample(vol, 2).reorientation == vol.reorientation
-        assert upsample_trilinear(vol, 2).reorientation == vol.reorientation
+        back = read_nifti(write_nifti(Volume3D(data=data, spacing=(1, 2, 3), affine=affine)))
+        assert np.array_equal(back.data, np.transpose(data, (1, 0, 2))[::-1])
+        assert back.spacing == (2.0, 1.0, 3.0)
+        # file voxel (1, 2, 3) is RAS voxel (6 - 1 - 2, 1, 3) at the same world position
+        assert back.data[3, 1, 3] == data[1, 2, 3]
+        assert np.allclose(back.affine @ [3, 1, 3, 1], affine @ [1, 2, 3, 1])
+        assert np.all(np.diag(back.affine)[:3] > 0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -371,16 +373,32 @@ def test_roundtrip_property(nx, ny, nz, seed):
     assert np.array_equal(back.data, vol.data)
 
 
-class TestValidation:
-    def test_spacing_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Volume3D(data=np.zeros((2, 2, 2)), spacing=(1, 0, 1), affine=np.eye(4))
+GRIDS = pytest.mark.parametrize("grid", [Volume3D, BinaryMask], ids=["volume", "mask"])
 
-    def test_affine_must_be_invertible(self):
-        bad = np.eye(4)
-        bad[0, 0] = 0.0
-        with pytest.raises(ValueError):
-            Volume3D(data=np.zeros((2, 2, 2)), spacing=(1, 1, 1), affine=bad)
+
+class TestValidation:
+    @GRIDS
+    @pytest.mark.parametrize("spacing", [(1, 0, 1), (1, 1, -2), (1, math.inf, 1)],
+                             ids=["zero", "negative", "inf"])
+    def test_spacing_must_be_positive(self, grid, spacing):
+        with pytest.raises(ValueError, match="spacing"):
+            grid(data=np.zeros((2, 2, 2)), spacing=spacing, affine=np.eye(4))
+
+    @GRIDS
+    @pytest.mark.parametrize("value, message", [(0.0, "singular"), (math.nan, "finite"),
+                                                (math.inf, "finite")],
+                             ids=["singular", "nan", "inf"])
+    def test_affine_must_be_invertible(self, grid, value, message):
+        affine = np.eye(4)
+        affine[1, 1] = value
+        with pytest.raises(ValueError, match=message):
+            grid(data=np.zeros((2, 2, 2)), spacing=(1, 1, 1), affine=affine)
+
+    @GRIDS
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 2, 1), (2, 0, 2)], ids=["2d", "4d", "empty"])
+    def test_data_must_be_3d(self, grid, shape):
+        with pytest.raises(ValueError, match="3D"):
+            grid(data=np.zeros(shape), spacing=(1, 1, 1), affine=np.eye(4))
 
     def test_mask_requires_binary_data(self):
         with pytest.raises(ValueError):
