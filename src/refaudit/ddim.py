@@ -281,6 +281,8 @@ def cascade_reface(
     defaced image. Each stage-2 slab gets ``{"defaced", "upsampled",
     "slab_range"}``: the defaced image's and the cropped stage-1 upsample's
     ``[:, :, z0:z1]`` arrays, shaped like x_t, and the slab's ``(z0, z1)``.
+    Stage 1 is upsampled only on the slices from the first to the last
+    sampled slab, which equal those slices of the full upsample bit for bit.
 
     Denoisers must be pure functions of ``(x_t, t, condition)``. The final
     composite preserves observed voxels: generated content replaces the input
@@ -296,7 +298,8 @@ def cascade_reface(
     steps = uniform_steps(config.t_steps, config.sample_steps)
     ranges = stage2_slabs(defaced.dims[2], config.slab)
     touched = removed.data.any(axis=(0, 1))
-    if not touched.any():
+    sampled = [i for i, (z0, z1) in enumerate(ranges) if touched[z0:z1].any()]
+    if not sampled:
         return defaced.with_data(defaced.data.copy())
 
     low = downsample(defaced, config.downsample_factor)
@@ -304,26 +307,22 @@ def cascade_reface(
         stage1, {"defaced_lowres": low}, schedule, steps, eta=config.eta,
         rng=_stage_rng(config.seed, 0), shape=low.dims,
     )
-    low_refaced = low.with_data(x_low)
-    up = upsample_trilinear(low_refaced, config.downsample_factor)
-    up_data = up.data[: defaced.dims[0], : defaced.dims[1], : defaced.dims[2]]
+    zlo, zhi = ranges[sampled[0]][0], ranges[sampled[-1]][1]
+    up = upsample_trilinear(low.with_data(x_low), config.downsample_factor, (zlo, zhi))
+    up_data = up.data[: defaced.dims[0], : defaced.dims[1]]
 
-    slab_out = []
-    for i, (z0, z1) in enumerate(ranges):
-        if not touched[z0:z1].any():
-            slab_out.append(None)
-            continue
+    slab_out = [None] * len(ranges)
+    for i in sampled:
+        z0, z1 = ranges[i]
         cond2 = {
             "defaced": defaced.data[:, :, z0:z1],
-            "upsampled": up_data[:, :, z0:z1],
+            "upsampled": up_data[:, :, z0 - zlo : z1 - zlo],
             "slab_range": (z0, z1),
         }
-        slab_out.append(
-            sample(
-                stage2, cond2, schedule, steps, eta=config.eta,
-                rng=_stage_rng(config.seed, 1, i),
-                shape=(defaced.dims[0], defaced.dims[1], z1 - z0),
-            )
+        slab_out[i] = sample(
+            stage2, cond2, schedule, steps, eta=config.eta,
+            rng=_stage_rng(config.seed, 1, i),
+            shape=(defaced.dims[0], defaced.dims[1], z1 - z0),
         )
     merged = merge_slabs(slab_out, defaced.dims[2], config.slab)
     composite = np.where(removed.data, merged, defaced.data)

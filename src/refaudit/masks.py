@@ -77,9 +77,20 @@ def _largest_component(data: np.ndarray) -> np.ndarray:
 def head_mask(vol: Volume3D) -> BinaryMask:
     """Otsu foreground, closed with a radius-2 ball (outside the volume is
     background), holes filled (background not connected to the volume
-    border), then the largest component."""
-    closed = ndimage.binary_closing(vol.data > otsu_threshold(vol), structure=ball_structure(2))
-    return BinaryMask.like(vol, _largest_component(ndimage.binary_fill_holes(closed)))
+    border), then the largest component.
+
+    The threshold is taken over the whole volume; the rest runs on the
+    foreground's bounding box grown by 5 voxels, twice the ball radius plus
+    one. The closing stays inside the box and leaves its outer ring
+    background, and everything outside the box is background connected to
+    the volume border, so the result equals the whole-grid recipe.
+    """
+    foreground = BinaryMask.like(vol, vol.data > otsu_threshold(vol))
+    box = foreground.bounding_box(5)  # not None: the maximum is above the threshold
+    out = np.zeros(vol.dims, dtype=bool)
+    closed = ndimage.binary_closing(foreground.data[box], structure=ball_structure(2))
+    out[box] = _largest_component(ndimage.binary_fill_holes(closed))
+    return BinaryMask.like(vol, out)
 
 
 def face_roi(mask: BinaryMask) -> BinaryMask:

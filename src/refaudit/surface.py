@@ -3,7 +3,8 @@
 Marching cubes runs the classic 256-case table on the binary field at
 iso-level 0.5, so triangle vertices sit at voxel-edge midpoints; ambiguous
 cases are resolved by the standard table (no asymptotic decider). The field
-is zero-padded by one voxel so surfaces close at the volume border.
+is the mask's bounding box grown by one voxel, zero-padded by one more so
+surfaces close at the volume border; vertices are placed in the full grid.
 
 MASD is the mean absolute surface distance between two meshes, computed
 over mesh vertices via exact KD-tree nearest-neighbor queries, in mm.
@@ -68,7 +69,8 @@ def marching_cubes(mask: BinaryMask) -> TriMesh:
     if n_fg == 0 or n_fg == mask.data.size:
         raise DegenerateInputError("marching cubes needs a nonempty, non-full mask")
 
-    field = np.pad(mask.data, 1).astype(np.uint8)
+    box = mask.bounding_box(1)
+    field = np.pad(mask.data[box], 1).astype(np.uint8)
     # case index over the (nx+1, ny+1, nz+1) cell lattice of the padded field
     ci = np.zeros(tuple(s - 1 for s in field.shape), dtype=np.uint16)
     corners = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
@@ -100,8 +102,10 @@ def marching_cubes(mask: BinaryMask) -> TriMesh:
     rest //= nz1
     j = rest % ny1
     i = rest // ny1
-    # midpoint of the lattice edge, shifted back by the 1-voxel padding
-    pts = np.stack([i, j, k], axis=1).astype(np.float64) - 1.0
+    # midpoint of the lattice edge, moved to the box's place in the grid and
+    # shifted back by the 1-voxel padding (integers, so exact in float64)
+    origin = [s.start for s in box]
+    pts = (np.stack([i, j, k], axis=1) + origin).astype(np.float64) - 1.0
     pts[np.arange(len(uniq)), axis] += 0.5
     vertices = pts @ mask.affine[:3, :3].T + mask.affine[:3, 3]
 

@@ -56,7 +56,10 @@ class _Grid:
 
     ``data`` is indexed ``[x, y, z]``; world coordinates follow RAS. Each
     subclass coerces its data in ``_coerce``; the geometry is then checked and
-    both arrays are set read-only.
+    both arrays are set read-only. A coerced array that owns its memory is
+    adopted and frozen without a copy (so the caller's array becomes
+    read-only); a writable view is copied, so no caller array can change the
+    grid's data through its base. The affine is always copied.
     """
 
     data: np.ndarray
@@ -65,7 +68,9 @@ class _Grid:
 
     def __post_init__(self):
         data = self._coerce(self.data)
-        affine = np.asarray(self.affine, dtype=np.float64)
+        if data.base is not None and data.flags.writeable:
+            data = data.copy()
+        affine = np.array(self.affine, dtype=np.float64)
         spacing = tuple(float(s) for s in self.spacing)
         _check_geometry(data, spacing, affine)
         data.setflags(write=False)
@@ -395,22 +400,29 @@ def _trilinear_at(src: np.ndarray, axes):
     return vals
 
 
-def upsample_trilinear(vol: Volume3D, factor) -> Volume3D:
+def upsample_trilinear(vol: Volume3D, factor, z_range=None) -> Volume3D:
     """Trilinear interpolation onto a grid refined by integer factors; target
-    voxel centers are evaluated in source index space with edge clamping."""
+    voxel centers are evaluated in source index space with edge clamping.
+
+    ``z_range = (z0, z1)`` evaluates only target slices ``z0 <= z < z1``: the
+    result equals those slices of the full upsample bit for bit, and its
+    affine maps index ``(0, 0, 0)`` to the full grid's ``(0, 0, z0)``.
+    """
     fx, fy, fz = _factor3(factor)
     if (fx, fy, fz) == (1, 1, 1):
         return vol
     dims = tuple(d * f for d, f in zip(vol.dims, (fx, fy, fz)))
+    z0, z1 = (0, dims[2]) if z_range is None else (int(z) for z in z_range)
+    if not 0 <= z0 < z1 <= dims[2]:
+        raise ValueError(f"z_range must lie in [0, {dims[2]}] and be nonempty, got {z_range}")
+    start, stop = (0, 0, z0), (dims[0], dims[1], z1)
     # target voxel j has source index (j + 0.5) / f - 0.5
-    axes = [
-        (np.arange(dims[i]) + 0.5) / f - 0.5 for i, f in enumerate((fx, fy, fz))
-    ]
+    axes = [(np.arange(a, b) + 0.5) / f - 0.5 for a, b, f in zip(start, stop, (fx, fy, fz))]
     data = _trilinear_at(vol.data, axes)
 
     f = np.array([fx, fy, fz], dtype=np.float64)
     affine = vol.affine.copy()
     affine[:3, :3] = vol.affine[:3, :3] / f
-    affine[:3, 3] = vol.affine[:3, 3] + vol.affine[:3, :3] @ (0.5 / f - 0.5)
+    affine[:3, 3] = vol.affine[:3, 3] + vol.affine[:3, :3] @ ((np.array(start) + 0.5) / f - 0.5)
     spacing = tuple(s / fi for s, fi in zip(vol.spacing, (fx, fy, fz)))
     return replace(vol, data=data, spacing=spacing, affine=affine)

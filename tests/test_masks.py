@@ -4,6 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from refaudit.deface import quickshear
+from refaudit.denoisers import mirror_fill
 from refaudit.errors import DegenerateInputError
 from refaudit.masks import _largest_component, ball_structure, face_roi, head_mask, otsu_threshold
 from refaudit.volume import BinaryMask, Volume3D
@@ -160,6 +162,51 @@ class TestHeadMask:
         mask = head_mask(vol_of(data))
         _, n = ndimage.label(mask.data, structure=np.ones((3, 3, 3)))
         assert n == 1
+
+
+def head_mask_full_grid(vol):
+    """The head-mask recipe on the whole grid, without the bounding-box crop."""
+    closed = ndimage.binary_closing(vol.data > otsu_threshold(vol), structure=ball_structure(2))
+    return _largest_component(ndimage.binary_fill_holes(closed))
+
+
+class TestHeadMaskCrop:
+    def assert_matches_full_grid(self, vol):
+        got = head_mask(vol).data
+        assert np.array_equal(got, head_mask_full_grid(vol))
+        return got
+
+    def test_phantom_original_defaced_and_mirror_filled(self, small_phantom, small_head):
+        vol, brain, _ = small_phantom
+        defaced, removed = quickshear(vol, brain, head=small_head)
+        assert removed.count() > 0
+        for v in (vol, defaced, mirror_fill(defaced, removed)):
+            self.assert_matches_full_grid(v)
+
+    def test_foreground_touching_grid_faces(self, rng):
+        data = rng.uniform(0.0, 5.0, size=(20, 18, 16))
+        data[0:14, 4:18, 3:16] = 100.0  # meets the x = 0, y = 17 and z = 15 faces
+        assert self.assert_matches_full_grid(vol_of(data)).any()
+
+    def test_equal_components_tie_break_on_x_fastest_order(self):
+        data = np.zeros((30, 30, 30))
+        data[20:24, 4:8, 4:8] = 1.0  # high x, low z: first in x-fastest order
+        data[3:7, 4:8, 18:22] = 1.0  # low x, high z: first in C order
+        got = self.assert_matches_full_grid(vol_of(data))
+        assert np.array_equal(got, (data == 1.0) & (np.arange(30) < 15)[None, None, :])
+
+    def test_gap_bridged_next_to_the_box_edge(self):
+        data = np.zeros((24, 24, 24))
+        data[6:16, 6:16, 6:12] = 1.0
+        data[6:16, 6:16, 13:19] = 1.0  # one-slice gap at z = 12 meeting the box's x, y faces
+        data[6, 6, 12] = 1.0  # keeps the slabs one component without the closing
+        got = self.assert_matches_full_grid(vol_of(data))
+        assert got[7:15, 7:15, 12].all()  # bridged to within one voxel of the box edge
+
+    def test_random_blobs(self, rng):
+        for _ in range(10):
+            data = ndimage.uniform_filter(rng.random((18, 20, 22)), 3)
+            self.assert_matches_full_grid(vol_of(data))
 
 
 class TestFaceRoi:

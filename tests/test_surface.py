@@ -125,6 +125,41 @@ class TestMarchingCubes:
         assert len(mesh.triangles) > 0
 
 
+def ball_at(corner, n=40, radius=7.3, spacing=(1.0, 2.0, 0.5)):
+    """A digitized ball in an n^3 grid, its 16^3 bounding cube at ``corner``."""
+    data = np.zeros((n, n, n), bool)
+    ax = np.arange(16) - 7.5
+    x, y, z = np.meshgrid(ax, ax, ax, indexing="ij")
+    cx, cy, cz = corner
+    data[cx : cx + 16, cy : cy + 16, cz : cz + 16] = x * x + y * y + z * z <= radius * radius
+    return mask_of(data, spacing)
+
+
+class TestMarchingCubesCrop:
+    def test_translated_ball_gives_translated_mesh(self):
+        offset = np.array([17, 5, 11])
+        a = marching_cubes(ball_at((3, 9, 2)))
+        b = marching_cubes(ball_at(tuple(np.array([3, 9, 2]) + offset)))
+        assert np.array_equal(a.triangles, b.triangles)
+        shift = b.vertices - a.vertices
+        assert np.array_equal(shift, np.broadcast_to(offset * np.array([1.0, 2.0, 0.5]), shift.shape))
+
+    @pytest.mark.parametrize("border", [True, False], ids=["border", "interior"])
+    def test_matches_full_grid(self, rng, monkeypatch, border):
+        data = np.zeros((14, 12, 10), bool)
+        data[4:10, 3:9, 3:7] = rng.random((6, 6, 4)) < 0.5
+        if border:
+            data[0, 0, 0] = data[13, 11, 9] = data[5, 6, 9] = True  # grid corners and a face
+        mask = mask_of(data, spacing=(1.5, 1.0, 2.0))
+        got = marching_cubes(mask)
+        # full-grid reference: the same code with the crop box set to the whole grid
+        monkeypatch.setattr(BinaryMask, "bounding_box",
+                            lambda self, pad: tuple(slice(0, n) for n in self.dims))
+        want = marching_cubes(mask)
+        assert np.array_equal(got.vertices, want.vertices)
+        assert np.array_equal(got.triangles, want.triangles)
+
+
 def grid_mesh(offset=0.0, n=10):
     """Planar vertex grid at z = offset (no faces needed for masd)."""
     g = np.stack(np.meshgrid(np.arange(n, dtype=float), np.arange(n, dtype=float),

@@ -321,6 +321,25 @@ class TestUpsample:
         out = upsample_trilinear(downsample(vol, 2), 2)
         assert np.allclose(out.affine, vol.affine, atol=1e-9)
 
+    def test_z_range_is_a_slice_of_the_full_upsample(self, rng):
+        affine = np.array([[0.0, -1.2, 0.1, 4.0], [0.9, 0.0, 0.0, -2.5],
+                           [0.05, 0.0, 1.7, 11.0], [0.0, 0.0, 0.0, 1.0]])
+        vol = Volume3D(rng.standard_normal((5, 4, 7)), (1.2, 0.9, 1.7), affine)
+        full = upsample_trilinear(vol, (2, 3, 3))
+        for z0, z1 in [(0, 21), (0, 1), (4, 13), (20, 21)]:
+            part = upsample_trilinear(vol, (2, 3, 3), (z0, z1))
+            assert np.array_equal(part.data, full.data[:, :, z0:z1])
+            assert part.spacing == full.spacing
+            assert np.array_equal(part.affine[:3, :3], full.affine[:3, :3])
+            assert np.allclose(part.affine @ [0, 0, 0, 1], full.affine @ [0, 0, z0, 1],
+                               rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("z_range", [(3, 3), (5, 2), (-1, 4), (0, 22), (21, 22)])
+    def test_empty_or_out_of_grid_z_range_raises(self, rng, z_range):
+        vol = make_volume(rng.standard_normal((5, 4, 7)))
+        with pytest.raises(ValueError, match="z_range"):
+            upsample_trilinear(vol, (2, 3, 3), z_range)
+
 
 def trilinear_point(src, point):
     """Pointwise 8-corner trilinear formula with edge clamping: corner weights
@@ -408,6 +427,23 @@ class TestValidation:
         vol = random_volume(rng, np.float32)
         with pytest.raises(ValueError):
             vol.data[0, 0, 0] = 1.0
+
+    @GRIDS
+    def test_writable_view_is_copied_and_affine_left_writable(self, grid):
+        base = np.zeros((4, 2, 2), dtype=np.float64 if grid is Volume3D else bool)
+        affine = np.eye(4)
+        g = grid(base[:2], (1, 1, 1), affine)
+        base[0, 0, 0] = 1
+        assert g.data[0, 0, 0] == 0
+        assert base.flags.writeable and affine.flags.writeable
+        affine[0, 0] = 2.0
+        assert g.affine[0, 0] == 1.0
+
+    @GRIDS
+    def test_owned_array_is_adopted_without_a_copy(self, grid):
+        data = np.zeros((2, 2, 2), dtype=np.float64 if grid is Volume3D else bool)
+        assert grid(data, (1, 1, 1), np.eye(4)).data is data
+        assert not data.flags.writeable
 
 
 class TestBoundingBox:
