@@ -3,8 +3,9 @@
 Marching cubes runs the classic 256-case table on the binary field at
 iso-level 0.5, so triangle vertices sit at voxel-edge midpoints; ambiguous
 cases are resolved by the standard table (no asymptotic decider). The field
-is the mask's bounding box grown by one voxel, zero-padded by one more so
-surfaces close at the volume border; vertices are placed in the full grid.
+is the mask's tight bounding box zero-padded by one voxel, which holds every
+cell that touches the foreground and closes surfaces at the volume border;
+vertices are placed in the full grid.
 
 MASD is the mean absolute surface distance between two meshes, computed
 over mesh vertices via exact KD-tree nearest-neighbor queries, in mm.
@@ -69,7 +70,7 @@ def marching_cubes(mask: BinaryMask) -> TriMesh:
     if n_fg == 0 or n_fg == mask.data.size:
         raise DegenerateInputError("marching cubes needs a nonempty, non-full mask")
 
-    box = mask.bounding_box(1)
+    box = mask.bounding_box(0)
     field = np.pad(mask.data[box], 1).astype(np.uint8)
     # case index over the (nx+1, ny+1, nz+1) cell lattice of the padded field
     ci = np.zeros(tuple(s - 1 for s in field.shape), dtype=np.uint16)

@@ -409,16 +409,19 @@ def upsample_trilinear(vol: Volume3D, factor, z_range=None) -> Volume3D:
     affine maps index ``(0, 0, 0)`` to the full grid's ``(0, 0, z0)``.
     """
     fx, fy, fz = _factor3(factor)
-    if (fx, fy, fz) == (1, 1, 1):
-        return vol
     dims = tuple(d * f for d, f in zip(vol.dims, (fx, fy, fz)))
     z0, z1 = (0, dims[2]) if z_range is None else (int(z) for z in z_range)
     if not 0 <= z0 < z1 <= dims[2]:
         raise ValueError(f"z_range must lie in [0, {dims[2]}] and be nonempty, got {z_range}")
     start, stop = (0, 0, z0), (dims[0], dims[1], z1)
-    # target voxel j has source index (j + 0.5) / f - 0.5
-    axes = [(np.arange(a, b) + 0.5) / f - 0.5 for a, b, f in zip(start, stop, (fx, fy, fz))]
-    data = _trilinear_at(vol.data, axes)
+    if (fx, fy, fz) == (1, 1, 1):
+        if z_range is None:
+            return vol
+        data = vol.data[:, :, z0:z1]
+    else:
+        # target voxel j has source index (j + 0.5) / f - 0.5
+        axes = [(np.arange(a, b) + 0.5) / f - 0.5 for a, b, f in zip(start, stop, (fx, fy, fz))]
+        data = _trilinear_at(vol.data, axes)
 
     f = np.array([fx, fy, fz], dtype=np.float64)
     affine = vol.affine.copy()

@@ -456,6 +456,25 @@ class TestCascade:
         want = full_tiling_cascade(defaced, removed, stage1, stage2, config)
         assert out.data.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("factor", [(1, 1, 1), (2, 2, 2)])
+    def test_stage2_reads_the_full_upsample_slices(self, small_phantom, small_head, factor):
+        # the first sampled slab starts above slice 0, so a condition taken
+        # from the cropped upsample at the wrong offset would show
+        vol, brain, _ = small_phantom
+        defaced, removed = quickshear(vol, brain, buffer_mm=8.0, head=small_head)
+        config = CascadeConfig(sample_steps=3, seed=5, downsample_factor=factor)
+        assert ranges_meeting(removed.data, config.slab)[0][0] > 0
+
+        def stage1(x, t, c):
+            return c["defaced_lowres"].data + 0.05 * np.tanh(x)
+
+        def stage2(x, t, c):
+            return c["upsampled"] + 0.05 * np.tanh(x)
+
+        out = cascade_reface(defaced, removed, stage1, stage2, config)
+        want = full_tiling_cascade(defaced, removed, stage1, stage2, config)
+        assert out.data.tobytes() == want.tobytes()
+
     def test_identity_stubs_give_upsampled_stage1_inside_removed(self, small_phantom, small_head):
         vol, brain, _ = small_phantom
         defaced, removed = quickshear(vol, brain, buffer_mm=8.0, head=small_head)

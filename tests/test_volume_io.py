@@ -321,24 +321,29 @@ class TestUpsample:
         out = upsample_trilinear(downsample(vol, 2), 2)
         assert np.allclose(out.affine, vol.affine, atol=1e-9)
 
-    def test_z_range_is_a_slice_of_the_full_upsample(self, rng):
+    @pytest.mark.parametrize("factor", [(2, 3, 3), (1, 1, 1)])
+    def test_z_range_is_a_slice_of_the_full_upsample(self, rng, factor):
         affine = np.array([[0.0, -1.2, 0.1, 4.0], [0.9, 0.0, 0.0, -2.5],
                            [0.05, 0.0, 1.7, 11.0], [0.0, 0.0, 0.0, 1.0]])
         vol = Volume3D(rng.standard_normal((5, 4, 7)), (1.2, 0.9, 1.7), affine)
-        full = upsample_trilinear(vol, (2, 3, 3))
-        for z0, z1 in [(0, 21), (0, 1), (4, 13), (20, 21)]:
-            part = upsample_trilinear(vol, (2, 3, 3), (z0, z1))
+        full = upsample_trilinear(vol, factor)
+        nz = full.dims[2]
+        for z0, z1 in [(0, nz), (0, 1), (4, nz - 2), (nz - 1, nz)]:
+            part = upsample_trilinear(vol, factor, (z0, z1))
             assert np.array_equal(part.data, full.data[:, :, z0:z1])
             assert part.spacing == full.spacing
             assert np.array_equal(part.affine[:3, :3], full.affine[:3, :3])
             assert np.allclose(part.affine @ [0, 0, 0, 1], full.affine @ [0, 0, z0, 1],
                                rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("z_range", [(3, 3), (5, 2), (-1, 4), (0, 22), (21, 22)])
-    def test_empty_or_out_of_grid_z_range_raises(self, rng, z_range):
+    @pytest.mark.parametrize("factor, z_range", [
+        ((2, 3, 3), (3, 3)), ((2, 3, 3), (5, 2)), ((2, 3, 3), (-1, 4)), ((2, 3, 3), (0, 22)),
+        ((2, 3, 3), (21, 22)), ((1, 1, 1), (3, 3)), ((1, 1, 1), (-1, 4)), ((1, 1, 1), (0, 8)),
+    ])
+    def test_empty_or_out_of_grid_z_range_raises(self, rng, factor, z_range):
         vol = make_volume(rng.standard_normal((5, 4, 7)))
         with pytest.raises(ValueError, match="z_range"):
-            upsample_trilinear(vol, (2, 3, 3), z_range)
+            upsample_trilinear(vol, factor, z_range)
 
 
 def trilinear_point(src, point):
