@@ -50,9 +50,13 @@ def main(argv=None):
             w.writerows(rows)
 
     print("\nbuffer_mm  masd cell (bootstrap mean [95% CI])")
-    cells = bootstrap_cells([(sid, b, d) for sid, b, _, d in rows], args.boot, args.seed)
+    if args.n == 1:  # a bootstrap needs two subjects; one subject's cell is its distance
+        cells = {b: f"{d:.2f}" for _, b, _, d in rows}
+    else:
+        cells = {b: cell.summary.format() for b, cell in bootstrap_cells(
+            [(sid, b, d) for sid, b, _, d in rows], args.boot, args.seed).items()}
     for buffer_mm, cell in cells.items():
-        print(f"{buffer_mm:9.1f}  {cell.summary.format()}")
+        print(f"{buffer_mm:9.1f}  {cell}")
     return 0
 
 

@@ -120,9 +120,18 @@ def _output_dir(path: str):
 
 
 def _fmt(x: float, decimals: int = 3) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     return f"{x:.{decimals}f}"
+
+
+def _json_text(doc: dict) -> str:
+    """The layout of every JSON file refaudit writes."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _write_csv(fh, header, rows) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def _quality_row(subject_id: str, rec) -> list:
@@ -145,16 +154,14 @@ def cmd_phantom(args) -> int:
                 write_mask_file(case.brain, out / f"{case.subject_id}_brain.nii.gz")
             record = {**_base_metadata(args.seed), "subject_id": case.subject_id,
                       "geometry": case.geometry.to_json_dict()}
-            (out / f"{case.subject_id}.json").write_text(
-                json.dumps(record, indent=2, sort_keys=True) + "\n"
-            )
+            (out / f"{case.subject_id}.json").write_text(_json_text(record))
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(write_case, cohort))
         manifest = {**_base_metadata(args.seed), "kind": "phantom-cohort",
                     "count": args.count,
                     "subjects": [c.subject_id for c in cohort]}
-        (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        (out / "manifest.json").write_text(_json_text(manifest))
     return EXIT_OK
 
 
@@ -162,21 +169,20 @@ def cmd_phantom(args) -> int:
 # masd
 
 
+MASD_HEADER = ("subject_id", "method", "masd_mm")
+
+
 def _read_distance_table(path):
     return [(r["subject_id"], r["method"], float(r["masd_mm"]))
-            for r in read_csv_rows(path, ("subject_id", "method", "masd_mm"), "distance")]
+            for r in read_csv_rows(path, MASD_HEADER, "distance")]
 
 
 def cmd_masd(args) -> int:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
     if args.table:
         cells = bootstrap_cells(_read_distance_table(args.table), args.boot, args.seed)
-        writer.writerow(["kind", "method", "peer", "n", "mean", "ci_low", "ci_high", "cell", "w", "p"])
-        for method, (values, s) in cells.items():
-            writer.writerow(
-                ["masd", method, "", len(values), _fmt(s.mean), _fmt(s.ci_low),
+        rows = [["masd", method, "", len(values), _fmt(s.mean), _fmt(s.ci_low),
                  _fmt(s.ci_high), s.format(), "", ""]
-            )
+                for method, (values, s) in cells.items()]
         if args.compare:
             a, b = args.compare
             if a not in cells or b not in cells:
@@ -186,15 +192,15 @@ def cmd_masd(args) -> int:
             shared = sorted(set(per_a) & set(per_b))
             w, p = wilcoxon_signed_rank(np.array([per_a[s] for s in shared]),
                                         np.array([per_b[s] for s in shared]))
-            writer.writerow(
-                ["wilcoxon", a, b, len(shared), "", "", "", significance_stars(p),
-                 _fmt(w, 1), f"{p:.6g}"]
-            )
+            rows.append(["wilcoxon", a, b, len(shared), "", "", "", significance_stars(p),
+                         _fmt(w, 1), f"{p:.6g}"])
+        _write_csv(sys.stdout, ["kind", "method", "peer", "n", "mean", "ci_low", "ci_high",
+                                "cell", "w", "p"], rows)
         if args.summary:
             summary = {**_base_metadata(args.seed), "kind": "masd-aggregate",
                        "n_boot": args.boot,
                        "methods": {m: c.summary.format() for m, c in cells.items()}}
-            Path(args.summary).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+            Path(args.summary).write_text(_json_text(summary))
         return EXIT_OK
 
     if not (args.original and args.candidate):
@@ -203,8 +209,7 @@ def cmd_masd(args) -> int:
     candidate = read_nifti_file(args.candidate)
     (d,) = face_distance_report(original, {args.method: candidate}, directed=args.directed,
                                 head=head_mask(original)).values()
-    writer.writerow(["subject_id", "method", "masd_mm"])
-    writer.writerow([args.subject_id, args.method, _fmt(d)])
+    _write_csv(sys.stdout, MASD_HEADER, [[args.subject_id, args.method, _fmt(d)]])
     return EXIT_OK
 
 
@@ -213,21 +218,22 @@ def cmd_masd(args) -> int:
 
 
 QUALITY_METRICS = ("psnr_head", "psnr_face", "ssim_head", "ssim_face")
+QUALITY_HEADER = ("subject_id", "image", *QUALITY_METRICS)
 
 
 def cmd_quality(args) -> int:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
     if args.table:
-        rows = read_csv_rows(args.table, ("subject_id", "image", *QUALITY_METRICS), "quality")
+        table = read_csv_rows(args.table, QUALITY_HEADER, "quality")
         cells = {metric: bootstrap_cells([(r["subject_id"], r["image"], float(r[metric]))
-                                          for r in rows], args.boot, args.seed)
+                                          for r in table], args.boot, args.seed)
                  for metric in QUALITY_METRICS}
-        writer.writerow(["image", "metric", "n", "mean", "ci_low", "ci_high", "cell"])
+        rows = []
         for image in cells[QUALITY_METRICS[0]]:
             for metric in QUALITY_METRICS:
                 values, s = cells[metric][image]
-                writer.writerow([image, metric, len(values), _fmt(s.mean, 2),
-                                 _fmt(s.ci_low, 2), _fmt(s.ci_high, 2), s.format()])
+                rows.append([image, metric, len(values), _fmt(s.mean, 2), _fmt(s.ci_low, 2),
+                             _fmt(s.ci_high, 2), s.format()])
+        _write_csv(sys.stdout, ["image", "metric", "n", "mean", "ci_low", "ci_high", "cell"], rows)
         return EXIT_OK
 
     if not (args.original and args.defaced and args.refaced and args.removed):
@@ -238,14 +244,12 @@ def cmd_quality(args) -> int:
     removed = intersection_mask([read_mask_file(p) for p in args.removed])
     records = quality_report(original, {"defaced": defaced, "refaced": refaced}, removed,
                              head=head_mask(original))
-    writer.writerow(["subject_id", "image", *QUALITY_METRICS])
-    for rec in records:
-        writer.writerow(_quality_row(args.subject_id, rec))
+    _write_csv(sys.stdout, QUALITY_HEADER, [_quality_row(args.subject_id, rec) for rec in records])
     if args.summary:
         summary = {**_base_metadata(args.seed), "kind": "quality-report",
                    "masks_used": list(args.removed),
                    "records": [rec.__dict__ for rec in records]}
-        Path(args.summary).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        Path(args.summary).write_text(_json_text(summary))
     return EXIT_OK
 
 
@@ -257,9 +261,7 @@ def cmd_correlate(args) -> int:
     table = ObservationTable.from_csv(args.observations)
     predictions = read_predictions_csv(args.predictions)
     report = correlation_report(predictions, table, seed=args.seed, n_boot=args.boot)
-    doc = {**_base_metadata(args.seed), "kind": "correlation-report",
-           **report.to_json_dict()}
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = _json_text({**_base_metadata(args.seed), "kind": "correlation-report", **report})
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -332,15 +334,9 @@ def _run_demo(args, config, workers, out) -> int:
 
     masd_rows = [row for rows, _ in results for row in rows]
     with open(out / "masd.csv", "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["subject_id", "method", "masd_mm"])
-        for sid, method, d in masd_rows:
-            w.writerow([sid, method, _fmt(d)])
+        _write_csv(fh, MASD_HEADER, [[sid, method, _fmt(d)] for sid, method, d in masd_rows])
     with open(out / "quality.csv", "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["subject_id", "image", *QUALITY_METRICS])
-        for _, quality_rows in results:
-            w.writerows(quality_rows)
+        _write_csv(fh, QUALITY_HEADER, [row for _, rows in results for row in rows])
 
     if args.count == 1:
         aggregates = {method: f"{d:.2f}" for _, method, d in masd_rows}
@@ -359,7 +355,7 @@ def _run_demo(args, config, workers, out) -> int:
         "subjects": [c.subject_id for c in cohort],
         "files": sorted(p.name for p in out.iterdir() if p.name != "manifest.json"),
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    (out / "manifest.json").write_text(_json_text(manifest))
     return EXIT_OK
 
 

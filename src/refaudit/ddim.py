@@ -41,6 +41,11 @@ from .volume import (
 # x0-predictor: (x_t, t, condition) -> x0 estimate, same shape as x_t.
 Denoiser = Callable[[np.ndarray, int, Any], np.ndarray]
 
+# The cascade's fixed training schedule: T_STEPS linear betas.
+T_STEPS = 1000
+BETA_START = 1e-4
+BETA_END = 0.02
+
 
 @dataclass(frozen=True)
 class DiffusionSchedule:
@@ -78,7 +83,8 @@ class DiffusionSchedule:
         return float(eta * np.sqrt((1.0 - q) / (1.0 - a)) * np.sqrt(1.0 - a / q))
 
 
-def make_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> DiffusionSchedule:
+def make_schedule(T: int, beta_start: float = BETA_START,
+                  beta_end: float = BETA_END) -> DiffusionSchedule:
     """Linear beta schedule with alpha_bar by cumulative product."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -237,9 +243,6 @@ def merge_slabs(slabs, nz: int, spec: SlabSpec = SlabSpec()) -> np.ndarray:
 class CascadeConfig:
     """Sampler configuration; serializes into every run manifest."""
 
-    t_steps: int = 1000
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
     sample_steps: int = 50
     eta: float = 0.0
     downsample_factor: tuple = (2, 2, 2)
@@ -249,16 +252,15 @@ class CascadeConfig:
     def __post_init__(self):
         if not 0.0 <= self.eta < math.inf:
             raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
-        if not 1 <= self.sample_steps <= self.t_steps:
+        if not 1 <= self.sample_steps <= T_STEPS:
             raise ValueError(f"need 1 <= sample_steps <= t_steps, got "
-                             f"sample_steps={self.sample_steps}, t_steps={self.t_steps}")
+                             f"sample_steps={self.sample_steps}, t_steps={T_STEPS}")
         if not all(f > 0 for f in self.downsample_factor):
             raise ValueError(f"downsample factors must be positive, got {self.downsample_factor}")
 
     def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["downsample_factor"] = list(self.downsample_factor)
-        return d
+        return {"t_steps": T_STEPS, "beta_start": BETA_START, "beta_end": BETA_END,
+                **asdict(self), "downsample_factor": list(self.downsample_factor)}
 
 
 def _stage_rng(seed: int, stage: int, index: int = 0):
@@ -294,8 +296,8 @@ def cascade_reface(
     every sampled chain is the one a full pass would draw.
     """
     require_same_geometry(defaced, removed, "defaced volume and removed mask")
-    schedule = make_schedule(config.t_steps, config.beta_start, config.beta_end)
-    steps = uniform_steps(config.t_steps, config.sample_steps)
+    schedule = make_schedule(T_STEPS)
+    steps = uniform_steps(T_STEPS, config.sample_steps)
     ranges = stage2_slabs(defaced.dims[2], config.slab)
     touched = removed.data.any(axis=(0, 1))
     sampled = [i for i, (z0, z1) in enumerate(ranges) if touched[z0:z1].any()]

@@ -29,6 +29,9 @@ def otsu_threshold(vol: Volume3D) -> float:
     lo, hi = float(data.min()), float(data.max())
     if lo == hi:
         raise DegenerateInputError("constant volume has no Otsu threshold")
+    if (np.diff(np.linspace(lo, hi, 257)) <= 0).any():  # np.histogram's own test
+        raise DegenerateInputError(
+            f"intensity range [{lo!r}, {hi!r}] is too narrow for a 256-bin Otsu histogram")
 
     counts, edges = np.histogram(data, bins=256, range=(lo, hi))
     counts = counts.astype(np.float64)

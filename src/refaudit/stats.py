@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import rankdata
@@ -439,60 +439,16 @@ def significance_stars(p: float) -> str:
 # Correlation report
 
 
-@dataclass(frozen=True)
-class MethodCorrelation:
-    method: str
-    rho: StatSummary
-    significant: bool  # 95% CI does not overlap 0
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    methods: list
-    pairwise: dict  # (method_a, method_b) -> {"w": ..., "p": ..., "stars": ...}
-    n_rows: int
-    seed: int
-    n_boot: int
-    fit: LmmFit
-    conventions: dict = field(default_factory=lambda: dict(STATS_CONVENTIONS))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_rows": self.n_rows,
-            "seed": self.seed,
-            "n_boot": self.n_boot,
-            "model": {
-                "beta": list(self.fit.beta),
-                "sigma_r2": self.fit.sigma_r2,
-                "sigma_e2": self.fit.sigma_e2,
-                "loglik": self.fit.loglik,
-                "criterion": ML_CRITERION,
-            },
-            "methods": {
-                m.method: {
-                    "rho_mean": m.rho.mean,
-                    "ci": [m.rho.ci_low, m.rho.ci_high],
-                    "cell": m.rho.format(),
-                    "significant": m.significant,
-                }
-                for m in self.methods
-            },
-            "pairwise": [
-                {"a": a, "b": b, "w": v["w"], "p": v["p"], "stars": v["stars"]}
-                for (a, b), v in self.pairwise.items()
-            ],
-            "conventions": self.conventions,
-        }
-
-
 def correlation_report(
     predictions: dict,
     table: ObservationTable,
     seed: int = 0,
     n_boot: int = 1000,
-) -> CorrelationReport:
-    """Spearman correlation between per-method predictions and mixed-model
-    residuals, with bootstrap summaries and pairwise Wilcoxon comparisons
+) -> dict:
+    """The correlation report document that ``refaudit correlate`` writes:
+    Spearman correlation between per-method predictions and mixed-model
+    residuals, with bootstrap summaries (``methods``, a cell is significant
+    when its 95% CI does not overlap 0) and pairwise Wilcoxon comparisons
     over paired replicates (identical resample indices across methods).
     """
     fit = fit_lmm(table)
@@ -516,20 +472,28 @@ def correlation_report(
 
     n = len(table)
     replicates = dict(zip(methods, bootstrap_replicates(np.arange(n), rhos, n_boot, seed)))
-    summaries = []
+    cells = {}
     for m in methods:
         s = StatSummary.from_replicates(replicates[m])
-        summaries.append(MethodCorrelation(m, s, significant=s.ci_low > 0 or s.ci_high < 0))
+        cells[m] = {"rho_mean": s.mean, "ci": [s.ci_low, s.ci_high], "cell": s.format(),
+                    "significant": s.ci_low > 0 or s.ci_high < 0}
 
-    pairwise = {}
+    pairwise = []
     for i, ma in enumerate(methods):
         for mb in methods[i + 1 :]:
             try:
                 w, p = wilcoxon_signed_rank(replicates[ma], replicates[mb])
             except DegenerateInputError:
                 w, p = 0.0, 1.0  # identical replicate streams
-            pairwise[(ma, mb)] = {"w": w, "p": p, "stars": significance_stars(p)}
+            pairwise.append({"a": ma, "b": mb, "w": w, "p": p, "stars": significance_stars(p)})
 
-    return CorrelationReport(
-        methods=summaries, pairwise=pairwise, n_rows=n, seed=seed, n_boot=n_boot, fit=fit
-    )
+    return {
+        "n_rows": n,
+        "seed": seed,
+        "n_boot": n_boot,
+        "model": {"beta": list(fit.beta), "sigma_r2": fit.sigma_r2, "sigma_e2": fit.sigma_e2,
+                  "loglik": fit.loglik, "criterion": ML_CRITERION},
+        "methods": cells,
+        "pairwise": pairwise,
+        "conventions": dict(STATS_CONVENTIONS),
+    }

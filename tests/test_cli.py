@@ -38,7 +38,7 @@ from refaudit.volume import (
 )
 
 from conftest import SMALL_PARAMS
-from test_volume_io import HEADER_MUTATIONS
+from test_volume_io import HEADER_MUTATIONS, assemble_nifti
 
 
 def run_cli(args):
@@ -606,7 +606,7 @@ class TestHostileInputs:
             cli._demo_subject(case, tmp_path, CascadeConfig(sample_steps=1, seed=5), 500.0)
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_value_exits_2_and_inf_is_kept(self, tmp_path, capsys):
         rows = distance_rows()
         rows[1][2] = "nan"
@@ -658,11 +658,35 @@ class TestHostileInputs:
         assert rc == 3 and out == ""
         assert "voxel values are not all finite" in capsys.readouterr().err
 
+    def test_intensity_range_too_narrow_for_otsu_exits_2_naming_it(self, tmp_path, capsys):
+        # int16 0/1 scaled to 1e6 and the next float64 above it
+        payload = np.tile(np.array([0, 1], dtype="<i2"), 32).tobytes()
+        path = tmp_path / "f.nii"
+        path.write_bytes(assemble_nifti((4, 4, 4), 4, payload, scl_slope=1.2e-10, scl_inter=1e6))
+        rc, out = run_cli(["masd", str(path), str(path)])
+        assert rc == 2 and out == ""
+        err = capsys.readouterr().err
+        assert "intensity range [1000000.0, 1000000.0000000001]" in err and "bins" not in err
+
     def test_aggression_sweep_nonpositive_boot_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             load_script("aggression_sweep").main(["--boot", "0"])
         assert exc.value.code == 2
         assert "--boot: must be a positive integer" in capsys.readouterr().err
+
+    def test_aggression_sweep_one_subject_writes_a_row_and_a_cell_per_buffer(self, tmp_path,
+                                                                             capsys):
+        sweep = load_script("aggression_sweep")
+        out = tmp_path / "sweep.csv"
+        assert sweep.main(["--n", "1", "--boot", "10", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["buffer_mm"]) for r in rows] == list(sweep.BUFFERS_MM)
+        removed = [int(r["removed_voxels"]) for r in rows]
+        assert all(a > b for a, b in zip(removed, removed[1:]))
+        assert all(math.isfinite(float(r["masd_mm"])) for r in rows)
+        cells = capsys.readouterr().out.split("masd cell (bootstrap mean [95% CI])\n")[1]
+        assert [float(line.split()[0]) for line in cells.splitlines()] == list(sweep.BUFFERS_MM)
 
     def test_moment_check_flags_out_of_range_exit_2(self, capsys):
         moment_check = load_script("sampler_moment_check")

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from refaudit.ddim import (
+    BETA_END,
+    BETA_START,
+    T_STEPS,
     CascadeConfig,
     DiffusionSchedule,
     SlabSpec,
@@ -372,8 +375,8 @@ class TestMergeSlabs:
 def full_tiling_cascade(defaced, removed, stage1, stage2, config):
     """The cascade as one chain per slab of the whole tiling, each slab i on
     its (seed, 1, i) stream, merged and composited inside ``removed``."""
-    schedule = make_schedule(config.t_steps, config.beta_start, config.beta_end)
-    steps = uniform_steps(config.t_steps, config.sample_steps)
+    schedule = make_schedule(T_STEPS, BETA_START, BETA_END)
+    steps = uniform_steps(T_STEPS, config.sample_steps)
     low = downsample(defaced, config.downsample_factor)
     x_low = sample(stage1, {"defaced_lowres": low}, schedule, steps, eta=config.eta,
                    rng=_stage_rng(config.seed, 0), shape=low.dims)

@@ -63,6 +63,15 @@ class TestOtsu:
         with pytest.raises(DegenerateInputError):
             otsu_threshold(vol_of(np.full((4, 4, 4), 3.0)))
 
+    def test_range_too_narrow_for_256_bins_raises_naming_it(self):
+        data = np.ones((6, 6, 6))
+        data[0, 0, 0] = 1 + 2.2e-16
+        with pytest.raises(DegenerateInputError,
+                           match=r"intensity range \[1\.0, 1\.0000000000000002\]"):
+            otsu_threshold(vol_of(data))
+        with pytest.raises(DegenerateInputError, match="too narrow"):
+            head_mask(vol_of(data))
+
     @given(st.sampled_from([0.5, 2.0, 3.0]), st.sampled_from([-5.0, 0.0, 10.0]),
            st.integers(0, 2**31 - 1))
     def test_foreground_invariant_under_increasing_affine_map(self, a, b, seed):
