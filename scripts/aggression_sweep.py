@@ -9,14 +9,12 @@ Usage: python scripts/aggression_sweep.py [--n 10] [--seed 42] [--out sweep.csv]
 """
 
 import argparse
-import csv
 import sys
 
-from refaudit.cli import nonnegative_int, positive_int
+from refaudit.cli import _summary_cells, _write_csv, nonnegative_int, positive_int
 from refaudit.deface import quickshear
 from refaudit.masks import head_mask
 from refaudit.phantom import generate_cohort
-from refaudit.stats import bootstrap_cells
 from refaudit.surface import face_distance_report
 
 BUFFERS_MM = (0.0, 5.0, 10.0, 20.0)
@@ -45,16 +43,10 @@ def main(argv=None):
 
     if args.out:
         with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["subject_id", "buffer_mm", "removed_voxels", "masd_mm"])
-            w.writerows(rows)
+            _write_csv(fh, ["subject_id", "buffer_mm", "removed_voxels", "masd_mm"], rows)
 
     print("\nbuffer_mm  masd cell (bootstrap mean [95% CI])")
-    if args.n == 1:  # a bootstrap needs two subjects; one subject's cell is its distance
-        cells = {b: f"{d:.2f}" for _, b, _, d in rows}
-    else:
-        cells = {b: cell.summary.format() for b, cell in bootstrap_cells(
-            [(sid, b, d) for sid, b, _, d in rows], args.boot, args.seed).items()}
+    cells = _summary_cells([(sid, b, d) for sid, b, _, d in rows], args.boot, args.seed)
     for buffer_mm, cell in cells.items():
         print(f"{buffer_mm:9.1f}  {cell}")
     return 0

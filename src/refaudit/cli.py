@@ -134,6 +134,15 @@ def _write_csv(fh, header, rows) -> None:
     writer.writerows(rows)
 
 
+def _summary_cells(rows, n_boot: int, seed: int) -> dict:
+    """``{cell: text}`` over (subject_id, cell, value) rows: the bootstrap
+    mean [95% CI], or the value itself to 2 decimals when the rows hold one
+    subject, since a bootstrap needs two."""
+    if len({sid for sid, _, _ in rows}) == 1:
+        return {key: f"{value:.2f}" for _, key, value in rows}
+    return {key: c.summary.format() for key, c in bootstrap_cells(rows, n_boot, seed).items()}
+
+
 def _quality_row(subject_id: str, rec) -> list:
     return [subject_id, rec.image, _fmt(rec.psnr_head, 2), _fmt(rec.psnr_face, 2),
             _fmt(rec.ssim_head, 4), _fmt(rec.ssim_face, 4)]
@@ -338,12 +347,6 @@ def _run_demo(args, config, workers, out) -> int:
     with open(out / "quality.csv", "w", newline="") as fh:
         _write_csv(fh, QUALITY_HEADER, [row for _, rows in results for row in rows])
 
-    if args.count == 1:
-        aggregates = {method: f"{d:.2f}" for _, method, d in masd_rows}
-    else:
-        cells = bootstrap_cells(masd_rows, args.boot, args.seed)
-        aggregates = {method: c.summary.format() for method, c in cells.items()}
-
     manifest = {
         **_base_metadata(args.seed),
         "kind": "demo-run",
@@ -351,7 +354,7 @@ def _run_demo(args, config, workers, out) -> int:
         "buffer_mm": args.buffer_mm,
         "n_boot": args.boot,
         "sampler_config": config.to_json_dict(),
-        "masd_cells": aggregates,
+        "masd_cells": _summary_cells(masd_rows, args.boot, args.seed),
         "subjects": [c.subject_id for c in cohort],
         "files": sorted(p.name for p in out.iterdir() if p.name != "manifest.json"),
     }

@@ -264,7 +264,11 @@ class CascadeConfig:
 
 
 def _stage_rng(seed: int, stage: int, index: int = 0):
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stage, index)))
+    """The noise stream of one chain: stage 1 (``stage=0``) or stage-2 slab
+    ``index`` (``stage=1``). Its three-int spawn key cannot equal a bootstrap
+    key (two ints) or a cohort key (one int), so a demo's noise never
+    repeats its resamples."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stage, index, 0)))
 
 
 def cascade_reface(

@@ -11,7 +11,7 @@ parameter so tests can evaluate membership and surface offsets analytically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,6 +23,8 @@ INTENSITY_SOFT = 80.0
 INTENSITY_BRAIN = 100.0
 
 SHELL_BAND = (0.78, 0.90)  # head implicit values occupied by the skull shell
+NOSE_BASE = (14.0, 10.0)  # nose base half-extent (x, z), mm
+NOISE_LATTICE_STEP = 16  # voxels between the tissue-noise lattice points
 
 _RANGES = {
     "head_radii": (60.0, 100.0),
@@ -36,25 +38,16 @@ _RANGES = {
 class PhantomParams:
     head_radii: tuple = (65.0, 80.0, 75.0)  # mm semi-axes (x, y, z)
     nose_length: float = 22.0  # protrusion beyond the head surface, mm
-    nose_base: tuple = (14.0, 10.0)  # base half-extent (x, z), mm
     brow_depth: float = 8.0
     noise_amplitude: float = 4.0
     dims: tuple = (128, 128, 128)
     spacing: tuple = (2.0, 2.0, 2.0)
 
     def __post_init__(self):
-        lo, hi = _RANGES["head_radii"]
-        if not all(lo <= r <= hi for r in self.head_radii):
-            raise ValueError(f"head radii {self.head_radii} outside [{lo}, {hi}] mm")
-        lo, hi = _RANGES["nose_length"]
-        if not lo <= self.nose_length <= hi:
-            raise ValueError(f"nose length {self.nose_length} outside [{lo}, {hi}] mm")
-        lo, hi = _RANGES["brow_depth"]
-        if not lo <= self.brow_depth <= hi:
-            raise ValueError(f"brow depth {self.brow_depth} outside [{lo}, {hi}] mm")
-        lo, hi = _RANGES["noise_amplitude"]
-        if not lo <= self.noise_amplitude <= hi:
-            raise ValueError(f"noise amplitude {self.noise_amplitude} outside [{lo}, {hi}]")
+        for name, (lo, hi) in _RANGES.items():
+            value = getattr(self, name)
+            if not all(lo <= v <= hi for v in np.atleast_1d(value)):
+                raise ValueError(f"{name} {value} outside [{lo}, {hi}]")
         if len(self.dims) != 3 or any(d < 32 for d in self.dims):
             raise ValueError(f"dims {self.dims} too small, need >= 32 per axis")
         if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
@@ -85,14 +78,18 @@ class PhantomGeometry:
     nose_radii: tuple
     brow_center: tuple
     brow_radii: tuple
-    shell_band: tuple = SHELL_BAND
 
     def contains_head(self, points):
         """Membership in the full head union (ellipsoid, nose, brow)."""
         points = np.asarray(points, dtype=np.float64)
         coords = (points[..., 0], points[..., 1], points[..., 2])
+        return self._head_union(coords, _ellipsoid(coords, self.head_center, self.head_radii))
+
+    def _head_union(self, coords, f_head):
+        """Head ellipsoid, nose and brow membership at ``coords``, given the
+        head ellipsoid's implicit values ``f_head`` there."""
         return (
-            (_ellipsoid(coords, self.head_center, self.head_radii) <= 1.0)
+            (f_head <= 1.0)
             | (_ellipsoid(coords, self.nose_center, self.nose_radii) <= 1.0)
             | (_ellipsoid(coords, self.brow_center, self.brow_radii) <= 1.0)
         )
@@ -113,7 +110,7 @@ class PhantomGeometry:
             "nose_radii": list(self.nose_radii),
             "brow_center": list(self.brow_center),
             "brow_radii": list(self.brow_radii),
-            "shell_band": list(self.shell_band),
+            "shell_band": list(SHELL_BAND),
             "nose_length": self.params.nose_length,
             "brow_depth": self.params.brow_depth,
             "noise_amplitude": self.params.noise_amplitude,
@@ -142,7 +139,7 @@ def _derive_geometry(seed: int, params: PhantomParams) -> PhantomGeometry:
     nose_z = cz - z_frac * rz
     nose_y = cy + ry * math.sqrt(1.0 - z_frac**2) - nose_sink
     nose_center = (cx, nose_y, nose_z)
-    nose_radii = (params.nose_base[0], params.nose_length + nose_sink, params.nose_base[1])
+    nose_radii = (NOSE_BASE[0], params.nose_length + nose_sink, NOSE_BASE[1])
 
     brow_frac = 0.35
     brow_sink = 6.0
@@ -174,13 +171,13 @@ def _derive_geometry(seed: int, params: PhantomParams) -> PhantomGeometry:
     return geom
 
 
-def _smooth_noise(dims, seed, lattice_step=16):
+def _smooth_noise(dims, seed):
     """Band-limited noise: a coarse normal lattice interpolated trilinearly,
     clipped to +-2.5 so tissue modes stay separated."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(7,)))
-    lat_dims = tuple(d // lattice_step + 2 for d in dims)
+    lat_dims = tuple(d // NOISE_LATTICE_STEP + 2 for d in dims)
     lattice = rng.standard_normal(lat_dims)
-    axes = [np.arange(d) / lattice_step for d in dims]
+    axes = [np.arange(d) / NOISE_LATTICE_STEP for d in dims]
     return np.clip(_trilinear_at(lattice, axes), -2.5, 2.5)
 
 
@@ -202,14 +199,9 @@ def generate_phantom(seed: int, params: PhantomParams | None = None):
     coords = (wx, wy, wz)
 
     f_head = _ellipsoid(coords, geom.head_center, geom.head_radii)
-    f_brain = _ellipsoid(coords, geom.brain_center, geom.brain_radii)
-    f_nose = _ellipsoid(coords, geom.nose_center, geom.nose_radii)
-    f_brow = _ellipsoid(coords, geom.brow_center, geom.brow_radii)
-
-    brain = f_brain <= 1.0
-    shell = (f_head >= geom.shell_band[0]) & (f_head <= geom.shell_band[1]) & ~brain
-    union = (f_head <= 1.0) | (f_nose <= 1.0) | (f_brow <= 1.0)
-    soft = union & ~brain & ~shell
+    brain = _ellipsoid(coords, geom.brain_center, geom.brain_radii) <= 1.0
+    shell = (f_head >= SHELL_BAND[0]) & (f_head <= SHELL_BAND[1]) & ~brain
+    soft = geom._head_union(coords, f_head) & ~brain & ~shell
 
     data = np.full(params.dims, INTENSITY_BACKGROUND)
     data[brain] = INTENSITY_BRAIN
@@ -246,15 +238,7 @@ def generate_cohort(n: int, seed: int, base: PhantomParams | None = None) -> lis
         )
         nose = float(np.clip(base.nose_length + rng.uniform(-4, 4), *_RANGES["nose_length"]))
         brow = float(np.clip(base.brow_depth + rng.uniform(-1.5, 1.5), *_RANGES["brow_depth"]))
-        params = PhantomParams(
-            head_radii=radii,
-            nose_length=nose,
-            nose_base=base.nose_base,
-            brow_depth=brow,
-            noise_amplitude=base.noise_amplitude,
-            dims=base.dims,
-            spacing=base.spacing,
-        )
+        params = replace(base, head_radii=radii, nose_length=nose, brow_depth=brow)
         subject_seed = int(subject_ss.generate_state(1)[0])
         vol, brain, geom = generate_phantom(subject_seed, params)
         cases.append(

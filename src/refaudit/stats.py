@@ -177,11 +177,10 @@ def _profile(X, y, codes, counts, theta):
     return beta, sigma_e2, loglik, xtx
 
 
-def fit_lmm(table: ObservationTable, theta=None) -> LmmFit:
+def fit_lmm(table: ObservationTable) -> LmmFit:
     """ML fit of the random-intercept model via a 1D profiled likelihood over
     theta = sigma_r^2/sigma_e^2 in [0, 1e3] (coarse log-grid bracket, then
-    golden-section to 1e-8 in log theta). Pass ``theta`` to fix the ratio
-    (theta=0 gives ordinary least squares).
+    golden-section to 1e-8 in log theta).
     """
     X, y, codes, counts = _design(table)
     if len(counts) < 3:
@@ -190,9 +189,7 @@ def fit_lmm(table: ObservationTable, theta=None) -> LmmFit:
         raise FitError("design matrix [1, age, sex] is rank deficient")
 
     identifiable = bool((counts > 1).any())
-    if theta is not None:
-        theta_hat = float(theta)
-    elif not identifiable:
+    if not identifiable:
         theta_hat = 0.0  # single visit everywhere: ratio unidentifiable
     else:
         theta_hat = _maximize_theta(X, y, codes, counts)

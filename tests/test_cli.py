@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib.util
 import io
 import json
@@ -272,6 +273,29 @@ class TestPhantomCommand:
         run_cli(["phantom", str(tmp_path / "b"), "-n", "2", "--seed", "5"])
         for name in ("phantom-000.nii.gz", "phantom-001.nii.gz", "phantom-000.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_outputs_match_their_recorded_digests(self, tmp_path):
+        # voxels are hashed after decoding, since gzip bytes depend on the zlib build
+        out = tmp_path / "c"
+        rc, _ = run_cli(["phantom", str(out), "-n", "2", "--seed", "5", "--write-brain-masks"])
+        assert rc == 0
+        want = {
+            "phantom-000.json": "bd80c6813c603042e43ee4f048cca0fe995994ba259d591ba001dd1a1180a45d",
+            "phantom-000.nii.gz": "ce253712f1cfb7555ddb42de462b268c599ac699a0bc37fb1377e39064217606",
+            "phantom-000_brain.nii.gz":
+                "0f2f8a018f8df3bebc6675195784c9f04b3ce599a8c0e7cffb10db6b535e6c32",
+            "phantom-001.json": "51285d4a9d2916085dff9f8f04e02e629f0d8d970ed344adb0f394626dc791fd",
+            "phantom-001.nii.gz": "a4e16664e5f893d119f568d9be651d774e8067f9db971521f368abce89d849eb",
+            "phantom-001_brain.nii.gz":
+                "8d881eb199b973ab2cb547da666227e9dfb5dd4225a11e191a13fd3457a24da8",
+        }
+        got = {}
+        for name in want:
+            path = out / name
+            data = (path.read_text().encode() if path.suffix == ".json"
+                    else read_nifti_file(path).data.tobytes())
+            got[name] = hashlib.sha256(data).hexdigest()
+        assert got == want
 
     def test_invalid_out_dir_exits_2_with_path(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -679,6 +703,7 @@ class TestHostileInputs:
         sweep = load_script("aggression_sweep")
         out = tmp_path / "sweep.csv"
         assert sweep.main(["--n", "1", "--boot", "10", "--out", str(out)]) == 0
+        assert b"\r" not in out.read_bytes()
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [float(r["buffer_mm"]) for r in rows] == list(sweep.BUFFERS_MM)

@@ -31,6 +31,7 @@ from refaudit.denoisers import (
     mirror_fill,
 )
 from refaudit.deface import quickshear
+from refaudit.stats import bootstrap_indices
 from refaudit.volume import BinaryMask, Volume3D, downsample, upsample_trilinear
 
 
@@ -571,6 +572,22 @@ class TestCascade:
             for _ in range(2)
         ]
         assert np.array_equal(runs[0].data, runs[1].data)
+
+    def test_noise_streams_never_equal_bootstrap_streams(self):
+        # `refaudit demo --seed S` draws slab noise and bootstrap resamples
+        # from the one seed S
+        def bootstrap_seq(replicate, attempt):
+            return np.random.SeedSequence(0, spawn_key=(replicate, attempt))
+
+        assert (bootstrap_indices(50, 0, 3, 2).tolist()
+                == np.random.default_rng(bootstrap_seq(3, 2)).integers(0, 50, size=50).tolist())
+        cascade = {tuple(_stage_rng(0, *key).bit_generator.seed_seq.generate_state(4))
+                   for key in [(0, 0)] + [(1, i) for i in range(32)]}
+        assert len(cascade) == 33
+        for replicate in range(1000):
+            for attempt in range(10):
+                words = tuple(bootstrap_seq(replicate, attempt).generate_state(4))
+                assert words not in cascade, (replicate, attempt)
 
     def test_config_serializes_to_manifest_dict(self):
         config = CascadeConfig(seed=9)

@@ -16,6 +16,8 @@ from refaudit.stats import (
     bootstrap_indices,
     bootstrap_replicates,
     correlation_report,
+    _design,
+    _profile,
     fit_lmm,
     residualize,
     significance_stars,
@@ -78,9 +80,10 @@ class TestFitLmm:
     def test_loglik_beats_theta_grid(self, rng):
         table = simulate_table(rng, n_subjects=60, sigma_r=2.0, sigma_e=1.0)
         fit = fit_lmm(table)
-        assert fit.loglik >= fit_lmm(table, theta=0.0).loglik - 1e-9
+        design = _design(table)
+        assert fit.loglik >= _profile(*design, 0.0)[2] - 1e-9
         for theta in np.logspace(-4, 3, 100):
-            assert fit.loglik >= fit_lmm(table, theta=theta).loglik - 1e-7
+            assert fit.loglik >= _profile(*design, theta)[2] - 1e-7
 
     def test_rank_deficient_design_raises(self, rng):
         table = simulate_table(rng, n_subjects=20)
@@ -144,8 +147,10 @@ class TestResidualize:
             assert got[k] == pytest.approx(want, abs=1e-12)
 
     def test_ols_residuals_orthogonal_to_covariates(self, rng):
-        table = simulate_table(rng, n_subjects=80, sigma_r=0.0)
-        fit = fit_lmm(table, theta=0.0)
+        # one visit per subject pins theta to 0, so the fit is ordinary least squares
+        table = simulate_table(rng, n_subjects=240, n_visits=1, sigma_r=0.0)
+        fit = fit_lmm(table)
+        assert fit.theta == 0.0
         res = residualize(table, fit)
         scale = len(table) * float(np.abs(table.age).max())
         assert abs(res @ table.age) / scale < 1e-9
