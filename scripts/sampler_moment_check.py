@@ -53,13 +53,13 @@ def report(args):
     denoiser = GaussianPosteriorDenoiser(args.mu, args.s, schedule)
     print(f"target: N({args.mu}, {args.s}^2), {args.n} samples per row\n")
     print(f"{'steps':>6} {'eta':>4} {'mean':>8} {'sd':>8} {'exact sd':>9} {'sd/s':>6}")
-    for n_steps in (*STEP_LADDER, args.t):
+    for n_steps in dict.fromkeys((*STEP_LADDER, args.t)):  # once each, in ladder order
         steps = uniform_steps(args.t, n_steps)
         for eta in (0.0, 1.0):
             rng = np.random.default_rng(args.seed)
             out = sample(denoiser, None, schedule, steps, eta=eta, rng=rng,
                          shape=(args.n,))
-            exact = denoiser.final_sd(steps, eta) if eta else float("nan")
+            exact = denoiser.final_sd(steps, eta)
             print(f"{n_steps:6d} {eta:4.1f} {out.mean():8.4f} {out.std(ddof=1):8.4f} "
                   f"{exact:9.4f} {out.std(ddof=1) / args.s:6.4f}")
 

@@ -148,30 +148,38 @@ def _quality_row(subject_id: str, rec) -> list:
             _fmt(rec.ssim_head, 4), _fmt(rec.ssim_face, 4)]
 
 
+def _run_cohort(args, kind: str, subject, finish=None) -> int:
+    """The cohort run of ``phantom`` and ``demo``: build ``args.count``
+    subjects from ``args.seed``, call ``subject(case, out)`` for each on the
+    thread pool, then write ``manifest.json`` with the fields that
+    ``finish(out, results)`` returns (results in subject order). A failure
+    removes what the run wrote."""
+    workers = thread_count()
+    with _output_dir(args.out_dir) as out:
+        cohort = generate_cohort(args.count, args.seed)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(lambda case: subject(case, out), cohort))
+        manifest = {**_base_metadata(args.seed), "kind": kind, "count": args.count,
+                    "subjects": [c.subject_id for c in cohort],
+                    **(finish(out, results) if finish else {})}
+        (out / "manifest.json").write_text(_json_text(manifest))
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # phantom
 
 
 def cmd_phantom(args) -> int:
-    workers = thread_count()
-    with _output_dir(args.out_dir) as out:
-        cohort = generate_cohort(args.count, args.seed)
+    def write_case(case, out):
+        write_nifti_file(case.volume, out / f"{case.subject_id}.nii.gz")
+        if args.write_brain_masks:
+            write_mask_file(case.brain, out / f"{case.subject_id}_brain.nii.gz")
+        record = {**_base_metadata(args.seed), "subject_id": case.subject_id,
+                  "geometry": case.geometry.to_json_dict()}
+        (out / f"{case.subject_id}.json").write_text(_json_text(record))
 
-        def write_case(case):
-            write_nifti_file(case.volume, out / f"{case.subject_id}.nii.gz")
-            if args.write_brain_masks:
-                write_mask_file(case.brain, out / f"{case.subject_id}_brain.nii.gz")
-            record = {**_base_metadata(args.seed), "subject_id": case.subject_id,
-                      "geometry": case.geometry.to_json_dict()}
-            (out / f"{case.subject_id}.json").write_text(_json_text(record))
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(write_case, cohort))
-        manifest = {**_base_metadata(args.seed), "kind": "phantom-cohort",
-                    "count": args.count,
-                    "subjects": [c.subject_id for c in cohort]}
-        (out / "manifest.json").write_text(_json_text(manifest))
-    return EXIT_OK
+    return _run_cohort(args, "phantom-cohort", write_case)
 
 
 # ---------------------------------------------------------------------------
@@ -328,38 +336,25 @@ def cmd_demo(args) -> int:
     if args.downsample > min(dims):
         raise ValueError(f"--downsample {args.downsample} exceeds the phantoms' "
                          f"{min(dims)} voxels")
-    workers = thread_count()
-    with _output_dir(args.out_dir) as out:
-        return _run_demo(args, config, workers, out)
 
+    def finish(out, results):
+        masd_rows = [row for rows, _ in results for row in rows]
+        with open(out / "masd.csv", "w", newline="") as fh:
+            _write_csv(fh, MASD_HEADER, [[sid, method, _fmt(d)] for sid, method, d in masd_rows])
+        with open(out / "quality.csv", "w", newline="") as fh:
+            _write_csv(fh, QUALITY_HEADER, [row for _, rows in results for row in rows])
+        return {
+            "buffer_mm": args.buffer_mm,
+            "n_boot": args.boot,
+            "sampler_config": config.to_json_dict(),
+            "masd_cells": _summary_cells(masd_rows, args.boot, args.seed),
+            "files": sorted(p.name for p in out.iterdir() if p.name != "manifest.json"),
+        }
 
-def _run_demo(args, config, workers, out) -> int:
-    cohort = generate_cohort(args.count, args.seed)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(
-            pool.map(lambda c: _demo_subject(c, out, config, args.buffer_mm), cohort)
-        )
-
-    masd_rows = [row for rows, _ in results for row in rows]
-    with open(out / "masd.csv", "w", newline="") as fh:
-        _write_csv(fh, MASD_HEADER, [[sid, method, _fmt(d)] for sid, method, d in masd_rows])
-    with open(out / "quality.csv", "w", newline="") as fh:
-        _write_csv(fh, QUALITY_HEADER, [row for _, rows in results for row in rows])
-
-    manifest = {
-        **_base_metadata(args.seed),
-        "kind": "demo-run",
-        "count": args.count,
-        "buffer_mm": args.buffer_mm,
-        "n_boot": args.boot,
-        "sampler_config": config.to_json_dict(),
-        "masd_cells": _summary_cells(masd_rows, args.boot, args.seed),
-        "subjects": [c.subject_id for c in cohort],
-        "files": sorted(p.name for p in out.iterdir() if p.name != "manifest.json"),
-    }
-    (out / "manifest.json").write_text(_json_text(manifest))
-    return EXIT_OK
+    # _demo_subject is looked up per call, so a wrapper set on the module applies
+    return _run_cohort(args, "demo-run",
+                       lambda case, out: _demo_subject(case, out, config, args.buffer_mm),
+                       finish)
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +369,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"refaudit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("phantom", help="generate a phantom cohort")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=nonnegative_int, default=0)
+    boot = argparse.ArgumentParser(add_help=False)
+    boot.add_argument("--boot", type=positive_int, default=1000)
+
+    p = sub.add_parser("phantom", parents=[seed], help="generate a phantom cohort")
     p.add_argument("out_dir")
     p.add_argument("-n", "--count", type=positive_int, default=3)
-    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--write-brain-masks", action="store_true")
     p.set_defaults(func=cmd_phantom)
 
-    p = sub.add_parser("masd", help="face surface distance (single pair or cohort table)")
+    p = sub.add_parser("masd", parents=[seed, boot],
+                       help="face surface distance (single pair or cohort table)")
     p.add_argument("original", nargs="?")
     p.add_argument("candidate", nargs="?")
     p.add_argument("--subject-id", default="subject")
@@ -390,12 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", help="CSV of subject_id,method,masd_mm to aggregate")
     p.add_argument("--compare", nargs=2, metavar=("A", "B"),
                    help="Wilcoxon on per-subject paired distances of two methods")
-    p.add_argument("--boot", type=positive_int, default=1000)
-    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--summary", help="write a JSON summary here")
     p.set_defaults(func=cmd_masd)
 
-    p = sub.add_parser("quality", help="masked PSNR/SSIM report")
+    p = sub.add_parser("quality", parents=[seed, boot], help="masked PSNR/SSIM report")
     p.add_argument("original", nargs="?")
     p.add_argument("defaced", nargs="?")
     p.add_argument("refaced", nargs="?")
@@ -403,30 +401,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="changed-area mask NIfTI (repeatable; intersection is used)")
     p.add_argument("--subject-id", default="subject")
     p.add_argument("--table", help="CSV of per-subject quality rows to aggregate")
-    p.add_argument("--boot", type=positive_int, default=1000)
-    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--summary", help="write a JSON summary here")
     p.set_defaults(func=cmd_quality)
 
-    p = sub.add_parser("correlate", help="prediction-vs-residual correlation report")
+    p = sub.add_parser("correlate", parents=[seed, boot],
+                       help="prediction-vs-residual correlation report")
     p.add_argument("observations")
     p.add_argument("predictions")
-    p.add_argument("--boot", type=positive_int, default=1000)
-    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(func=cmd_correlate)
 
-    p = sub.add_parser("demo", help="end-to-end phantom walkthrough")
+    p = sub.add_parser("demo", parents=[seed, boot], help="end-to-end phantom walkthrough")
     p.add_argument("out_dir")
     p.add_argument("-n", "--count", type=positive_int, default=10)
-    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--buffer-mm", type=nonnegative_float, default=DEFAULT_BUFFER_MM)
     p.add_argument("--downsample", type=int, default=2)
     p.add_argument("--slab-size", type=int, default=8)
     p.add_argument("--overlap", type=int, default=4)
     p.add_argument("--eta", type=float, default=0.0)
     p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--boot", type=positive_int, default=1000)
     p.set_defaults(func=cmd_demo)
 
     return parser

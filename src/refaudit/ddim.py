@@ -25,6 +25,7 @@ arrays; geometry-carrying volumes enter only at the cascade boundary.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
@@ -255,8 +256,11 @@ class CascadeConfig:
         if not 1 <= self.sample_steps <= T_STEPS:
             raise ValueError(f"need 1 <= sample_steps <= t_steps, got "
                              f"sample_steps={self.sample_steps}, t_steps={T_STEPS}")
-        if not all(f > 0 for f in self.downsample_factor):
-            raise ValueError(f"downsample factors must be positive, got {self.downsample_factor}")
+        factor = self.downsample_factor
+        if not (np.shape(factor) == (3,)
+                and all(isinstance(f, numbers.Integral) and f >= 1 for f in factor)):
+            raise ValueError("downsample factors must be positive integers, one per axis, "
+                             f"got {factor!r}")
 
     def to_json_dict(self) -> dict:
         return {"t_steps": T_STEPS, "beta_start": BETA_START, "beta_end": BETA_END,

@@ -212,6 +212,25 @@ def test_failing_demo_leaves_only_what_was_there(monkeypatch, tmp_path, capsys, 
     else:
         assert not out.exists()
 
+    # a phantom run whose second subject's volume write fails, after the
+    # first subject wrote its volume, brain mask and record
+    written = []
+
+    def fail_second_volume(vol, path):
+        written.append(Path(path).name)
+        if len(written) == 2:
+            raise OSError("disk full")
+        write_nifti_file(vol, path)
+
+    monkeypatch.setattr(cli, "write_nifti_file", fail_second_volume)
+    assert exit_code(["phantom", str(out), "-n", "2", "--write-brain-masks"]) == 3
+    assert "disk full" in capsys.readouterr().err
+    assert written == ["phantom-000.nii.gz", "phantom-001.nii.gz"]
+    if existing:
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+    else:
+        assert not out.exists()
+
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_huge_eta_exits_2_naming_eta(monkeypatch, tmp_path, capsys):
@@ -236,17 +255,24 @@ def test_clamped_tail_geometry_runs(monkeypatch, tmp_path):
 
 
 def test_demo_outputs_do_not_depend_on_the_thread_count(monkeypatch, tmp_path):
-    outputs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("REFAUDIT_THREADS", threads)
-        out = tmp_path / f"threads-{threads}"
-        rc, _ = run_cli(["demo", str(out), "-n", "2", "--steps", "2", "--boot", "50"])
-        assert rc == 0
-        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert len(outputs[0]) == 13  # 5 NIfTIs per subject, masd.csv, quality.csv, manifest.json
-    assert outputs[0].keys() == outputs[1].keys()
-    for name in outputs[0]:
-        assert outputs[0][name] == outputs[1][name], name
+    # phantom and demo share the cohort run; each must give the same bytes
+    for argv, n_files in [
+        (["demo", "-n", "2", "--steps", "2", "--boot", "50"],
+         13),  # 5 NIfTIs per subject, masd.csv, quality.csv, manifest.json
+        (["phantom", "-n", "2", "--write-brain-masks"],
+         7),  # a volume, a brain mask and a JSON record per subject, manifest.json
+    ]:
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("REFAUDIT_THREADS", threads)
+            out = tmp_path / f"{argv[0]}-threads-{threads}"
+            rc, _ = run_cli([argv[0], str(out), *argv[1:]])
+            assert rc == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(outputs[0]) == n_files
+        assert outputs[0].keys() == outputs[1].keys()
+        for name in outputs[0]:
+            assert outputs[0][name] == outputs[1][name], (argv[0], name)
 
 
 @pytest.mark.parametrize("command", ["phantom", "demo"])

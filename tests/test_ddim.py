@@ -35,6 +35,15 @@ from refaudit.stats import bootstrap_indices
 from refaudit.volume import BinaryMask, Volume3D, downsample, upsample_trilinear
 
 
+def load_moment_check():
+    """``scripts/sampler_moment_check.py`` imported as a module."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "sampler_moment_check.py"
+    spec = importlib.util.spec_from_file_location("sampler_moment_check", script)
+    check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check)
+    return check
+
+
 class TestSchedule:
     def test_single_step(self):
         sched = make_schedule(1, 0.5, 0.5)
@@ -232,21 +241,33 @@ class TestSample:
         assert abs(out.std(ddof=1) - expected_sd) < 4 * se_sd
 
     def test_moment_check_script_prints_the_recursion(self, capsys):
-        script = Path(__file__).resolve().parents[1] / "scripts" / "sampler_moment_check.py"
-        spec = importlib.util.spec_from_file_location("sampler_moment_check", script)
-        check = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(check)
+        check = load_moment_check()
         assert check.main(["--n", "200"]) == 0
         rows = [line.split() for line in capsys.readouterr().out.splitlines()
                 if line.split() and line.split()[0].isdigit()]
         exact = {(int(r[0]), float(r[1])): r[4] for r in rows}
         assert exact == {
-            (25, 0.0): "nan", (25, 1.0): "1.7864",
-            (50, 0.0): "nan", (50, 1.0): "1.8854",
-            (100, 0.0): "nan", (100, 1.0): "1.9402",
-            (250, 0.0): "nan", (250, 1.0): "1.9753",
-            (1000, 0.0): "nan", (1000, 1.0): "1.9937",
+            (25, 0.0): "1.8827", (25, 1.0): "1.7864",
+            (50, 0.0): "1.9404", (50, 1.0): "1.8854",
+            (100, 0.0): "1.9699", (100, 1.0): "1.9402",
+            (250, 0.0): "1.9878", (250, 1.0): "1.9753",
+            (1000, 0.0): "1.9969", (1000, 1.0): "1.9937",
         }
+
+    def test_moment_check_script_prints_each_row_once_with_its_exact_sd(self, capsys):
+        # --t 250 is the ladder's last count, and eta=0 has an exact SD too
+        check = load_moment_check()
+        assert check.main(["--n", "2", "--t", "250"]) == 0
+        out = capsys.readouterr().out
+        assert "nan" not in out
+        rows = [line.split() for line in out.splitlines()
+                if line.split() and line.split()[0].isdigit()]
+        keys = [(int(r[0]), float(r[1])) for r in rows]
+        assert keys == [(n, eta) for n in check.STEP_LADDER for eta in (0.0, 1.0)]
+        den = GaussianPosteriorDenoiser(3.0, 2.0, make_schedule(250))
+        for (n, eta), row in zip(keys, rows):
+            if eta == 0.0:
+                assert row[4] == f"{den.final_sd(uniform_steps(250, n), 0.0):9.4f}".strip()
 
     def test_non_finite_chain_raises_naming_eta(self):
         # sigma ~ 1e308 overflows sigma * z wherever |z| > ~2; the data-end
@@ -608,6 +629,15 @@ class TestCascade:
     def test_config_rejects_bad_sampler_settings(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             CascadeConfig(**kwargs)
+
+    @pytest.mark.parametrize("factor", [(2.5, 2.5, 2.5), 2, (2, 2), (0, 0, 0)])
+    def test_config_takes_three_integer_downsample_factors(self, factor):
+        # downsample would truncate 2.5 to 2 while the manifest recorded 2.5
+        with pytest.raises(ValueError, match="downsample factors must be positive"):
+            CascadeConfig(downsample_factor=factor)
+        assert CascadeConfig(downsample_factor=(2, 2, 2)).downsample_factor == (2, 2, 2)
+        numpy_ints = (np.int64(1), np.int32(2), np.uint8(3))
+        assert CascadeConfig(downsample_factor=numpy_ints).downsample_factor == numpy_ints
 
 
 class TestMirrorFill:
