@@ -123,9 +123,18 @@ def _fmt(x: float, decimals: int = 3) -> str:
     return f"{x:.{decimals}f}"
 
 
+def _json_scalar(value):
+    """A numpy scalar as the Python scalar it holds; nothing else is JSON."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _json_text(doc: dict) -> str:
-    """The layout of every JSON file refaudit writes."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The layout of every JSON file refaudit writes: strict JSON, so a
+    non-finite float raises rather than becoming ``Infinity`` or ``NaN``."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False,
+                      default=_json_scalar) + "\n"
 
 
 def _write_csv(fh, header, rows) -> None:
@@ -265,7 +274,9 @@ def cmd_quality(args) -> int:
     if args.summary:
         summary = {**_base_metadata(args.seed), "kind": "quality-report",
                    "masks_used": list(args.removed),
-                   "records": [rec.__dict__ for rec in records]}
+                   # strict JSON has no inf: a non-finite PSNR is its CSV cell's text
+                   "records": [{k: _fmt(v, 2) if isinstance(v, float) and not math.isfinite(v)
+                                else v for k, v in rec.__dict__.items()} for rec in records]}
         Path(args.summary).write_text(_json_text(summary))
     return EXIT_OK
 
@@ -415,11 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_dir")
     p.add_argument("-n", "--count", type=positive_int, default=10)
     p.add_argument("--buffer-mm", type=nonnegative_float, default=DEFAULT_BUFFER_MM)
-    p.add_argument("--downsample", type=int, default=2)
-    p.add_argument("--slab-size", type=int, default=8)
-    p.add_argument("--overlap", type=int, default=4)
-    p.add_argument("--eta", type=float, default=0.0)
-    p.add_argument("--steps", type=int, default=50)
+    p.add_argument("--downsample", type=int, default=CascadeConfig.downsample_factor[0])
+    p.add_argument("--slab-size", type=int, default=SlabSpec.size)
+    p.add_argument("--overlap", type=int, default=SlabSpec.overlap)
+    p.add_argument("--eta", type=float, default=CascadeConfig.eta)
+    p.add_argument("--steps", type=int, default=CascadeConfig.sample_steps)
     p.set_defaults(func=cmd_demo)
 
     return parser

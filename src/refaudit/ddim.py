@@ -25,7 +25,6 @@ arrays; geometry-carrying volumes enter only at the cascade boundary.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
@@ -35,6 +34,8 @@ from .volume import (
     BinaryMask,
     Volume3D,
     downsample,
+    frozen,
+    integer_factors,
     require_same_geometry,
     upsample_trilinear,
 )
@@ -64,8 +65,7 @@ class DiffusionSchedule:
             raise ValueError(
                 "alpha_bar must decrease strictly from alpha_bar[0] == 1 to alpha_bar[T] > 0"
             )
-        abar.setflags(write=False)
-        object.__setattr__(self, "alpha_bar", abar)
+        object.__setattr__(self, "alpha_bar", frozen(abar))
 
     @property
     def num_steps(self) -> int:
@@ -84,16 +84,11 @@ class DiffusionSchedule:
         return float(eta * np.sqrt((1.0 - q) / (1.0 - a)) * np.sqrt(1.0 - a / q))
 
 
-def make_schedule(T: int, beta_start: float = BETA_START,
-                  beta_end: float = BETA_END) -> DiffusionSchedule:
-    """Linear beta schedule with alpha_bar by cumulative product."""
+def make_schedule(T: int) -> DiffusionSchedule:
+    """T linear betas from BETA_START to BETA_END; alpha_bar by cumulative product."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    if not 0.0 < beta_start <= beta_end < 1.0:
-        raise ValueError(
-            f"need 0 < beta_start <= beta_end < 1, got [{beta_start}, {beta_end}]"
-        )
-    beta = np.linspace(beta_start, beta_end, T)
+    beta = np.linspace(BETA_START, BETA_END, T)
     return DiffusionSchedule(alpha_bar=np.concatenate([[1.0], np.cumprod(1.0 - beta)]))
 
 
@@ -256,11 +251,12 @@ class CascadeConfig:
         if not 1 <= self.sample_steps <= T_STEPS:
             raise ValueError(f"need 1 <= sample_steps <= t_steps, got "
                              f"sample_steps={self.sample_steps}, t_steps={T_STEPS}")
-        factor = self.downsample_factor
-        if not (np.shape(factor) == (3,)
-                and all(isinstance(f, numbers.Integral) and f >= 1 for f in factor)):
+        try:  # tuple() of one integer raises: one value per axis, not one for all
+            factor = integer_factors(tuple(self.downsample_factor))
+        except (TypeError, ValueError):
             raise ValueError("downsample factors must be positive integers, one per axis, "
-                             f"got {factor!r}")
+                             f"got {self.downsample_factor!r}") from None
+        object.__setattr__(self, "downsample_factor", factor)
 
     def to_json_dict(self) -> dict:
         return {"t_steps": T_STEPS, "beta_start": BETA_START, "beta_end": BETA_END,

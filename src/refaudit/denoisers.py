@@ -14,23 +14,14 @@ from .ddim import DiffusionSchedule
 from .volume import BinaryMask, Volume3D
 
 
-class DiracDenoiser:
-    """Always predicts a fixed clean signal; the sampler then returns it
-    exactly, regardless of seed."""
-
-    def __init__(self, x_star):
-        self.x_star = np.asarray(x_star, dtype=np.float64)
-
-    def __call__(self, x_t, t, condition):
-        return np.broadcast_to(self.x_star, np.shape(x_t))
-
-
 class GaussianPosteriorDenoiser:
-    """Exact posterior mean E[x0 | x_t] for scalar data x0 ~ N(mu, s^2) under
-    the forward process x_t = sqrt(abar) x0 + sqrt(1-abar) eps."""
+    """Exact posterior mean E[x0 | x_t] for data x0 ~ N(mu, s^2), ``mu`` a
+    scalar or an array shaped like x_t, under the forward process
+    x_t = sqrt(abar) x0 + sqrt(1-abar) eps. At ``s = 0`` the gain is exactly
+    0, so from a finite x_t the sampler returns ``mu`` bit for bit."""
 
-    def __init__(self, mu: float, s: float, schedule: DiffusionSchedule):
-        self.mu = float(mu)
+    def __init__(self, mu, s: float, schedule: DiffusionSchedule):
+        self.mu = np.asarray(mu, dtype=np.float64)
         self.s2 = float(s) ** 2
         self.schedule = schedule
 

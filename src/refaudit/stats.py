@@ -20,6 +20,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .errors import DegenerateInputError, FitError, JoinError
+from .volume import frozen
 
 ML_CRITERION = "maximum likelihood"
 WILCOXON_EXACT_MAX_N = 25
@@ -65,8 +66,7 @@ class ObservationTable:
         if not np.isin(sex, (0, 1)).all():
             raise ValueError("sex must be coded 0/1")
         for name, arr in (("subject_id", sid), ("visit", visit), ("age", age), ("sex", sex), ("y", y)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen(arr))
 
     def __len__(self) -> int:
         return len(self.subject_id)
@@ -488,8 +488,10 @@ def correlation_report(
         "n_rows": n,
         "seed": seed,
         "n_boot": n_boot,
+        # strict JSON has no inf: an exact fit's log-likelihood is the text "inf"
         "model": {"beta": list(fit.beta), "sigma_r2": fit.sigma_r2, "sigma_e2": fit.sigma_e2,
-                  "loglik": fit.loglik, "criterion": ML_CRITERION},
+                  "loglik": fit.loglik if math.isfinite(fit.loglik) else "inf",
+                  "criterion": ML_CRITERION},
         "methods": cells,
         "pairwise": pairwise,
         "conventions": dict(STATS_CONVENTIONS),

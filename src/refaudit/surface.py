@@ -22,7 +22,7 @@ from scipy.spatial import cKDTree
 from ._mc_tables import EDGE_ANCHORS, TRI_TABLE
 from .errors import DegenerateInputError
 from .masks import face_roi, head_mask
-from .volume import BinaryMask, Volume3D, require_same_geometry
+from .volume import BinaryMask, Volume3D, frozen, require_same_geometry
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,8 @@ class TriMesh:
             (t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 0] == t[:, 2])
         ).any():
             raise ValueError("degenerate (repeated-index) triangles")
-        v.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "triangles", t)
+        object.__setattr__(self, "vertices", frozen(v))
+        object.__setattr__(self, "triangles", frozen(t))
 
     @property
     def n_vertices(self) -> int:

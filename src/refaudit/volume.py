@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import gzip
 import math
+import numbers
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -50,16 +51,24 @@ def _check_geometry(data: np.ndarray, spacing, affine: np.ndarray):
         raise ValueError("affine is singular")
 
 
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` set read-only, as every immutable record holds its arrays. An
+    array that owns its memory is adopted without a copy (so the caller's
+    array becomes read-only); a writable view is copied, so no caller array
+    can change the record through its base."""
+    if arr.base is not None and arr.flags.writeable:
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class _Grid:
     """A voxel grid with spacing and a voxel-index -> world-mm affine.
 
     ``data`` is indexed ``[x, y, z]``; world coordinates follow RAS. Each
     subclass coerces its data in ``_coerce``; the geometry is then checked and
-    both arrays are set read-only. A coerced array that owns its memory is
-    adopted and frozen without a copy (so the caller's array becomes
-    read-only); a writable view is copied, so no caller array can change the
-    grid's data through its base. The affine is always copied.
+    both arrays are ``frozen``. The affine is always copied.
     """
 
     data: np.ndarray
@@ -68,15 +77,11 @@ class _Grid:
 
     def __post_init__(self):
         data = self._coerce(self.data)
-        if data.base is not None and data.flags.writeable:
-            data = data.copy()
         affine = np.array(self.affine, dtype=np.float64)
         spacing = tuple(float(s) for s in self.spacing)
         _check_geometry(data, spacing, affine)
-        data.setflags(write=False)
-        affine.setflags(write=False)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "affine", affine)
+        object.__setattr__(self, "data", frozen(data))
+        object.__setattr__(self, "affine", frozen(affine))
         object.__setattr__(self, "spacing", spacing)
 
     @property
@@ -346,13 +351,16 @@ def write_mask_file(mask: BinaryMask, path) -> None:
 # Resampling
 
 
-def _factor3(factor):
-    if np.isscalar(factor):
-        factor = (factor, factor, factor)
-    factor = tuple(int(f) for f in factor)
-    if len(factor) != 3 or any(f < 1 for f in factor):
-        raise ValueError(f"factor must be positive integers per axis, got {factor}")
-    return factor
+def integer_factors(factor) -> tuple:
+    """The per-axis resampling factors of ``factor``, one integer for all
+    three axes or three, each an integer >= 1 (numpy integers too), as Python
+    ints; anything else, 2.5 or 2.0 among it, raises."""
+    if isinstance(factor, numbers.Integral):
+        factor = (factor,) * 3
+    if not (np.shape(factor) == (3,)
+            and all(isinstance(f, numbers.Integral) and f >= 1 for f in factor)):
+        raise ValueError(f"factor must be one integer >= 1 or three, got {factor!r}")
+    return tuple(int(f) for f in factor)
 
 
 def downsample(vol: Volume3D, factor) -> Volume3D:
@@ -362,7 +370,7 @@ def downsample(vol: Volume3D, factor) -> Volume3D:
     pooling. Spacing is multiplied by the factor and the affine translation
     adjusted so block centers keep their original world positions.
     """
-    fx, fy, fz = _factor3(factor)
+    fx, fy, fz = integer_factors(factor)
     if (fx, fy, fz) == (1, 1, 1):
         return vol
     data = vol.data
@@ -408,7 +416,7 @@ def upsample_trilinear(vol: Volume3D, factor, z_range=None) -> Volume3D:
     result equals those slices of the full upsample bit for bit, and its
     affine maps index ``(0, 0, 0)`` to the full grid's ``(0, 0, z0)``.
     """
-    fx, fy, fz = _factor3(factor)
+    fx, fy, fz = integer_factors(factor)
     dims = tuple(d * f for d, f in zip(vol.dims, (fx, fy, fz)))
     z0, z1 = (0, dims[2]) if z_range is None else (int(z) for z in z_range)
     if not 0 <= z0 < z1 <= dims[2]:

@@ -46,7 +46,7 @@ import pytest
 import refaudit.stats as stats
 from refaudit.cli import main as cli_main
 from refaudit.ddim import SlabSpec, make_schedule, merge_slabs, sample, stage2_slabs, uniform_steps
-from refaudit.denoisers import DiracDenoiser, GaussianPosteriorDenoiser
+from refaudit.denoisers import GaussianPosteriorDenoiser
 from refaudit.deface import quickshear
 from refaudit.masks import head_mask, otsu_threshold
 from refaudit.phantom import generate_cohort
@@ -205,7 +205,8 @@ def test_criterion_05_ddim_gaussian_oracle():
 
     x_star = np.random.default_rng(7).standard_normal((32,))
     for seed in (0, 1, 99, 2**31):
-        got = sample(DiracDenoiser(x_star), None, schedule, steps, eta=1.0,
+        got = sample(GaussianPosteriorDenoiser(x_star, 0.0, schedule), None, schedule, steps,
+                     eta=1.0,
                      rng=np.random.default_rng(seed), shape=(32,))
         c.check(np.array_equal(got, x_star), f"Dirac not bitwise at seed {seed}")
     c.finish()

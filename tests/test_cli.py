@@ -21,11 +21,11 @@ import refaudit.cli as cli
 import refaudit.masks as masks
 import refaudit.stats as stats
 from refaudit.cli import main
-from refaudit.ddim import CascadeConfig
+from refaudit.ddim import CascadeConfig, SlabSpec
 from refaudit.deface import quickshear
 from refaudit.denoisers import mirror_fill
 from refaudit.masks import head_mask
-from refaudit.phantom import generate_cohort
+from refaudit.phantom import generate_cohort, generate_phantom
 from refaudit.quality import quality_report
 from refaudit.surface import face_distance_report
 from refaudit.errors import FormatError, GeometryMismatchError
@@ -124,6 +124,39 @@ def small_files(tmp_path_factory):
     write_nifti_file(defaced, paths["defaced"])
     write_mask_file(removed, paths["removed"])
     return paths
+
+
+@pytest.mark.parametrize("numpy_kwargs, python_kwargs", [
+    ({"seed": np.uint32(3)}, {"seed": 3}),
+    ({"sample_steps": np.int64(50)}, {"sample_steps": 50}),
+    ({"eta": np.float32(0.5)}, {"eta": 0.5}),
+    ({"slab": SlabSpec(np.int64(8), 4)}, {"slab": SlabSpec(8, 4)}),
+    ({"downsample_factor": (np.int64(2),) * 3}, {"downsample_factor": (2, 2, 2)}),
+], ids=["seed", "sample_steps", "eta", "slab", "downsample_factor"])
+def test_numpy_config_scalars_write_as_their_python_twins(numpy_kwargs, python_kwargs):
+    assert (cli._json_text(CascadeConfig(**numpy_kwargs).to_json_dict())
+            == cli._json_text(CascadeConfig(**python_kwargs).to_json_dict()))
+
+
+def test_numpy_phantom_dims_write_as_their_python_twins():
+    numpy_dims = replace(SMALL_PARAMS, dims=tuple(np.int64(d) for d in SMALL_PARAMS.dims))
+    assert (cli._json_text(generate_phantom(1, numpy_dims)[2].to_json_dict())
+            == cli._json_text(generate_phantom(1, SMALL_PARAMS)[2].to_json_dict()))
+
+
+@pytest.mark.parametrize("value, error", [(object(), TypeError), (math.inf, ValueError),
+                                          (np.float32(math.nan), ValueError)])
+def test_json_writer_rejects_what_strict_json_cannot_hold(value, error):
+    with pytest.raises(error):
+        cli._json_text({"value": value})
+
+
+def test_demo_sampler_flags_default_to_the_config_defaults():
+    args = cli.build_parser().parse_args(["demo", "out"])
+    config = CascadeConfig()
+    assert ((args.steps, args.eta, (args.downsample,) * 3, args.slab_size, args.overlap)
+            == (config.sample_steps, config.eta, config.downsample_factor, SlabSpec().size,
+                SlabSpec().overlap))
 
 
 def test_thread_cap_env_var(monkeypatch):
@@ -416,6 +449,21 @@ class TestQualityCommand:
         assert rows["refaced"]["ssim_head"] == "1.0000"
         assert rows["refaced"]["psnr_head"] == "inf"
 
+    def test_summary_of_an_exact_refacing_is_strict_json_with_inf_as_text(self, small_files,
+                                                                          tmp_path):
+        summary = tmp_path / "q.json"
+        rc, out = run_cli([
+            "quality", str(small_files["original"]), str(small_files["defaced"]),
+            str(small_files["original"]), "--removed", str(small_files["removed"]),
+            "--summary", str(summary),
+        ])
+        assert rc == 0
+        records = {r["image"]: r for r in json.loads(summary.read_text(),
+                                                     parse_constant=reject_nan)["records"]}
+        assert records["refaced"]["psnr_face"] == "inf" == csv_rows(out)[1]["psnr_face"]
+        assert records["refaced"]["psnr_head"] == "inf"
+        assert isinstance(records["defaced"]["psnr_face"], float)
+
     def test_deterministic_output(self, small_files):
         args = ["quality", str(small_files["original"]), str(small_files["defaced"]),
                 str(small_files["original"]), "--removed", str(small_files["removed"])]
@@ -500,6 +548,22 @@ class TestCorrelateCommand:
             ir.files("refaudit").joinpath("schemas/correlate_report.schema.json").read_text()
         )
         jsonschema.validate(json.loads(out), schema)
+
+    def test_exact_fit_report_is_strict_json_with_inf_as_text(self, tmp_path):
+        import importlib.resources as ir
+
+        import jsonschema
+
+        constant = {(f"s{i}", visit): "5" for i in range(6) for visit in range(2)}
+        obs, preds = write_correlate_inputs(tmp_path, 6, (0, 1), y=constant)
+        rc, out = run_cli(["correlate", obs, preds, "--boot", "20"])
+        assert rc == 0
+        doc = json.loads(out, parse_constant=reject_nan)
+        assert doc["model"]["loglik"] == "inf"
+        schema = json.loads(
+            ir.files("refaudit").joinpath("schemas/correlate_report.schema.json").read_text()
+        )
+        jsonschema.validate(doc, schema)
 
     def test_out_flag_writes_file(self, tmp_path):
         obs, preds = self.write_inputs(tmp_path)
@@ -996,10 +1060,9 @@ def cohort_argv(draw, out):
 
 
 def reject_nan(token):
-    """``parse_constant`` hook that fails on a NaN in JSON output."""
-    if token == "NaN":
-        raise AssertionError("JSON output holds NaN")
-    return float(token)
+    """``parse_constant`` hook that fails on NaN, Infinity or -Infinity in
+    JSON output, none of which strict JSON has."""
+    raise AssertionError(f"JSON output holds {token}")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

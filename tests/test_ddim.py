@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from refaudit.ddim import (
-    BETA_END,
     BETA_START,
     T_STEPS,
     CascadeConfig,
@@ -25,7 +24,6 @@ from refaudit.ddim import (
     uniform_steps,
 )
 from refaudit.denoisers import (
-    DiracDenoiser,
     GaussianPosteriorDenoiser,
     VolumeDenoiser,
     mirror_fill,
@@ -46,16 +44,16 @@ def load_moment_check():
 
 class TestSchedule:
     def test_single_step(self):
-        sched = make_schedule(1, 0.5, 0.5)
-        assert sched.alpha_bar.tolist() == [1.0, 0.5]
+        sched = make_schedule(1)
+        assert sched.alpha_bar.tolist() == [1.0, 1.0 - BETA_START]
 
     def test_alpha_bar_strictly_decreasing_in_unit_interval(self):
-        sched = make_schedule(100, 1e-3, 0.05)
+        sched = make_schedule(100)
         assert (np.diff(sched.alpha_bar) < 0).all()
         assert (sched.alpha_bar[1:] > 0).all() and (sched.alpha_bar[1:] < 1).all()
 
     def test_matches_running_product_recomputation(self):
-        sched = make_schedule(1000, 1e-4, 0.02)
+        sched = make_schedule(1000)
         acc = 1.0
         for t in range(1000):
             acc *= 1.0 - (1e-4 + (0.02 - 1e-4) * t / 999)
@@ -64,12 +62,12 @@ class TestSchedule:
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             make_schedule(0)
-        with pytest.raises(ValueError):
-            make_schedule(10, 0.0, 0.02)
-        with pytest.raises(ValueError):
-            make_schedule(10, 0.03, 0.02)
-        with pytest.raises(ValueError):
-            make_schedule(10, 0.01, 1.0)
+
+    def test_alpha_bar_built_from_a_view_does_not_change_through_its_base(self):
+        base = make_schedule(10).alpha_bar.copy()
+        sched = DiffusionSchedule(alpha_bar=base[:])
+        base[1] = 0.9
+        assert sched.alpha_bar[1] == 1.0 - BETA_START
 
     def test_sigma_zero_when_eta_zero_and_at_data_end(self):
         sched = make_schedule(100)
@@ -165,12 +163,23 @@ class TestSample:
         steps = uniform_steps(1000, 50)
         x_star = rng.standard_normal((16,))
         for seed in (0, 1, 12345):
-            out = sample(DiracDenoiser(x_star), None, sched, steps, eta=0.0,
-                         rng=np.random.default_rng(seed), shape=(16,))
+            out = sample(GaussianPosteriorDenoiser(x_star, 0.0, sched), None, sched, steps,
+                         eta=0.0, rng=np.random.default_rng(seed), shape=(16,))
             assert np.array_equal(out, x_star)
-            out = sample(DiracDenoiser(x_star), None, sched, steps, eta=1.0,
-                         rng=np.random.default_rng(seed), shape=(16,))
+            out = sample(GaussianPosteriorDenoiser(x_star, 0.0, sched), None, sched, steps,
+                         eta=1.0, rng=np.random.default_rng(seed), shape=(16,))
             assert np.array_equal(out, x_star)
+
+    def test_array_mean_runs_each_scalar_mean_chain_bitwise(self):
+        sched = make_schedule(1000)
+        steps = uniform_steps(1000, 50)
+        mu, x_init = np.array([3.0, -1.25]), np.array([0.7, -2.1])
+        both = sample(GaussianPosteriorDenoiser(mu, 2.0, sched), None, sched, steps, eta=0.0,
+                      x_init=x_init)
+        for i in range(2):
+            one = sample(GaussianPosteriorDenoiser(mu[i], 2.0, sched), None, sched, steps,
+                         eta=0.0, x_init=x_init[i : i + 1])
+            assert both[i : i + 1].tobytes() == one.tobytes()
 
     def test_eta_zero_is_bitwise_deterministic(self, rng):
         sched = make_schedule(200)
@@ -275,12 +284,13 @@ class TestSample:
         sched = make_schedule(1000)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match=r"DDIM chain at eta=1e\+308 ended in non-finite"):
-            sample(DiracDenoiser(np.zeros(1000)), None, sched, uniform_steps(1000, 2),
-                   eta=1e308, rng=np.random.default_rng(0), shape=(1000,))
+            sample(GaussianPosteriorDenoiser(np.zeros(1000), 0.0, sched), None, sched,
+                   uniform_steps(1000, 2), eta=1e308, rng=np.random.default_rng(0),
+                   shape=(1000,))
 
     def test_subsequence_validation(self, rng):
         sched = make_schedule(100)
-        den = DiracDenoiser(np.zeros(2))
+        den = GaussianPosteriorDenoiser(np.zeros(2), 0.0, sched)
         g = np.random.default_rng(0)
         with pytest.raises(ValueError):
             sample(den, None, sched, [], rng=g, shape=(2,))
@@ -397,7 +407,7 @@ class TestMergeSlabs:
 def full_tiling_cascade(defaced, removed, stage1, stage2, config):
     """The cascade as one chain per slab of the whole tiling, each slab i on
     its (seed, 1, i) stream, merged and composited inside ``removed``."""
-    schedule = make_schedule(T_STEPS, BETA_START, BETA_END)
+    schedule = make_schedule(T_STEPS)
     steps = uniform_steps(T_STEPS, config.sample_steps)
     low = downsample(defaced, config.downsample_factor)
     x_low = sample(stage1, {"defaced_lowres": low}, schedule, steps, eta=config.eta,
@@ -637,7 +647,9 @@ class TestCascade:
             CascadeConfig(downsample_factor=factor)
         assert CascadeConfig(downsample_factor=(2, 2, 2)).downsample_factor == (2, 2, 2)
         numpy_ints = (np.int64(1), np.int32(2), np.uint8(3))
-        assert CascadeConfig(downsample_factor=numpy_ints).downsample_factor == numpy_ints
+        stored = CascadeConfig(downsample_factor=numpy_ints).downsample_factor
+        assert stored == numpy_ints
+        assert all(type(f) is int for f in stored)
 
 
 class TestMirrorFill:

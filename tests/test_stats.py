@@ -138,6 +138,14 @@ class TestResidualize:
                              age=table.age, sex=table.sex, y=table.age.copy())
         assert np.allclose(residualize(t, self.make_fit((0.0, 1.0, 0.0))), 0.0)
 
+    def test_table_built_from_a_view_does_not_change_through_its_base(self, rng):
+        table = self.simple_table(rng, n=4)
+        b = np.arange(8.0).reshape(2, 4)
+        t = ObservationTable(subject_id=table.subject_id, visit=table.visit,
+                             age=table.age, sex=table.sex, y=b[0])
+        b[0, 1] = 99.0
+        assert t.y.tolist() == [0.0, 1.0, 2.0, 3.0]
+
     def test_matches_rowwise_hand_evaluation(self, rng):
         table = self.simple_table(rng)
         fit = self.make_fit((2.5, -0.25, 1.5))

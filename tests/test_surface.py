@@ -168,6 +168,14 @@ def grid_mesh(offset=0.0, n=10):
     return TriMesh(vertices=verts, triangles=np.zeros((0, 3), dtype=np.int64))
 
 
+def test_mesh_built_from_a_view_does_not_change_through_its_base():
+    base = np.zeros((2, 3, 3))
+    base[0] = np.eye(3)
+    mesh = TriMesh(vertices=base[0], triangles=np.array([[0, 1, 2]]))
+    base[0, 0, 0] = 5.0
+    assert mesh.vertices.tolist() == np.eye(3).tolist()
+
+
 class TestMasd:
     def test_identity_is_zero(self, rng):
         mesh = grid_mesh()

@@ -283,6 +283,24 @@ class TestDownsample:
             downsample(random_volume(rng, np.uint8), 0)
 
 
+class TestIntegerFactors:
+    @pytest.mark.parametrize("factor", [2.5, (2.9, 1, 1), (2, 2.0, 2), (2, 2), "2"])
+    def test_non_integer_factors_raise(self, rng, factor):
+        vol = random_volume(rng, np.float32)
+        for resample in (downsample, upsample_trilinear):
+            with pytest.raises(ValueError, match="factor must be one integer >= 1 or three"):
+                resample(vol, factor)
+
+    def test_numpy_integer_factors_give_the_python_int_volume(self, rng):
+        vol = make_volume(rng.standard_normal((6, 5, 4)))
+        for resample in (downsample, upsample_trilinear):
+            want = resample(vol, (2, 3, 1))
+            got = resample(vol, (np.int64(2), np.uint8(3), np.int32(1)))
+            assert got.data.tobytes() == want.data.tobytes()
+            assert got.spacing == want.spacing and np.array_equal(got.affine, want.affine)
+            assert resample(vol, np.int64(2)).data.tobytes() == resample(vol, 2).data.tobytes()
+
+
 class TestUpsample:
     def test_linear_field_reproduced_at_interior(self):
         nx, ny, nz = 5, 4, 6
