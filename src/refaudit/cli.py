@@ -152,6 +152,18 @@ def _summary_cells(rows, n_boot: int, seed: int) -> dict:
     return {key: c.summary.format() for key, c in bootstrap_cells(rows, n_boot, seed).items()}
 
 
+def _check_mode_flags(args, paths, table_only=(), pair_only=()) -> None:
+    """Reject, as an argument error, a flag the chosen mode would ignore:
+    positional ``paths`` or a ``pair_only`` flag with ``--table``, or a
+    ``table_only`` flag without it."""
+    if args.table and any(getattr(args, name) for name in paths):
+        raise ValueError("--table takes no positional paths")
+    for name in pair_only if args.table else table_only:
+        if getattr(args, name):
+            raise ValueError(f"--{name} does not apply with --table" if args.table
+                             else f"--{name} needs --table")
+
+
 def _quality_row(subject_id: str, rec) -> list:
     return [subject_id, rec.image, _fmt(rec.psnr_head, 2), _fmt(rec.psnr_face, 2),
             _fmt(rec.ssim_head, 4), _fmt(rec.ssim_face, 4)]
@@ -204,6 +216,8 @@ def _read_distance_table(path):
 
 
 def cmd_masd(args) -> int:
+    _check_mode_flags(args, ("original", "candidate"), table_only=("compare", "summary"),
+                      pair_only=("directed",))
     if args.table:
         cells = bootstrap_cells(_read_distance_table(args.table), args.boot, args.seed)
         rows = [["masd", method, "", len(values), _fmt(s.mean), _fmt(s.ci_low),
@@ -248,6 +262,7 @@ QUALITY_HEADER = ("subject_id", "image", *QUALITY_METRICS)
 
 
 def cmd_quality(args) -> int:
+    _check_mode_flags(args, ("original", "defaced", "refaced"), pair_only=("removed", "summary"))
     if args.table:
         table = read_csv_rows(args.table, QUALITY_HEADER, "quality")
         cells = {metric: bootstrap_cells([(r["subject_id"], r["image"], float(r[metric]))

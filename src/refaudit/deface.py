@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from .volume import BinaryMask, Volume3D, require_same_geometry
 
@@ -18,58 +19,50 @@ QUICKSHEAR_VERSION = "quickshear-v1"
 DEFAULT_BUFFER_MM = 10.0
 
 
-def _convex_hull_2d(points: np.ndarray) -> np.ndarray:
-    """Andrew's monotone chain; returns hull vertices in CCW order."""
-    pts = np.unique(points, axis=0)  # sorts lexicographically
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in pts[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return np.array(lower[:-1] + upper[:-1])
+def _hull_cycle(points: np.ndarray):
+    """qhull's convex hull of the 2D ``points``: its vertices in
+    counter-clockwise order, started at the lexicographically smallest one
+    so that the start, which ties in ``_shear_line`` follow, does not depend
+    on qhull. None when the points span no polygon (fewer than three distinct
+    points, or all on one line)."""
+    try:
+        hull = points[ConvexHull(points).vertices]
+    except QhullError:
+        return None
+    return np.roll(hull, -np.lexsort((hull[:, 1], hull[:, 0]))[0], axis=0)
 
 
-def _shear_line(hull: np.ndarray):
-    """Pick the supporting line of the hull's lower-anterior chain.
+def _shear_line(points: np.ndarray):
+    """Pick the supporting line of the lower-anterior chain of the convex
+    hull of ``points``.
 
     Coordinates are (y, z) world mm. Among hull edges whose outward normal
     points anterior-inferior (n_y > 0, n_z < 0), take the one closest in
-    angle to the 45-degree anterior-inferior diagonal. Degenerate hulls fall
-    back to the supporting line at the extreme vertex in that direction.
+    angle to the 45-degree anterior-inferior diagonal; of equal edges the
+    first from the cycle's start wins. Points that span no polygon and hulls
+    with no such edge fall back to the supporting line at the extreme point
+    in that direction.
 
     Returns (point, unit outward normal).
     """
     diag = np.array([1.0, -1.0]) / math.sqrt(2.0)
-    if len(hull) >= 3:
+    hull = _hull_cycle(points)
+    if hull is not None:
         best = None
         for i in range(len(hull)):
             p, q = hull[i], hull[(i + 1) % len(hull)]
             d = q - p
             n = np.array([d[1], -d[0]])  # outward for CCW polygons
-            norm = np.hypot(n[0], n[1])
-            if norm == 0:
-                continue
-            n = n / norm
+            n = n / np.hypot(n[0], n[1])
             if n[0] > 0 and n[1] < 0:
                 score = float(n @ diag)
                 if best is None or score > best[0]:
                     best = (score, p, n)
         if best is not None:
             return best[1], best[2]
-    # hull is a point/segment, or no anterior-inferior edge exists
-    scores = hull @ diag
-    return hull[int(np.argmax(scores))], diag
+        points = hull  # a tie goes to the first vertex in cycle order
+    scores = points @ diag
+    return points[int(np.argmax(scores))], diag
 
 
 def quickshear(
@@ -101,8 +94,7 @@ def quickshear(
     yz = (
         np.stack([idx[0], idx[1], idx[2]], axis=1) @ A[1:3, :3].T + A[1:3, 3]
     )
-    hull = _convex_hull_2d(yz)
-    point, normal = _shear_line(hull)
+    point, normal = _shear_line(yz)
     offset_point = point + buffer_mm * normal
 
     nx, ny, nz = vol.dims

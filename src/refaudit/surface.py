@@ -108,17 +108,11 @@ def marching_cubes(mask: BinaryMask) -> TriMesh:
     pts[np.arange(len(uniq)), axis] += 0.5
     vertices = pts @ mask.affine[:3, :3].T + mask.affine[:3, 3]
 
-    mesh = TriMesh(vertices=vertices, triangles=triangles)
-    if _signed_volume(mesh) < 0:
-        mesh = TriMesh(vertices=vertices, triangles=triangles[:, ::-1])
-    return mesh
-
-
-def _signed_volume(mesh: TriMesh) -> float:
-    a = mesh.vertices[mesh.triangles[:, 0]]
-    b = mesh.vertices[mesh.triangles[:, 1]]
-    c = mesh.vertices[mesh.triangles[:, 2]]
-    return float(np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0)
+    # the case table winds every surface inward in index space, and a
+    # right-handed affine keeps that winding, so turn it outward
+    if np.linalg.det(mask.affine[:3, :3]) > 0:
+        triangles = triangles[:, ::-1]
+    return TriMesh(vertices=vertices, triangles=triangles)
 
 
 def masd(a: TriMesh, b: TriMesh, directed: bool = False) -> float:

@@ -54,9 +54,9 @@ def _check_geometry(data: np.ndarray, spacing, affine: np.ndarray):
 def frozen(arr: np.ndarray) -> np.ndarray:
     """``arr`` set read-only, as every immutable record holds its arrays. An
     array that owns its memory is adopted without a copy (so the caller's
-    array becomes read-only); a writable view is copied, so no caller array
-    can change the record through its base."""
-    if arr.base is not None and arr.flags.writeable:
+    array becomes read-only); every view is copied, read-only or not, so no
+    caller array can change the record through its base."""
+    if arr.base is not None:
         arr = arr.copy()
     arr.setflags(write=False)
     return arr

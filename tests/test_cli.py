@@ -1139,3 +1139,35 @@ class TestExitCodeContract:
                            "--removed", paths["removed"]])
         assert rc == 2
         assert err.getvalue().startswith("refaudit: PSNR peak (the reference maximum) is 0")
+
+
+# (argv, the flag the error names); A, B, C, T and X are never created
+MODE_FLAG_CASES = [
+    (["masd", "A", "B", "--summary", "S", "--compare", "a", "b", "--boot", "5"], "--compare"),
+    (["masd", "A", "B", "--summary", "S"], "--summary"),
+    (["masd", "A", "B", "--compare", "a", "b"], "--compare"),
+    (["masd", "--table", "T", "--directed"], "--directed"),
+    (["masd", "A", "--table", "T", "--summary", "S"], "--table"),
+    (["quality", "--table", "T", "--summary", "S", "--removed", "X"], "--removed"),
+    (["quality", "--table", "T", "--summary", "S"], "--summary"),
+    (["quality", "--table", "T", "--removed", "X"], "--removed"),
+    (["quality", "A", "B", "C", "--table", "T"], "--table"),
+]
+
+
+class TestModeFlags:
+    """``masd`` and ``quality`` each have a pair mode and a ``--table`` mode;
+    a flag the chosen mode would ignore exits 2 naming it, before any input
+    is read and without writing the summary."""
+
+    @pytest.mark.parametrize("argv, flag", MODE_FLAG_CASES,
+                             ids=[" ".join(argv) for argv, _ in MODE_FLAG_CASES])
+    def test_flag_the_mode_ignores_exits_2(self, tmp_path, monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()) as out, redirect_stderr(err):
+            rc = main(argv)
+        assert rc == 2
+        assert err.getvalue().startswith(f"refaudit: {flag} ")
+        assert out.getvalue() == ""
+        assert list(tmp_path.iterdir()) == []

@@ -4,17 +4,30 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from refaudit.deface import quickshear
+from refaudit.deface import _hull_cycle, _shear_line, quickshear
 from refaudit.errors import GeometryMismatchError
 from refaudit.masks import head_mask
+from refaudit.volume import BinaryMask
+
+DIAG = np.array([1.0, -1.0]) / math.sqrt(2.0)
+
+
+def brain_projection(vol, brain):
+    """Brain voxel centres on the (y, z) world plane, as quickshear projects them."""
+    A = vol.affine
+    return np.argwhere(brain.data) @ A[1:3, :3].T + A[1:3, 3]
+
+
+def cross(o, a, b):
+    """z of (a - o) x (b - o), rowwise over ``b``: positive when b is left of o->a."""
+    return (a[0] - o[0]) * (b[..., 1] - o[1]) - (a[1] - o[1]) * (b[..., 0] - o[0])
 
 
 def quickshear_oracle_removed(vol, brain):
     """Independent route: qhull for the sagittal hull, the same edge rule,
     then a voxel loop for the half-space membership."""
     A = vol.affine
-    idx = np.argwhere(brain.data)
-    yz = idx @ A[1:3, :3].T + A[1:3, 3]
+    yz = brain_projection(vol, brain)
     hull = ConvexHull(yz)
     verts = yz[hull.vertices]  # qhull returns CCW order in 2D
     diag = np.array([1.0, -1.0]) / math.sqrt(2.0)
@@ -103,3 +116,48 @@ class TestQuickshear:
         vol, brain, _ = small_phantom
         with pytest.raises(ValueError, match="buffer_mm must be finite and >= 0"):
             quickshear(vol, brain, buffer_mm=buffer_mm, head=small_head)
+
+
+class TestSagittalHull:
+    @pytest.mark.parametrize("phantom", ["small_phantom", "phantom_default"])
+    def test_hull_of_a_phantom_brain_projection(self, request, phantom):
+        vol, brain, _ = request.getfixturevalue(phantom)
+        points = brain_projection(vol, brain)
+        hull = _hull_cycle(points)
+        n = len(hull)
+        assert n >= 3
+        for i in range(n):
+            p, q, r = hull[i], hull[(i + 1) % n], hull[(i + 2) % n]
+            assert cross(p, q, r) > 0  # strictly convex, counter-clockwise
+            assert (cross(p, q, points) >= 0).all()  # every point inside edge p->q
+        assert tuple(hull[0]) == min(map(tuple, points.tolist()))
+        assert {tuple(v) for v in hull.tolist()} <= {tuple(v) for v in points.tolist()}
+
+    @pytest.mark.parametrize("voxels", [
+        [(5, 9, 7)],
+        [(5, 9, 7), (20, 9, 7)],  # two voxels, one projected point
+        [(5, 3, 7), (5, 9, 12)],
+        [(5, 3, 3), (5, 6, 6), (8, 9, 9), (5, 12, 12)],  # on the 45-degree line
+        [(5, 4, 10), (5, 8, 10), (5, 12, 10)],  # along y
+        [(5, 10, 4), (5, 10, 8), (5, 10, 12)],  # along z
+    ], ids=["1-point", "1-distinct", "2-point", "collinear-diagonal", "collinear-y",
+            "collinear-z"])
+    def test_degenerate_brain_takes_the_extreme_point_rule(self, small_phantom, small_head,
+                                                          voxels):
+        vol, _, _ = small_phantom
+        data = np.zeros(vol.dims, bool)
+        data[tuple(np.array(voxels).T)] = True
+        brain = BinaryMask.like(vol, data)
+        points = brain_projection(vol, brain)
+        assert _hull_cycle(points) is None
+        point, normal = _shear_line(points)
+        assert np.array_equal(normal, DIAG)
+        assert (point == points).all(axis=1).any()
+        assert point @ DIAG == pytest.approx((points @ DIAG).max(), abs=1e-9)
+
+        defaced, removed = quickshear(vol, brain, buffer_mm=4.0, head=small_head)
+        A = vol.affine
+        world = np.indices(vol.dims).reshape(3, -1).T @ A[1:3, :3].T + A[1:3, 3]
+        beyond = ((world - point) @ DIAG > 4.0).reshape(vol.dims)
+        assert np.array_equal(removed.data, beyond & small_head.data)
+        assert np.array_equal(defaced.data[brain.data], vol.data[brain.data])

@@ -125,6 +125,36 @@ class TestMarchingCubes:
         assert len(mesh.triangles) > 0
 
 
+def signed_volume(mesh):
+    """Volume enclosed by a closed mesh: positive when it winds outward."""
+    a, b, c = (mesh.vertices[mesh.triangles[:, i]] for i in range(3))
+    return np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0
+
+
+def random_affine(rng, handedness):
+    """A rotation, per-axis scale and shift, mirrored when ``handedness`` is -1."""
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    rotation = q * np.sign(np.diag(r))
+    if np.linalg.det(rotation) * handedness < 0:
+        rotation[:, 0] = -rotation[:, 0]
+    affine = np.eye(4)
+    affine[:3, :3] = rotation * rng.uniform(0.5, 3.0, 3)
+    affine[:3, 3] = rng.uniform(-50.0, 50.0, 3)
+    return affine
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("handedness", [1, -1], ids=["right-handed", "left-handed"])
+def test_mesh_winds_outward_under_any_affine(seed, handedness):
+    rng = np.random.default_rng(seed)
+    data = rng.random(tuple(rng.integers(3, 12, 3))) < rng.uniform(0.1, 0.7)
+    data[0, 0, 0], data[-1, -1, -1] = True, False  # nonempty and not full
+    affine = random_affine(rng, handedness)
+    assert np.sign(np.linalg.det(affine[:3, :3])) == handedness
+    mesh = marching_cubes(BinaryMask(data=data, spacing=(1, 1, 1), affine=affine))
+    assert signed_volume(mesh) > 0
+
+
 def ball_at(corner, n=40, radius=7.3, spacing=(1.0, 2.0, 0.5)):
     """A digitized ball in an n^3 grid, its 16^3 bounding cube at ``corner``."""
     data = np.zeros((n, n, n), bool)

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from refaudit.ddim import DiffusionSchedule
 from refaudit.errors import CorruptFileError, FormatError, UnsupportedDataTypeError
+from refaudit.stats import ObservationTable
+from refaudit.surface import TriMesh
 from refaudit.volume import (
     HEADER_SIZE,
     VOX_OFFSET,
@@ -467,6 +470,34 @@ class TestValidation:
         data = np.zeros((2, 2, 2), dtype=np.float64 if grid is Volume3D else bool)
         assert grid(data, (1, 1, 1), np.eye(4)).data is data
         assert not data.flags.writeable
+
+
+# record type -> (a writable base array, the record built on a view of it,
+# the field that holds the view)
+RECORDS = {
+    "Volume3D": (np.zeros((2, 2, 2)), lambda v: Volume3D(v, (1, 1, 1), np.eye(4)), "data"),
+    "BinaryMask": (np.zeros((2, 2, 2), bool), lambda v: BinaryMask(v, (1, 1, 1), np.eye(4)),
+                   "data"),
+    "DiffusionSchedule": (np.array([1.0, 0.9, 0.5]), DiffusionSchedule, "alpha_bar"),
+    "TriMesh": (np.eye(3), lambda v: TriMesh(v, [[0, 1, 2]]), "vertices"),
+    "ObservationTable": (np.array([0.5, 1.5]),
+                         lambda v: ObservationTable(["a", "b"], [0, 0], [40.0, 50.0], [0, 1], v),
+                         "y"),
+}
+
+
+@pytest.mark.parametrize("record", sorted(RECORDS))
+def test_read_only_view_is_copied_so_its_base_cannot_change_the_record(record):
+    base, build, field = RECORDS[record]
+    base = base.copy()
+    view = base[:]
+    view.setflags(write=False)
+    held = getattr(build(view), field)
+    before = held.copy()
+    flat = base.reshape(-1)
+    flat[-1] = not flat[-1]
+    assert np.array_equal(held, before)
+    assert base.flags.writeable
 
 
 class TestBoundingBox:
