@@ -17,7 +17,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DegenerateInputError, FitError, JoinError
 from .volume import frozen
@@ -253,19 +252,55 @@ def residualize(table: ObservationTable, fit: LmmFit) -> np.ndarray:
 # Rank statistics
 
 
-def spearman(x, y) -> float:
-    """Spearman rank correlation with average ranks for ties."""
+def rankdata(a) -> np.ndarray:
+    """Ranks 1..n of a 1D array, tied values sharing their average rank.
+    scipy's algorithm (stable argsort, then each value's run of equal sorted
+    values), so the ranks equal ``scipy.stats.rankdata``'s bit for bit on
+    NaN-free input; NaN must be rejected before."""
+    a = np.asarray(a)
+    order = np.argsort(a, kind="stable")
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.arange(order.size, dtype=np.intp)
+    ordered = a[order]
+    obs = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    dense = obs.cumsum()[inverse]
+    count = np.concatenate((np.flatnonzero(obs), [obs.size]))
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
+
+
+def _reject_nan(name: str, values: np.ndarray) -> None:
+    if np.isnan(values).any():
+        raise ValueError(f"{name} holds NaN")
+
+
+def spearman(x, y):
+    """Spearman rank correlation with average ranks for ties.
+
+    ``x`` is n values (returns a float) or a (k, n) array of k rows
+    (returns k floats, each bitwise ``spearman(x[i], y)``), so ``y`` is
+    ranked once for every row. DegenerateInputError if ``y`` or any row has
+    zero rank variance; ValueError on NaN.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1 or len(x) < 3:
-        raise ValueError("spearman needs two equal-length 1D arrays, n >= 3")
-    rx = rankdata(x)
+    if x.ndim not in (1, 2) or y.ndim != 1 or x.shape[-1] != len(y) or len(y) < 3:
+        raise ValueError("spearman needs a 1D y of n >= 3 values and an x of n values "
+                         "or of rows of n values")
+    _reject_nan("spearman x", x)
+    _reject_nan("spearman y", y)
     ry = rankdata(y)
-    if rx.std() == 0.0 or ry.std() == 0.0:
-        raise DegenerateInputError("zero rank variance")
-    rx = rx - rx.mean()
     ry = ry - ry.mean()
-    return float((rx @ ry) / math.sqrt((rx @ rx) * (ry @ ry)))
+    ryy = ry @ ry
+    centred = []
+    for row in np.atleast_2d(x):
+        rx = rankdata(row)
+        rx = rx - rx.mean()
+        centred.append((rx, rx @ rx))
+    # centred half-integer ranks are all 0 exactly when the ranks are constant
+    if ryy == 0.0 or any(rxx == 0.0 for _, rxx in centred):
+        raise DegenerateInputError("zero rank variance")
+    rhos = [float((rx @ ry) / math.sqrt(rxx * ryy)) for rx, rxx in centred]
+    return rhos if x.ndim == 2 else rhos[0]
 
 
 def wilcoxon_signed_rank(a, b) -> tuple:
@@ -276,12 +311,14 @@ def wilcoxon_signed_rank(a, b) -> tuple:
     difference and takes the top rank. Ties get average ranks. Exact p by
     sign-pattern dynamic programming for n <= 25, normal approximation with
     continuity (and tie) correction otherwise. Returns (W, p) where W is the
-    positive-rank sum.
+    positive-rank sum. NaN raises ValueError.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("wilcoxon needs two equal-length 1D arrays")
+    _reject_nan("wilcoxon a", a)
+    _reject_nan("wilcoxon b", b)
     differ = a != b
     d = a[differ] - b[differ]
     if len(d) == 0:
@@ -453,7 +490,6 @@ def correlation_report(
     keys = table.keys()
 
     methods = sorted(predictions)
-    aligned = {}
     for m in methods:
         missing = [k for k in keys if k not in predictions[m]]
         if missing:
@@ -462,10 +498,12 @@ def correlation_report(
                 f"{missing[:5]}{'...' if len(missing) > 5 else ''}",
                 missing_keys=missing,
             )
-        aligned[m] = np.array([predictions[m][k] for k in keys])
+    # one row per method, in sorted order; the reshape keeps (0, n) without methods
+    aligned = np.array([[predictions[m][k] for k in keys] for m in methods],
+                       dtype=np.float64).reshape(len(methods), len(keys))
 
     def rhos(idx):  # one resample of row indices, shared by every method
-        return [spearman(aligned[m][idx], resid[idx]) for m in methods]
+        return spearman(aligned[:, idx], resid[idx])
 
     n = len(table)
     replicates = dict(zip(methods, bootstrap_replicates(np.arange(n), rhos, n_boot, seed)))

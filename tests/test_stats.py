@@ -1,8 +1,13 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +24,7 @@ from refaudit.stats import (
     _design,
     _profile,
     fit_lmm,
+    rankdata,
     residualize,
     significance_stars,
     spearman,
@@ -177,6 +183,38 @@ def rank_oracle(values):
     return ranks
 
 
+class TestRankdata:
+    @staticmethod
+    def arrays():
+        """Seeded arrays of lengths 1..700: continuous, integer-valued with
+        many ties, and integer-valued with +-inf among them."""
+        rng = np.random.default_rng(20)
+        for n in [*range(1, 40), *rng.integers(40, 701, 60)]:
+            yield rng.standard_normal(n)
+            yield rng.integers(0, max(2, n // 8), n).astype(np.float64)
+            tied = rng.integers(-3, 4, n).astype(np.float64)
+            tied[rng.random(n) < 0.1] = np.inf
+            tied[rng.random(n) < 0.1] = -np.inf
+            yield tied
+
+    def test_bitwise_equal_to_scipy(self):
+        for a in self.arrays():
+            assert rankdata(a).tobytes() == scipy.stats.rankdata(a).tobytes(), a
+
+
+def test_importing_refaudit_does_not_load_scipy_stats():
+    """scipy.stats costs every refaudit process about half a second and
+    30 MiB of memory; the library must not import it."""
+    import refaudit
+
+    src = str(Path(refaudit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, refaudit, refaudit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 class TestSpearman:
     def test_monotone_is_one(self, rng):
         x = np.sort(rng.standard_normal(20))
@@ -211,6 +249,48 @@ class TestSpearman:
     def test_too_short_raises(self):
         with pytest.raises(ValueError):
             spearman([1.0, 2.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("x, y", [
+        ([1.0, 2.0, math.nan, 4.0], [1.0, 2.0, 3.0, 4.0]),
+        ([1.0, 2.0, 3.0, 4.0], [1.0, math.nan, 3.0, 4.0]),
+        ([[1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, math.nan]], [1.0, 2.0, 3.0, 4.0]),
+    ], ids=["x", "y", "one-row"])
+    def test_nan_raises(self, x, y):
+        with pytest.raises(ValueError, match="NaN"):
+            spearman(x, y)
+
+
+class TestSpearmanRows:
+    def test_each_row_bitwise_equals_the_one_row_call(self, rng):
+        for n in (3, 7, 60, 601):
+            y = rng.permutation(np.arange(n) % 20).astype(np.float64)
+            x = np.vstack([rng.standard_normal(n), rng.permutation(np.arange(n) % 4),
+                           rng.standard_normal(n) ** 3, -y])
+            rhos = spearman(x, y)
+            assert isinstance(rhos, list) and len(rhos) == len(x)
+            for row, rho in zip(x, rhos):
+                one = spearman(row, y)
+                assert type(rho) is type(one) is float
+                assert np.float64(rho).tobytes() == np.float64(one).tobytes()
+
+    def test_zero_variance_row_raises(self):
+        x = [[1.0, 2.0, 3.0, 4.0], [5.0, 5.0, 5.0, 5.0]]
+        with pytest.raises(DegenerateInputError):
+            spearman(x, [4.0, 1.0, 3.0, 2.0])
+
+    def test_zero_variance_y_raises(self):
+        with pytest.raises(DegenerateInputError):
+            spearman([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]], [2.0, 2.0, 2.0])
+
+    @pytest.mark.parametrize("x, y", [
+        (np.zeros((2, 5)), np.arange(4.0)),
+        (np.zeros((2, 2, 4)), np.arange(4.0)),
+        (np.arange(4.0).reshape(2, 2), np.arange(2.0)),
+        (np.arange(4.0), np.arange(4.0).reshape(2, 2)),
+    ], ids=["row-length", "3d-x", "n-below-3", "2d-y"])
+    def test_shape_errors_raise(self, x, y):
+        with pytest.raises(ValueError):
+            spearman(x, y)
 
 
 def wilcoxon_enumeration_p(diffs):
@@ -281,6 +361,15 @@ class TestWilcoxon:
     def test_too_few_nonzero_raises(self):
         with pytest.raises(ValueError):
             wilcoxon_signed_rank([1.0, 2, 3, 1, 1], [1.0, 2, 3, 0, 0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [6, 30], ids=["exact", "normal"])
+    @pytest.mark.parametrize("where", ["a", "b"])
+    def test_nan_raises(self, rng, n, where):
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        (a if where == "a" else b)[n // 2] = math.nan
+        with pytest.raises(ValueError, match="NaN"):
+            wilcoxon_signed_rank(a, b)
 
 
 class TestBootstrap:
@@ -448,6 +537,35 @@ class TestCorrelationReport:
         assert (entry["a"], entry["b"]) == ("defaced", "original")
         assert 0.0 <= entry["p"] <= 1.0
         assert entry["stars"] == significance_stars(entry["p"])
+
+    def test_tied_method_redraws_the_whole_replicate(self, rng):
+        """A method that is constant on a resample makes spearman undefined:
+        the replicate is redrawn for every method, and each method's rho is
+        the one-row spearman of the accepted resample."""
+        table = simulate_table(rng, n_subjects=12, n_visits=2)
+        resid = residualize(table, fit_lmm(table))
+        keys = table.keys()
+        hits = {keys[i] for i in rng.choice(len(keys), size=3, replace=False)}
+        preds = {"coarse": {k: float(k in hits) for k in keys},
+                 "dpm": {k: float(r + rng.normal(0.0, 2.0)) for k, r in zip(keys, resid)}}
+        report = correlation_report(preds, table, seed=4, n_boot=200)
+
+        columns = {m: np.array([preds[m][k] for k in keys]) for m in preds}
+        want = {m: [] for m in preds}
+        redraws = 0
+        for r in range(200):
+            for attempt in range(10):
+                idx = bootstrap_indices(len(keys), 4, r, attempt)
+                if columns["coarse"][idx].std() > 0:
+                    break
+                redraws += 1
+            for m in preds:
+                want[m].append(spearman(columns[m][idx], resid[idx]))
+        assert redraws > 0
+        for m in preds:
+            s = StatSummary.from_replicates(np.array(want[m]))
+            assert report["methods"][m]["rho_mean"] == s.mean
+            assert report["methods"][m]["ci"] == [s.ci_low, s.ci_high]
 
     def test_join_error_lists_missing_keys(self, rng):
         table, preds = self.table_and_predictions(rng, n=20)
