@@ -4,9 +4,9 @@ reports, the correlation report, and a self-contained end-to-end demo.
 Exit codes: 0 ok, 2 argument error, 3 I/O error, 4 geometry mismatch,
 5 join failure. Every command is deterministic given --seed; JSON outputs
 embed seed, configuration, and tool version. CSV output is locale
-independent (period decimal separator, no grouping). Multi-subject work
-fans out across threads (capped by REFAUDIT_THREADS); rows keep input
-order regardless of completion order.
+independent (period decimal separator, no grouping). Multi-subject work,
+and each refacing's stage-2 slabs, fan out across threads (together capped
+by REFAUDIT_THREADS); rows keep input order regardless of completion order.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ddim import CascadeConfig, SlabSpec, cascade_reface, stage2_slabs
+from .ddim import CascadeConfig, SlabSpec, cascade_reface, stage2_slabs, thread_count
 from .deface import DEFAULT_BUFFER_MM, QUICKSHEAR_VERSION, quickshear
 from .denoisers import VolumeDenoiser, mirror_fill
 from .errors import FormatError, GeometryMismatchError, JoinError
@@ -56,16 +55,6 @@ CONVENTIONS = {
     **QUALITY_CONVENTIONS,
     **STATS_CONVENTIONS,
 }
-
-
-def thread_count() -> int:
-    cap = os.environ.get("REFAUDIT_THREADS")
-    if cap:
-        try:
-            return max(1, int(cap))
-        except ValueError:
-            raise ValueError(f"REFAUDIT_THREADS must be an integer, got {cap!r}") from None
-    return min(os.cpu_count() or 1, 8)
 
 
 def positive_int(text: str) -> int:
@@ -316,7 +305,7 @@ def cmd_correlate(args) -> int:
 # demo
 
 
-def _demo_subject(case, out, config, buffer_mm):
+def _demo_subject(case, out, config, buffer_mm, slab_workers=None):
     vol, brain = case.volume, case.brain
     head = head_mask(vol)
     defaced, removed = quickshear(vol, brain, buffer_mm=buffer_mm, head=head)
@@ -325,11 +314,13 @@ def _demo_subject(case, out, config, buffer_mm):
                          "to remove, so there is nothing to reface or score")
 
     oracle_low = VolumeDenoiser(downsample(vol, config.downsample_factor))
-    refaced_oracle = cascade_reface(defaced, removed, oracle_low, VolumeDenoiser(vol), config)
+    refaced_oracle = cascade_reface(defaced, removed, oracle_low, VolumeDenoiser(vol), config,
+                                    slab_workers)
 
     filled = mirror_fill(defaced, removed)
     stub_low = VolumeDenoiser(downsample(filled, config.downsample_factor))
-    refaced_stub = cascade_reface(defaced, removed, stub_low, VolumeDenoiser(filled), config)
+    refaced_stub = cascade_reface(defaced, removed, stub_low, VolumeDenoiser(filled), config,
+                                  slab_workers)
 
     sid = case.subject_id
     write_nifti_file(vol, out / f"{sid}_original.nii.gz")
@@ -377,9 +368,14 @@ def cmd_demo(args) -> int:
             "files": sorted(p.name for p in out.iterdir() if p.name != "manifest.json"),
         }
 
+    # the cohort pool runs min(cap, n) subjects at once; each subject's
+    # stage-2 slabs share what is left of the thread cap
+    cap = thread_count()
+    slab_workers = cap // min(cap, args.count)
     # _demo_subject is looked up per call, so a wrapper set on the module applies
     return _run_cohort(args, "demo-run",
-                       lambda case, out: _demo_subject(case, out, config, args.buffer_mm),
+                       lambda case, out: _demo_subject(case, out, config, args.buffer_mm,
+                                                       slab_workers),
                        finish)
 
 

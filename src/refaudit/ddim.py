@@ -25,6 +25,8 @@ arrays; geometry-carrying volumes enter only at the cascade boundary.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
@@ -100,31 +102,62 @@ def uniform_steps(T: int, n: int) -> list:
     return seq
 
 
+def thread_count() -> int:
+    """The process's thread budget: ``REFAUDIT_THREADS`` if set, else the
+    CPU count up to 8. The cohort pool of the CLI and the stage-2 slab
+    workers of ``cascade_reface`` share it."""
+    cap = os.environ.get("REFAUDIT_THREADS")
+    if cap:
+        try:
+            return max(1, int(cap))
+        except ValueError:
+            raise ValueError(f"REFAUDIT_THREADS must be an integer, got {cap!r}") from None
+    return min(os.cpu_count() or 1, 8)
+
+
 def ddim_step(x_t, t: int, t_prev: int, x0_pred, schedule: DiffusionSchedule,
-              eta: float = 0.0, rng=None):
-    """One x0-parameterized DDIM update from step t to t_prev."""
+              eta: float = 0.0, rng=None, out=None):
+    """One x0-parameterized DDIM update from step t to t_prev, returned in a
+    new array, or written into ``out`` (a float64 array shaped like x_t,
+    which may be x_t itself) and returned."""
     sigma = schedule.sigma(t, t_prev, eta)
     x_t = np.asarray(x_t, dtype=np.float64)
     x0_pred = np.asarray(x0_pred, dtype=np.float64)
     if x0_pred.shape != x_t.shape:
         raise ValueError(f"x0_pred shape {x0_pred.shape} != x_t shape {x_t.shape}")
+    if out is not None and (out.shape != x_t.shape or out.dtype != np.float64):
+        raise ValueError(f"out must be a float64 array of shape {x_t.shape}")
+    if sigma > 0.0 and rng is None:
+        raise ValueError("eta > 0 requires an rng")
     a = schedule.alpha_bar[t]
     q = schedule.alpha_bar[t_prev]
     c_x = math.sqrt(max(1.0 - q - sigma * sigma, 0.0)) / math.sqrt(1.0 - a)
     c_0 = math.sqrt(q) - c_x * math.sqrt(a)
-    out = c_x * x_t
-    out += c_0 * x0_pred
+    # x0_pred may be a view of x_t, and out may be x_t: read it first. The
+    # noise fills tmp in memory order, so tmp is C-ordered whatever x0_pred is
+    tmp = np.multiply(c_0, x0_pred, order="C")
+    if out is None:
+        out = c_x * x_t
+    else:
+        np.multiply(x_t, c_x, out=out)
+    out += tmp
     if sigma > 0.0:
-        if rng is None:
-            raise ValueError("eta > 0 requires an rng")
-        out += sigma * rng.standard_normal(x_t.shape)
+        rng.standard_normal(out=tmp)
+        tmp *= sigma
+        out += tmp
     return out
 
 
 def sample(denoiser: Denoiser, condition, schedule: DiffusionSchedule, steps,
-           eta: float = 0.0, rng=None, shape=None, x_init=None) -> np.ndarray:
+           eta: float = 0.0, rng=None, shape=None, x_init=None, out=None) -> np.ndarray:
     """Run the DDIM chain along ``steps`` (strictly decreasing, ending at the
-    data end 0), starting from standard normal noise (or ``x_init``)."""
+    data end 0), starting from standard normal noise of ``shape`` (or a copy
+    of ``x_init``, which is never changed).
+
+    The chain lives in one array, ``out`` if given (a C-contiguous float64
+    array, whose shape is the chain's), and every step updates it in place. So the
+    ``x_t`` a denoiser is called with changes after the call returns: a
+    denoiser must not keep it, or a view of it, past its call."""
     steps = [int(s) for s in steps]
     if len(steps) < 2:
         raise ValueError("step subsequence must contain at least one jump")
@@ -136,16 +169,28 @@ def sample(denoiser: Denoiser, condition, schedule: DiffusionSchedule, steps,
         raise ValueError(f"first step {steps[0]} exceeds schedule T={schedule.num_steps}")
 
     if x_init is not None:
-        x = np.asarray(x_init, dtype=np.float64)
+        x_init = np.asarray(x_init, dtype=np.float64)
+        shape = x_init.shape
+    elif rng is None or (shape is None and out is None):
+        raise ValueError("sampling from noise requires rng and shape")
+    if out is None:
+        x = np.empty(shape)
+    elif (out.dtype != np.float64 or not out.flags.c_contiguous or shape is not None
+          and out.shape != (tuple(shape) if np.iterable(shape) else (shape,))):
+        # the noise fills the chain in memory order, as a new array's would
+        raise ValueError(f"out must be a C-contiguous float64 array of the chain's shape, "
+                         f"got {out.dtype} {out.shape} for shape {shape}")
     else:
-        if rng is None or shape is None:
-            raise ValueError("sampling from noise requires rng and shape")
-        x = rng.standard_normal(shape)
+        x = out
+    if x_init is not None:
+        x[...] = x_init
+    else:
+        rng.standard_normal(out=x)
     # a huge eta can overflow the chain; the finiteness check below reports it
     # once, and errstate is thread-local, so it is set here, not by callers
     with np.errstate(over="ignore", invalid="ignore"):
         for t, t_prev in zip(steps[:-1], steps[1:]):
-            x = ddim_step(x, t, t_prev, denoiser(x, t, condition), schedule, eta=eta, rng=rng)
+            ddim_step(x, t, t_prev, denoiser(x, t, condition), schedule, eta=eta, rng=rng, out=x)
     if not np.isfinite(x).all():
         raise ValueError(f"the DDIM chain at eta={eta} ended in non-finite values")
     return x
@@ -277,6 +322,7 @@ def cascade_reface(
     stage1: Denoiser,
     stage2: Denoiser,
     config: CascadeConfig = CascadeConfig(),
+    slab_workers: int | None = None,
 ) -> Volume3D:
     """Two-stage refacing: a 3D low-resolution imputation pass conditioned on
     the downsampled defaced image, then slab-wise super-resolution
@@ -298,8 +344,17 @@ def cascade_reface(
     tiling draws from its own RNG stream (seed, 1, i) whichever slabs are
     sampled, so the merged result is invariant to slab completion order and
     every sampled chain is the one a full pass would draw.
+
+    The sampled slabs' chains run on ``slab_workers`` threads (default
+    ``thread_count()``, and never more than there are sampled slabs), so
+    ``stage2`` is called concurrently from several threads and must be
+    thread-safe; a pure function is. The output is bitwise the same for any
+    worker count. A caller that already runs cascades in parallel passes
+    its share of the thread budget.
     """
     require_same_geometry(defaced, removed, "defaced volume and removed mask")
+    if slab_workers is not None and slab_workers < 1:
+        raise ValueError(f"slab_workers must be >= 1, got {slab_workers}")
     schedule = make_schedule(T_STEPS)
     steps = uniform_steps(T_STEPS, config.sample_steps)
     ranges = stage2_slabs(defaced.dims[2], config.slab)
@@ -317,19 +372,30 @@ def cascade_reface(
     up = upsample_trilinear(low.with_data(x_low), config.downsample_factor, (zlo, zhi))
     up_data = up.data[: defaced.dims[0], : defaced.dims[1]]
 
+    # the chains are allocated here, not in the workers: memory a worker
+    # thread allocates comes from its own malloc arena, which raises peak RSS
     slab_out = [None] * len(ranges)
     for i in sampled:
+        z0, z1 = ranges[i]
+        slab_out[i] = np.empty((defaced.dims[0], defaced.dims[1], z1 - z0))
+
+    def run_slab(i):
         z0, z1 = ranges[i]
         cond2 = {
             "defaced": defaced.data[:, :, z0:z1],
             "upsampled": up_data[:, :, z0 - zlo : z1 - zlo],
             "slab_range": (z0, z1),
         }
-        slab_out[i] = sample(
-            stage2, cond2, schedule, steps, eta=config.eta,
-            rng=_stage_rng(config.seed, 1, i),
-            shape=(defaced.dims[0], defaced.dims[1], z1 - z0),
-        )
+        sample(stage2, cond2, schedule, steps, eta=config.eta,
+               rng=_stage_rng(config.seed, 1, i), out=slab_out[i])
+
+    workers = min(thread_count() if slab_workers is None else slab_workers, len(sampled))
+    if workers == 1:
+        for i in sampled:
+            run_slab(i)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run_slab, sampled))  # reading every result re-raises a failure
     merged = merge_slabs(slab_out, defaced.dims[2], config.slab)
     composite = np.where(removed.data, merged, defaced.data)
     return defaced.with_data(composite)

@@ -87,14 +87,18 @@ class ObservationTable:
 
 def read_csv_rows(path, required, kind: str) -> list:
     """Rows of a CSV file as dicts; ValueError naming the missing columns
-    unless the header has every column in ``required``. A short row's missing
-    fields read as "", which no number parser accepts."""
+    unless the header has every column in ``required``, and ValueError naming
+    the file if it has no data row. A short row's missing fields read as "",
+    which no number parser accepts."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh, restval="")
         missing = set(required) - set(reader.fieldnames or ())
         if missing:
             raise ValueError(f"{kind} CSV missing columns: {sorted(missing)}")
-        return list(reader)
+        rows = list(reader)
+    if not rows:
+        raise ValueError(f"{kind} CSV {path} has no data rows")
+    return rows
 
 
 def read_predictions_csv(path) -> dict:

@@ -115,6 +115,14 @@ def marching_cubes(mask: BinaryMask) -> TriMesh:
     return TriMesh(vertices=vertices, triangles=triangles)
 
 
+def _nearest_tree(points) -> cKDTree:
+    """A k-d tree for exact nearest-vertex queries. Sliding-midpoint splits
+    without node compaction build faster and, for queries near a dense
+    surface, visit fewer leaves than the default median-balanced tree; an
+    exact query (eps=0) returns the same distances on any tree."""
+    return cKDTree(points, balanced_tree=False, compact_nodes=False)
+
+
 def masd(a: TriMesh, b: TriMesh, directed: bool = False) -> float:
     """Mean absolute surface distance between two meshes, in mm.
 
@@ -125,11 +133,11 @@ def masd(a: TriMesh, b: TriMesh, directed: bool = False) -> float:
     """
     if a.n_vertices == 0 or b.n_vertices == 0:
         raise ValueError("masd requires nonempty meshes")
-    d_ab = cKDTree(b.vertices).query(a.vertices)[0]
+    d_ab = _nearest_tree(b.vertices).query(a.vertices)[0]
     mean_ab = math.fsum(d_ab) / len(d_ab)
     if directed:
         return mean_ab
-    d_ba = cKDTree(a.vertices).query(b.vertices)[0]
+    d_ba = _nearest_tree(a.vertices).query(b.vertices)[0]
     mean_ba = math.fsum(d_ba) / len(d_ba)
     return 0.5 * (mean_ab + mean_ba)
 

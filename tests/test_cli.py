@@ -1129,6 +1129,34 @@ class TestExitCodeContract:
             contract_run(["quality", paths["original"], paths["defaced"], paths["refaced"],
                           "--removed", paths["removed"]])
 
+    @pytest.mark.parametrize("kind", ["observation", "prediction", "distance", "quality"])
+    def test_header_only_csv_exits_2_naming_the_file(self, tmp_path, kind):
+        # a header without data rows is no table to analyse, so no command
+        # may report on it; nothing goes to stdout, --summary or --out
+        def table(name, header, rows):
+            return write_csv(tmp_path / f"{name}.csv", header, [] if name == kind else rows)
+
+        report = tmp_path / "report.json"
+        if kind in ("observation", "prediction"):
+            argv = ["correlate",
+                    table("observation", OBSERVATION_HEADER,
+                          [[f"s{i}", 0, 50 + i, i % 2, 0.5 * i] for i in range(6)]),
+                    table("prediction", PREDICTION_HEADER,
+                          [[f"s{i}", 0, "a", 0.1 * i] for i in range(6)]),
+                    "--out", str(report)]
+        elif kind == "distance":
+            argv = ["masd", "--table", table(kind, DISTANCE_HEADER, []),
+                    "--summary", str(report)]
+        else:
+            argv = ["quality", "--table", table(kind, QUALITY_HEADER, [])]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()) as out, redirect_stderr(err):
+            rc = main(argv)
+        assert rc == 2
+        assert err.getvalue() == f"refaudit: {kind} CSV {tmp_path / kind}.csv has no data rows\n"
+        assert out.getvalue() == ""
+        assert not report.exists()
+
     def test_quality_zero_peak_original_exits_2_naming_the_peak(self, subject_bytes):
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +145,32 @@ class TestDdimStep:
         want = math.sqrt(q) * x0 + math.sqrt(1 - q - sigma**2) * eps + sigma * z
         assert np.allclose(got, want, atol=1e-12)
 
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    @pytest.mark.parametrize("pred", ["separate", "x_t itself", "view of x_t", "F-ordered"])
+    def test_out_equals_the_allocating_path(self, eta, pred):
+        # the chain's in-place update: out is x_t, and the prediction may
+        # alias it, reversed, so reading it after x_t changed would show; an
+        # F-ordered prediction must not reorder the noise
+        sched = make_schedule(100)
+        x_t = np.random.default_rng(3).standard_normal((6, 5))
+        predict = {"separate": lambda x: np.cos(x_t), "x_t itself": lambda x: x,
+                   "view of x_t": lambda x: x[::-1, ::-1],
+                   "F-ordered": lambda x: np.asfortranarray(np.cos(x_t))}[pred]
+        want = ddim_step(x_t, 60, 30, predict(x_t).copy(), sched, eta=eta,
+                         rng=np.random.default_rng(9))
+        x = x_t.copy()
+        got = ddim_step(x, 60, 30, predict(x), sched, eta=eta, rng=np.random.default_rng(9),
+                        out=x)
+        assert got is x
+        assert got.tobytes() == want.tobytes()
+        assert not np.array_equal(want, x_t)
+
+    def test_out_must_match_x_t(self):
+        sched = make_schedule(10)
+        for out in (np.zeros(3), np.zeros(2, np.float32)):
+            with pytest.raises(ValueError, match="out must be a float64 array of shape"):
+                ddim_step(np.zeros(2), 3, 1, np.zeros(2), sched, out=out)
+
     def test_step_order_validation(self):
         sched = make_schedule(10)
         with pytest.raises(ValueError):
@@ -180,6 +207,47 @@ class TestSample:
             one = sample(GaussianPosteriorDenoiser(mu[i], 2.0, sched), None, sched, steps,
                          eta=0.0, x_init=x_init[i : i + 1])
             assert both[i : i + 1].tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    def test_in_place_chain_equals_the_allocating_loop(self, eta):
+        # the loop of one new array per step is the reference; s > 0 makes
+        # every prediction read x_t
+        sched = make_schedule(1000)
+        steps = uniform_steps(1000, 20)
+        den = GaussianPosteriorDenoiser(1.5, 2.0, sched)
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((4, 3, 8))
+        for t, t_prev in zip(steps[:-1], steps[1:]):
+            x = ddim_step(x, t, t_prev, den(x, t, None), sched, eta=eta, rng=rng)
+        got = sample(den, None, sched, steps, eta=eta, rng=np.random.default_rng(11),
+                     shape=(4, 3, 8))
+        assert got.tobytes() == x.tobytes()
+        buf = np.empty((4, 3, 8))
+        got = sample(den, None, sched, steps, eta=eta, rng=np.random.default_rng(11), out=buf)
+        assert got is buf
+        assert got.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    def test_x_init_is_not_changed(self, eta):
+        sched = make_schedule(1000)
+        x_init = np.linspace(-2.0, 2.0, 9)
+        before = x_init.copy()
+        out = sample(GaussianPosteriorDenoiser(1.0, 2.0, sched), None, sched,
+                     uniform_steps(1000, 10), eta=eta, rng=np.random.default_rng(2),
+                     x_init=x_init)
+        assert x_init.tobytes() == before.tobytes()
+        assert not np.array_equal(out, before)
+
+    def test_out_must_fit_the_chain(self):
+        sched = make_schedule(100)
+        den = GaussianPosteriorDenoiser(0.0, 1.0, sched)
+        g = np.random.default_rng(0)
+        for kwargs in ({"shape": (3,), "out": np.empty(4)},
+                       {"x_init": np.zeros(3), "out": np.empty(4)},
+                       {"shape": (4,), "out": np.empty(4, np.float32)},
+                       {"out": np.empty((3, 4), order="F")}):
+            with pytest.raises(ValueError, match="out must be a C-contiguous float64 array"):
+                sample(den, None, sched, [50, 0], rng=g, **kwargs)
 
     def test_eta_zero_is_bitwise_deterministic(self, rng):
         sched = make_schedule(200)
@@ -466,9 +534,9 @@ def slab_cases(draw):
 
 class TestCascade:
     @given(case=slab_cases(), eta=st.sampled_from([0.0, 1.0]),
-           steps=st.integers(1, 4), seed=st.integers(0, 2**16))
+           steps=st.integers(1, 4), seed=st.integers(0, 2**16), workers=st.integers(1, 3))
     @settings(max_examples=100)
-    def test_equals_the_full_tiling_bitwise(self, case, eta, steps, seed):
+    def test_equals_the_full_tiling_bitwise(self, case, eta, steps, seed, workers):
         # predictions depend on x_t, so a slab on another noise stream, a
         # skipped slab that is read or a changed merge order would show
         spec, gone = case
@@ -486,8 +554,10 @@ class TestCascade:
             sampled.append(c["slab_range"])
             return c["upsampled"] + 0.05 * np.tanh(x)
 
-        out = cascade_reface(defaced, removed, stage1, stage2, config)
-        assert sampled == [r for r in ranges_meeting(gone, spec) for _ in range(steps)]
+        out = cascade_reface(defaced, removed, stage1, stage2, config, slab_workers=workers)
+        # one worker calls in tiling order; several interleave their slabs
+        want_calls = [r for r in ranges_meeting(gone, spec) for _ in range(steps)]
+        assert (sampled if workers == 1 else sorted(sampled)) == want_calls
         want = full_tiling_cascade(defaced, removed, stage1, stage2, config)
         assert out.data.tobytes() == want.tobytes()
 
@@ -547,7 +617,7 @@ class TestCascade:
             return denoise
 
         config = CascadeConfig(sample_steps=2, seed=0)
-        cascade_reface(defaced, removed, recorder(1), recorder(2), config)
+        cascade_reface(defaced, removed, recorder(1), recorder(2), config, slab_workers=1)
         assert len(calls[1]) == 2
         for shape, seen in calls[1]:
             assert seen == {"defaced_lowres": shape}
@@ -559,6 +629,48 @@ class TestCascade:
         meeting = ranges_meeting(removed.data, config.slab)
         assert 0 < len(meeting) < len(stage2_slabs(defaced.dims[2], config.slab))
         assert slab_ranges == [r for r in meeting for _ in range(2)]
+
+    def test_threaded_slabs_see_the_same_conditions(self, small_phantom, small_head):
+        # the first three sampled slabs each wait at a barrier in their first
+        # call, so the cascade passes only if three chains run at once
+        vol, brain, _ = small_phantom
+        defaced, removed = quickshear(vol, brain, buffer_mm=8.0, head=small_head)
+        config = CascadeConfig(sample_steps=2, seed=0)
+        meeting = ranges_meeting(removed.data, config.slab)
+        assert len(meeting) >= 3
+        barrier = threading.Barrier(3, timeout=60)
+        calls = []
+
+        def stage2(x_t, t, condition):
+            if t == T_STEPS and condition["slab_range"] in meeting[:3]:
+                barrier.wait()
+            calls.append((condition["slab_range"], np.shape(x_t),
+                          np.shape(condition["defaced"]), np.shape(condition["upsampled"])))
+            return np.zeros_like(x_t)
+
+        cascade_reface(defaced, removed, lambda x, t, c: np.zeros_like(x), stage2, config,
+                       slab_workers=3)
+        shape = (*defaced.dims[:2], config.slab.size)
+        assert sorted(calls) == [(r, shape, shape, shape) for r in meeting for _ in range(2)]
+
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    def test_output_does_not_depend_on_slab_workers(self, small_phantom, small_head, eta):
+        # s > 0 makes every prediction read x_t, so a chain on another stream
+        # or a step that read a changed x_t would show
+        vol, brain, _ = small_phantom
+        defaced, removed = quickshear(vol, brain, buffer_mm=8.0, head=small_head)
+        config = CascadeConfig(sample_steps=5, eta=eta, seed=3)
+        den = GaussianPosteriorDenoiser(0.4, 2.0, make_schedule(T_STEPS))
+        outs = [cascade_reface(defaced, removed, den, den, config, slab_workers=w).data.tobytes()
+                for w in (1, 2, 3)]
+        assert outs[0] == outs[1] == outs[2]
+        assert outs[0] == full_tiling_cascade(defaced, removed, den, den, config).tobytes()
+
+    def test_slab_workers_must_be_positive(self, small_phantom, small_head):
+        vol, brain, _ = small_phantom
+        defaced, removed = quickshear(vol, brain, buffer_mm=8.0, head=small_head)
+        with pytest.raises(ValueError, match="slab_workers must be >= 1, got 0"):
+            cascade_reface(defaced, removed, None, None, slab_workers=0)
 
     def test_oracle_denoisers_close_the_loop(self, small_phantom, small_head):
         from refaudit.surface import face_distance_report

@@ -282,8 +282,10 @@ class TestFaceDistanceReport:
         frac = 0.6
         p1, w1 = ellipsoid_cap_samples(g1.nose_center, g1.nose_radii, frac)
         p2, w2 = ellipsoid_cap_samples(g2.nose_center, g2.nose_radii, frac)
-        o12 = np.average(cKDTree(p2).query(p1)[0], weights=w1)
-        o21 = np.average(cKDTree(p1).query(p2)[0], weights=w2)
+        o12 = np.average(cKDTree(p2, balanced_tree=False, compact_nodes=False).query(p1)[0],
+                         weights=w1)
+        o21 = np.average(cKDTree(p1, balanced_tree=False, compact_nodes=False).query(p2)[0],
+                         weights=w2)
         oracle = 0.5 * (o12 + o21)
 
         def cap_vertices(mesh, geom):
