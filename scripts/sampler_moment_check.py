@@ -18,7 +18,7 @@ import numpy as np
 
 from refaudit.cli import nonnegative_int
 from refaudit.ddim import make_schedule, sample, uniform_steps
-from refaudit.denoisers import GaussianPosteriorDenoiser
+from refaudit.denoisers import VolumeDenoiser
 
 STEP_LADDER = (25, 50, 100, 250)  # step counts checked below the full schedule
 
@@ -50,15 +50,15 @@ def main(argv=None):
 
 def report(args):
     schedule = make_schedule(args.t)
-    denoiser = GaussianPosteriorDenoiser(args.mu, args.s, schedule)
+    denoiser = VolumeDenoiser(args.mu, args.s, schedule)
     print(f"target: N({args.mu}, {args.s}^2), {args.n} samples per row\n")
     print(f"{'steps':>6} {'eta':>4} {'mean':>8} {'sd':>8} {'exact sd':>9} {'sd/s':>6}")
     for n_steps in dict.fromkeys((*STEP_LADDER, args.t)):  # once each, in ladder order
         steps = uniform_steps(args.t, n_steps)
         for eta in (0.0, 1.0):
             rng = np.random.default_rng(args.seed)
-            out = sample(denoiser, None, schedule, steps, eta=eta, rng=rng,
-                         shape=(args.n,))
+            out = sample(denoiser, None, schedule, steps, rng.standard_normal(args.n), eta=eta,
+                         rng=rng)
             exact = denoiser.final_sd(steps, eta)
             print(f"{n_steps:6d} {eta:4.1f} {out.mean():8.4f} {out.std(ddof=1):8.4f} "
                   f"{exact:9.4f} {out.std(ddof=1) / args.s:6.4f}")

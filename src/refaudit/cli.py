@@ -313,14 +313,12 @@ def _demo_subject(case, out, config, buffer_mm, slab_workers=None):
         raise ValueError(f"{case.subject_id}: --buffer-mm {buffer_mm} leaves no face voxel "
                          "to remove, so there is nothing to reface or score")
 
-    oracle_low = VolumeDenoiser(downsample(vol, config.downsample_factor))
-    refaced_oracle = cascade_reface(defaced, removed, oracle_low, VolumeDenoiser(vol), config,
-                                    slab_workers)
+    def reface(source):
+        low = VolumeDenoiser(downsample(source, config.downsample_factor))
+        return cascade_reface(defaced, removed, low, VolumeDenoiser(source), config, slab_workers)
 
-    filled = mirror_fill(defaced, removed)
-    stub_low = VolumeDenoiser(downsample(filled, config.downsample_factor))
-    refaced_stub = cascade_reface(defaced, removed, stub_low, VolumeDenoiser(filled), config,
-                                  slab_workers)
+    refaced_oracle = reface(vol)
+    refaced_stub = reface(mirror_fill(defaced, removed))
 
     sid = case.subject_id
     write_nifti_file(vol, out / f"{sid}_original.nii.gz")

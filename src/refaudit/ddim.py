@@ -115,49 +115,46 @@ def thread_count() -> int:
     return min(os.cpu_count() or 1, 8)
 
 
-def ddim_step(x_t, t: int, t_prev: int, x0_pred, schedule: DiffusionSchedule,
-              eta: float = 0.0, rng=None, out=None):
-    """One x0-parameterized DDIM update from step t to t_prev, returned in a
-    new array, or written into ``out`` (a float64 array shaped like x_t,
-    which may be x_t itself) and returned."""
+def _require_chain(x) -> None:
+    if not isinstance(x, np.ndarray) or x.dtype != np.float64:
+        raise ValueError(f"the chain must be a float64 array, got {getattr(x, 'dtype', type(x))}")
+
+
+def ddim_step(x, t: int, t_prev: int, x0_pred, schedule: DiffusionSchedule,
+              eta: float = 0.0, rng=None):
+    """One x0-parameterized DDIM update from step t to t_prev, written into
+    the chain ``x`` (a float64 array) and returned."""
     sigma = schedule.sigma(t, t_prev, eta)
-    x_t = np.asarray(x_t, dtype=np.float64)
+    _require_chain(x)
     x0_pred = np.asarray(x0_pred, dtype=np.float64)
-    if x0_pred.shape != x_t.shape:
-        raise ValueError(f"x0_pred shape {x0_pred.shape} != x_t shape {x_t.shape}")
-    if out is not None and (out.shape != x_t.shape or out.dtype != np.float64):
-        raise ValueError(f"out must be a float64 array of shape {x_t.shape}")
+    if x0_pred.shape != x.shape:
+        raise ValueError(f"x0_pred shape {x0_pred.shape} != x_t shape {x.shape}")
     if sigma > 0.0 and rng is None:
         raise ValueError("eta > 0 requires an rng")
     a = schedule.alpha_bar[t]
     q = schedule.alpha_bar[t_prev]
     c_x = math.sqrt(max(1.0 - q - sigma * sigma, 0.0)) / math.sqrt(1.0 - a)
     c_0 = math.sqrt(q) - c_x * math.sqrt(a)
-    # x0_pred may be a view of x_t, and out may be x_t: read it first. The
-    # noise fills tmp in memory order, so tmp is C-ordered whatever x0_pred is
+    # x0_pred may be a view of x: read it first. The noise fills tmp in
+    # memory order, so tmp is C-ordered whatever x0_pred is
     tmp = np.multiply(c_0, x0_pred, order="C")
-    if out is None:
-        out = c_x * x_t
-    else:
-        np.multiply(x_t, c_x, out=out)
-    out += tmp
+    x *= c_x
+    x += tmp
     if sigma > 0.0:
         rng.standard_normal(out=tmp)
         tmp *= sigma
-        out += tmp
-    return out
+        x += tmp
+    return x
 
 
-def sample(denoiser: Denoiser, condition, schedule: DiffusionSchedule, steps,
-           eta: float = 0.0, rng=None, shape=None, x_init=None, out=None) -> np.ndarray:
+def sample(denoiser: Denoiser, condition, schedule: DiffusionSchedule, steps, x,
+           eta: float = 0.0, rng=None) -> np.ndarray:
     """Run the DDIM chain along ``steps`` (strictly decreasing, ending at the
-    data end 0), starting from standard normal noise of ``shape`` (or a copy
-    of ``x_init``, which is never changed).
+    data end 0) from the start state ``x``, a float64 array that every step
+    updates in place, and return ``x``.
 
-    The chain lives in one array, ``out`` if given (a C-contiguous float64
-    array, whose shape is the chain's), and every step updates it in place. So the
-    ``x_t`` a denoiser is called with changes after the call returns: a
-    denoiser must not keep it, or a view of it, past its call."""
+    So the ``x_t`` a denoiser is called with changes after the call returns:
+    a denoiser must not keep it, or a view of it, past its call."""
     steps = [int(s) for s in steps]
     if len(steps) < 2:
         raise ValueError("step subsequence must contain at least one jump")
@@ -167,30 +164,12 @@ def sample(denoiser: Denoiser, condition, schedule: DiffusionSchedule, steps,
         raise ValueError(f"step subsequence must end at the data end (0): {steps}")
     if steps[0] > schedule.num_steps:
         raise ValueError(f"first step {steps[0]} exceeds schedule T={schedule.num_steps}")
-
-    if x_init is not None:
-        x_init = np.asarray(x_init, dtype=np.float64)
-        shape = x_init.shape
-    elif rng is None or (shape is None and out is None):
-        raise ValueError("sampling from noise requires rng and shape")
-    if out is None:
-        x = np.empty(shape)
-    elif (out.dtype != np.float64 or not out.flags.c_contiguous or shape is not None
-          and out.shape != (tuple(shape) if np.iterable(shape) else (shape,))):
-        # the noise fills the chain in memory order, as a new array's would
-        raise ValueError(f"out must be a C-contiguous float64 array of the chain's shape, "
-                         f"got {out.dtype} {out.shape} for shape {shape}")
-    else:
-        x = out
-    if x_init is not None:
-        x[...] = x_init
-    else:
-        rng.standard_normal(out=x)
+    _require_chain(x)
     # a huge eta can overflow the chain; the finiteness check below reports it
     # once, and errstate is thread-local, so it is set here, not by callers
     with np.errstate(over="ignore", invalid="ignore"):
         for t, t_prev in zip(steps[:-1], steps[1:]):
-            ddim_step(x, t, t_prev, denoiser(x, t, condition), schedule, eta=eta, rng=rng, out=x)
+            ddim_step(x, t, t_prev, denoiser(x, t, condition), schedule, eta=eta, rng=rng)
     if not np.isfinite(x).all():
         raise ValueError(f"the DDIM chain at eta={eta} ended in non-finite values")
     return x
@@ -364,10 +343,9 @@ def cascade_reface(
         return defaced.with_data(defaced.data.copy())
 
     low = downsample(defaced, config.downsample_factor)
-    x_low = sample(
-        stage1, {"defaced_lowres": low}, schedule, steps, eta=config.eta,
-        rng=_stage_rng(config.seed, 0), shape=low.dims,
-    )
+    rng = _stage_rng(config.seed, 0)
+    x_low = sample(stage1, {"defaced_lowres": low}, schedule, steps,
+                   rng.standard_normal(low.dims), eta=config.eta, rng=rng)
     zlo, zhi = ranges[sampled[0]][0], ranges[sampled[-1]][1]
     up = upsample_trilinear(low.with_data(x_low), config.downsample_factor, (zlo, zhi))
     up_data = up.data[: defaced.dims[0], : defaced.dims[1]]
@@ -386,8 +364,9 @@ def cascade_reface(
             "upsampled": up_data[:, :, z0 - zlo : z1 - zlo],
             "slab_range": (z0, z1),
         }
-        sample(stage2, cond2, schedule, steps, eta=config.eta,
-               rng=_stage_rng(config.seed, 1, i), out=slab_out[i])
+        rng = _stage_rng(config.seed, 1, i)
+        sample(stage2, cond2, schedule, steps, rng.standard_normal(out=slab_out[i]),
+               eta=config.eta, rng=rng)
 
     workers = min(thread_count() if slab_workers is None else slab_workers, len(sampled))
     if workers == 1:

@@ -14,21 +14,38 @@ from .ddim import DiffusionSchedule
 from .volume import BinaryMask, Volume3D
 
 
-class GaussianPosteriorDenoiser:
-    """Exact posterior mean E[x0 | x_t] for data x0 ~ N(mu, s^2), ``mu`` a
-    scalar or an array shaped like x_t, under the forward process
-    x_t = sqrt(abar) x0 + sqrt(1-abar) eps. At ``s = 0`` the gain is exactly
-    0, so from a finite x_t the sampler returns ``mu`` bit for bit."""
+class VolumeDenoiser:
+    """The fixed-prior x0-predictor: the exact posterior mean E[x0 | x_t]
+    for data x0 ~ N(mu, s^2) under the forward process
+    x_t = sqrt(abar) x0 + sqrt(1-abar) eps.
 
-    def __init__(self, mu, s: float, schedule: DiffusionSchedule):
-        self.mu = np.asarray(mu, dtype=np.float64)
+    ``mu`` is a scalar, an array or a ``Volume3D``. A ``mu`` shaped like x_t
+    is used whole; a taller one is read on the condition's ``slab_range``
+    axial slab. At ``s = 0`` the prediction is that slab of ``mu`` itself,
+    with no arithmetic, so from a finite x_t the sampler returns it bit for
+    bit: with the pre-defacing image this is the oracle that closes the
+    refacing loop, with a surrogate fill the demo stub. ``s != 0`` needs the
+    ``schedule``."""
+
+    def __init__(self, mu, s: float = 0.0, schedule: DiffusionSchedule | None = None):
+        self.mu = np.asarray(mu.data if isinstance(mu, Volume3D) else mu, dtype=np.float64)
         self.s2 = float(s) ** 2
+        if self.s2 != 0.0 and schedule is None:
+            raise ValueError(f"a prior SD s = {s} other than 0 needs the diffusion schedule")
         self.schedule = schedule
 
     def __call__(self, x_t, t, condition):
+        mu, shape = self.mu, np.shape(x_t)
+        if mu.ndim and mu.shape != shape:
+            z0, z1 = condition["slab_range"]
+            mu = mu[:, :, z0:z1]
+            if mu.shape != shape:
+                raise ValueError(f"prior mean slab {mu.shape} does not match x_t {shape}")
+        if self.s2 == 0.0:  # broadcast_to alone would cost more than the rest of the call
+            return mu if mu.shape == shape else np.broadcast_to(mu, shape)
         a = self.schedule.alpha_bar[t]
         gain = np.sqrt(a) * self.s2 / (a * self.s2 + 1.0 - a)
-        return self.mu + gain * (np.asarray(x_t) - np.sqrt(a) * self.mu)
+        return mu + gain * (np.asarray(x_t) - np.sqrt(a) * mu)
 
     def final_sd(self, steps, eta: float) -> float:
         """Exact final SD of the DDIM chain along ``steps`` driven by this
@@ -40,6 +57,8 @@ class GaussianPosteriorDenoiser:
         the jump's ends, d = a s^2 + 1 - a and gain = sqrt(a) s^2 / d. Built
         from ``schedule.alpha_bar`` alone, independently of ``ddim_step``.
         """
+        if self.schedule is None:
+            raise ValueError("final_sd needs the diffusion schedule")
         abar, s2, v = self.schedule.alpha_bar, self.s2, 1.0
         for t, p in zip(steps[:-1], steps[1:]):
             a, q = abar[t], abar[p]
@@ -49,28 +68,6 @@ class GaussianPosteriorDenoiser:
             coef = math.sqrt(q) * gain + math.sqrt(max(1 - q - sig2, 0)) * math.sqrt(1 - a) / d
             v = coef * coef * v + sig2
         return math.sqrt(v)
-
-
-class VolumeDenoiser:
-    """Predicts x0 as the matching region of a fixed volume: the whole volume
-    when shapes agree, else the condition's ``slab_range`` axial slab. With
-    the pre-defacing image this is the oracle that closes the refacing loop;
-    with a surrogate fill it is the demo stub."""
-
-    def __init__(self, volume: Volume3D):
-        self.volume = volume
-
-    def __call__(self, x_t, t, condition):
-        data = self.volume.data
-        if data.shape == np.shape(x_t):
-            return data
-        z0, z1 = condition["slab_range"]
-        slab = data[:, :, z0:z1]
-        if slab.shape != np.shape(x_t):
-            raise ValueError(
-                f"volume slab {slab.shape} does not match x_t {np.shape(x_t)}"
-            )
-        return slab
 
 
 def mirror_fill(defaced: Volume3D, removed: BinaryMask) -> Volume3D:

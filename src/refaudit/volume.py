@@ -209,9 +209,9 @@ def read_nifti(raw: bytes) -> Volume3D:
 
     The affine comes from the sform when ``sform_code > 0``, else the qform,
     else ``diag(spacing)``. ``scl_slope``/``scl_inter`` are applied when the
-    slope is nonzero. Non-finite voxels (after scaling), a zero or non-finite
-    pixdim and a non-finite or singular affine raise ``FormatError`` before
-    the volume is reoriented to RAS.
+    slope is nonzero. A ``dim[1..3]`` below 1, non-finite voxels (after
+    scaling), a zero or non-finite pixdim and a non-finite or singular affine
+    raise ``FormatError`` before the volume is reoriented to RAS.
     """
     if raw[:2] == GZIP_MAGIC:
         try:
@@ -244,7 +244,9 @@ def read_nifti(raw: bytes) -> Volume3D:
     ndim = dim[0]
     if ndim < 3 or any(d > 1 for d in dim[4 : 1 + max(ndim, 3)]):
         raise FormatError(f"only 3D volumes are supported, header dim={dim[: ndim + 1]}")
-    nx, ny, nz = (max(int(d), 1) for d in dim[1:4])
+    if any(d < 1 for d in dim[1:4]):
+        raise FormatError(f"dim {dim[1:4]} has an axis shorter than one voxel")
+    nx, ny, nz = dim[1:4]
 
     if datatype not in _DATATYPES:
         raise UnsupportedDataTypeError(

@@ -26,7 +26,7 @@ implementation could meet them:
   variance given the clean image, which is exact only when x0 is known; a
   posterior-mean predictor drops Var(x0 | x_t) on every coarse jump (Bao et
   al., Analytic-DPM, arXiv:2201.06503). The exact linear-Gaussian recursion
-  (``GaussianPosteriorDenoiser.final_sd``) gives a final SD of 1.8854 at 50 steps
+  (``VolumeDenoiser.final_sd``) gives a final SD of 1.8854 at 50 steps
   (a 5.73% deficit) and 1.9937 over the full schedule. The criterion now
   holds the 50-step SD to within 4 standard errors of the recursion and the
   full-schedule SD to within 5% of s.
@@ -46,7 +46,7 @@ import pytest
 import refaudit.stats as stats
 from refaudit.cli import main as cli_main
 from refaudit.ddim import SlabSpec, make_schedule, merge_slabs, sample, stage2_slabs, uniform_steps
-from refaudit.denoisers import GaussianPosteriorDenoiser
+from refaudit.denoisers import VolumeDenoiser
 from refaudit.deface import quickshear
 from refaudit.masks import head_mask, otsu_threshold
 from refaudit.phantom import generate_cohort
@@ -182,9 +182,14 @@ def test_criterion_05_ddim_gaussian_oracle():
     mu, s, n = 3.0, 2.0, 10_000
     schedule = make_schedule(1000)
     steps = uniform_steps(1000, 50)
-    den = GaussianPosteriorDenoiser(mu, s, schedule)
-    out = sample(den, None, schedule, steps, eta=1.0,
-                 rng=np.random.default_rng(505), shape=(n,))
+    den = VolumeDenoiser(mu, s, schedule)
+
+    def from_noise(denoiser, steps, size, seed):
+        rng = np.random.default_rng(seed)
+        return sample(denoiser, None, schedule, steps, rng.standard_normal(size), eta=1.0,
+                      rng=rng)
+
+    out = from_noise(den, steps, n, 505)
     mean_tol = 4.0 * s / math.sqrt(n)
     c.check(abs(out.mean() - mu) < mean_tol,
             f"mean {out.mean():.4f} not within {mean_tol:.3f} of {mu}")
@@ -197,17 +202,14 @@ def test_criterion_05_ddim_gaussian_oracle():
     sd_tol = 4.0 * want / math.sqrt(2 * (n - 1))
     c.check(abs(sd - want) < sd_tol,
             f"50-step SD {sd:.4f} not within {sd_tol:.3f} of recursion {want:.4f}")
-    full = sample(den, None, schedule, range(1000, -1, -1), eta=1.0,
-                  rng=np.random.default_rng(505), shape=(n,))
+    full = from_noise(den, range(1000, -1, -1), n, 505)
     full_sd = full.std(ddof=1)
     c.check(abs(full_sd - s) <= 0.05 * s,
             f"1000-step SD {full_sd:.4f} not within 5% of {s}")
 
     x_star = np.random.default_rng(7).standard_normal((32,))
     for seed in (0, 1, 99, 2**31):
-        got = sample(GaussianPosteriorDenoiser(x_star, 0.0, schedule), None, schedule, steps,
-                     eta=1.0,
-                     rng=np.random.default_rng(seed), shape=(32,))
+        got = from_noise(VolumeDenoiser(x_star), steps, 32, seed)
         c.check(np.array_equal(got, x_star), f"Dirac not bitwise at seed {seed}")
     c.finish()
 

@@ -1129,6 +1129,19 @@ class TestExitCodeContract:
             contract_run(["quality", paths["original"], paths["defaced"], paths["refaced"],
                           "--removed", paths["removed"]])
 
+    @pytest.mark.parametrize("value", [0, -4])
+    def test_axis_shorter_than_one_voxel_exits_3(self, subject_bytes, value):
+        # read as one voxel wide, the first voxels would make a constant
+        # volume, and masd would exit 2 on its Otsu threshold
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = write_attacked(Path(tmp), subject_bytes, MASD_FILES,
+                                   ("original", (42, "<h", value)))
+            with redirect_stdout(io.StringIO()) as out, redirect_stderr(err):
+                rc = main(["masd", paths["original"], paths["original"]])
+        assert rc == 3 and out.getvalue() == ""
+        assert err.getvalue().startswith(f"refaudit: I/O error: dim ({value}, ")
+
     @pytest.mark.parametrize("kind", ["observation", "prediction", "distance", "quality"])
     def test_header_only_csv_exits_2_naming_the_file(self, tmp_path, kind):
         # a header without data rows is no table to analyse, so no command

@@ -24,11 +24,7 @@ from refaudit.ddim import (
     stage2_slabs,
     uniform_steps,
 )
-from refaudit.denoisers import (
-    GaussianPosteriorDenoiser,
-    VolumeDenoiser,
-    mirror_fill,
-)
+from refaudit.denoisers import VolumeDenoiser, mirror_fill
 from refaudit.deface import quickshear
 from refaudit.stats import bootstrap_indices
 from refaudit.volume import BinaryMask, Volume3D, downsample, upsample_trilinear
@@ -106,11 +102,11 @@ class TestDdimStep:
         sched = make_schedule(100)
         x_t = rng.standard_normal((7,))
         x0 = rng.standard_normal((7,))
-        out = ddim_step(x_t, 5, 0, x0, sched, eta=0.0)
+        out = ddim_step(x_t.copy(), 5, 0, x0, sched, eta=0.0)
         assert out.tobytes() == x0.tobytes()
         # sigma is 0 at the data end, so eta=1 draws no noise either
         g = np.random.default_rng(8)
-        out = ddim_step(x_t, 5, 0, x0, sched, eta=1.0, rng=g)
+        out = ddim_step(x_t.copy(), 5, 0, x0, sched, eta=1.0, rng=g)
         assert out.tobytes() == x0.tobytes()
         assert g.bit_generator.state == np.random.default_rng(8).bit_generator.state
 
@@ -123,7 +119,8 @@ class TestDdimStep:
         jumps = [(500, 499), (500, 250), (300, 120), (120, 1), (2, 1), (1, 0), (500, 0)]
         for eta in (0.0, 0.5, 1.0):
             for t, p in jumps:
-                got = ddim_step(x_t, t, p, x0, sched, eta=eta, rng=np.random.default_rng(t))
+                got = ddim_step(x_t.copy(), t, p, x0, sched, eta=eta,
+                                rng=np.random.default_rng(t))
                 a, q = sched.alpha_bar[t], sched.alpha_bar[p]
                 sigma = eta * math.sqrt((1 - q) / (1 - a)) * math.sqrt(1 - a / q)
                 eps = (x_t - math.sqrt(a) * x0) / math.sqrt(1 - a)
@@ -137,7 +134,7 @@ class TestDdimStep:
         x0 = rng.standard_normal((50,))
         t, p, eta = 400, 200, 0.7
         rng_a = np.random.default_rng(99)
-        got = ddim_step(x_t, t, p, x0, sched, eta=eta, rng=rng_a)
+        got = ddim_step(x_t.copy(), t, p, x0, sched, eta=eta, rng=rng_a)
         a, q = sched.alpha_bar[t], sched.alpha_bar[p]
         sigma = eta * math.sqrt((1 - q) / (1 - a)) * math.sqrt(1 - a / q)
         eps = (x_t - math.sqrt(a) * x0) / math.sqrt(1 - a)
@@ -148,28 +145,28 @@ class TestDdimStep:
     @pytest.mark.parametrize("eta", [0.0, 1.0])
     @pytest.mark.parametrize("pred", ["separate", "x_t itself", "view of x_t", "F-ordered"])
     def test_out_equals_the_allocating_path(self, eta, pred):
-        # the chain's in-place update: out is x_t, and the prediction may
-        # alias it, reversed, so reading it after x_t changed would show; an
-        # F-ordered prediction must not reorder the noise
+        # the step updates x in place, and the prediction may alias it,
+        # reversed, so reading it after x changed would show; the reference
+        # is a step taken on copies. An F-ordered prediction must not reorder
+        # the noise
         sched = make_schedule(100)
         x_t = np.random.default_rng(3).standard_normal((6, 5))
         predict = {"separate": lambda x: np.cos(x_t), "x_t itself": lambda x: x,
                    "view of x_t": lambda x: x[::-1, ::-1],
                    "F-ordered": lambda x: np.asfortranarray(np.cos(x_t))}[pred]
-        want = ddim_step(x_t, 60, 30, predict(x_t).copy(), sched, eta=eta,
+        want = ddim_step(x_t.copy(), 60, 30, predict(x_t.copy()).copy(), sched, eta=eta,
                          rng=np.random.default_rng(9))
         x = x_t.copy()
-        got = ddim_step(x, 60, 30, predict(x), sched, eta=eta, rng=np.random.default_rng(9),
-                        out=x)
+        got = ddim_step(x, 60, 30, predict(x), sched, eta=eta, rng=np.random.default_rng(9))
         assert got is x
         assert got.tobytes() == want.tobytes()
         assert not np.array_equal(want, x_t)
 
-    def test_out_must_match_x_t(self):
-        sched = make_schedule(10)
-        for out in (np.zeros(3), np.zeros(2, np.float32)):
-            with pytest.raises(ValueError, match="out must be a float64 array of shape"):
-                ddim_step(np.zeros(2), 3, 1, np.zeros(2), sched, out=out)
+    @pytest.mark.parametrize("x", [np.zeros(2, np.float32), np.zeros(2, int), [0.0, 0.0]],
+                             ids=["float32", "int", "list"])
+    def test_chain_must_be_float64(self, x):
+        with pytest.raises(ValueError, match="the chain must be a float64 array"):
+            ddim_step(x, 3, 1, np.zeros(2), make_schedule(10))
 
     def test_step_order_validation(self):
         sched = make_schedule(10)
@@ -184,85 +181,72 @@ class TestDdimStep:
             ddim_step(np.zeros(2), 3, 1, np.zeros(3), sched)
 
 
+def from_noise(den, sched, steps, shape, seed, eta=0.0):
+    """``sample`` from standard normal noise of ``shape``, drawn from the
+    stream of ``seed`` that the chain's own noise then continues."""
+    rng = np.random.default_rng(seed)
+    return sample(den, None, sched, steps, rng.standard_normal(shape), eta=eta, rng=rng)
+
+
 class TestSample:
     def test_dirac_denoiser_returns_target_bitwise(self, rng):
         sched = make_schedule(1000)
         steps = uniform_steps(1000, 50)
         x_star = rng.standard_normal((16,))
         for seed in (0, 1, 12345):
-            out = sample(GaussianPosteriorDenoiser(x_star, 0.0, sched), None, sched, steps,
-                         eta=0.0, rng=np.random.default_rng(seed), shape=(16,))
-            assert np.array_equal(out, x_star)
-            out = sample(GaussianPosteriorDenoiser(x_star, 0.0, sched), None, sched, steps,
-                         eta=1.0, rng=np.random.default_rng(seed), shape=(16,))
-            assert np.array_equal(out, x_star)
+            for eta in (0.0, 1.0):
+                out = from_noise(VolumeDenoiser(x_star), sched, steps, (16,), seed, eta)
+                assert np.array_equal(out, x_star)
 
     def test_array_mean_runs_each_scalar_mean_chain_bitwise(self):
         sched = make_schedule(1000)
         steps = uniform_steps(1000, 50)
-        mu, x_init = np.array([3.0, -1.25]), np.array([0.7, -2.1])
-        both = sample(GaussianPosteriorDenoiser(mu, 2.0, sched), None, sched, steps, eta=0.0,
-                      x_init=x_init)
+        mu, start = np.array([3.0, -1.25]), np.array([0.7, -2.1])
+        both = sample(VolumeDenoiser(mu, 2.0, sched), None, sched, steps, start.copy())
         for i in range(2):
-            one = sample(GaussianPosteriorDenoiser(mu[i], 2.0, sched), None, sched, steps,
-                         eta=0.0, x_init=x_init[i : i + 1])
+            one = sample(VolumeDenoiser(mu[i], 2.0, sched), None, sched, steps,
+                         start[i : i + 1].copy())
             assert both[i : i + 1].tobytes() == one.tobytes()
 
     @pytest.mark.parametrize("eta", [0.0, 1.0])
     def test_in_place_chain_equals_the_allocating_loop(self, eta):
-        # the loop of one new array per step is the reference; s > 0 makes
-        # every prediction read x_t
+        # the loop that steps a new copy of the chain each time is the
+        # reference; s > 0 makes every prediction read x_t
         sched = make_schedule(1000)
         steps = uniform_steps(1000, 20)
-        den = GaussianPosteriorDenoiser(1.5, 2.0, sched)
+        den = VolumeDenoiser(1.5, 2.0, sched)
         rng = np.random.default_rng(11)
         x = rng.standard_normal((4, 3, 8))
         for t, t_prev in zip(steps[:-1], steps[1:]):
-            x = ddim_step(x, t, t_prev, den(x, t, None), sched, eta=eta, rng=rng)
-        got = sample(den, None, sched, steps, eta=eta, rng=np.random.default_rng(11),
-                     shape=(4, 3, 8))
-        assert got.tobytes() == x.tobytes()
-        buf = np.empty((4, 3, 8))
-        got = sample(den, None, sched, steps, eta=eta, rng=np.random.default_rng(11), out=buf)
-        assert got is buf
+            x = ddim_step(x.copy(), t, t_prev, den(x, t, None), sched, eta=eta, rng=rng)
+        rng = np.random.default_rng(11)
+        chain = rng.standard_normal((4, 3, 8))
+        got = sample(den, None, sched, steps, chain, eta=eta, rng=rng)
+        assert got is chain
         assert got.tobytes() == x.tobytes()
 
-    @pytest.mark.parametrize("eta", [0.0, 1.0])
-    def test_x_init_is_not_changed(self, eta):
-        sched = make_schedule(1000)
-        x_init = np.linspace(-2.0, 2.0, 9)
-        before = x_init.copy()
-        out = sample(GaussianPosteriorDenoiser(1.0, 2.0, sched), None, sched,
-                     uniform_steps(1000, 10), eta=eta, rng=np.random.default_rng(2),
-                     x_init=x_init)
-        assert x_init.tobytes() == before.tobytes()
-        assert not np.array_equal(out, before)
+    @pytest.mark.parametrize("x", [np.zeros(4, np.float32), np.zeros(4, int), [0.0] * 4],
+                             ids=["float32", "int", "list"])
+    def test_chain_must_be_float64(self, x):
+        def never(x_t, t, condition):
+            raise AssertionError("the denoiser ran on a chain that is not float64")
 
-    def test_out_must_fit_the_chain(self):
-        sched = make_schedule(100)
-        den = GaussianPosteriorDenoiser(0.0, 1.0, sched)
-        g = np.random.default_rng(0)
-        for kwargs in ({"shape": (3,), "out": np.empty(4)},
-                       {"x_init": np.zeros(3), "out": np.empty(4)},
-                       {"shape": (4,), "out": np.empty(4, np.float32)},
-                       {"out": np.empty((3, 4), order="F")}):
-            with pytest.raises(ValueError, match="out must be a C-contiguous float64 array"):
-                sample(den, None, sched, [50, 0], rng=g, **kwargs)
+        with pytest.raises(ValueError, match="the chain must be a float64 array"):
+            sample(never, None, make_schedule(100), [50, 0], x)
 
     def test_eta_zero_is_bitwise_deterministic(self, rng):
         sched = make_schedule(200)
         steps = uniform_steps(200, 20)
-        den = GaussianPosteriorDenoiser(1.0, 2.0, sched)
-        a = sample(den, None, sched, steps, eta=0.0, rng=np.random.default_rng(5), shape=(32,))
-        b = sample(den, None, sched, steps, eta=0.0, rng=np.random.default_rng(5), shape=(32,))
+        den = VolumeDenoiser(1.0, 2.0, sched)
+        a = from_noise(den, sched, steps, (32,), 5)
+        b = from_noise(den, sched, steps, (32,), 5)
         assert np.array_equal(a, b)
 
     def test_gaussian_map_is_monotone_in_initial_noise(self):
         sched = make_schedule(1000)
         steps = uniform_steps(1000, 50)
-        den = GaussianPosteriorDenoiser(3.0, 2.0, sched)
-        grid = np.linspace(-4, 4, 41)
-        out = sample(den, None, sched, steps, eta=0.0, x_init=grid)
+        den = VolumeDenoiser(3.0, 2.0, sched)
+        out = sample(den, None, sched, steps, np.linspace(-4, 4, 41))
         assert (np.diff(out) > 0).all()
 
     def test_affine_shift_equivariance(self):
@@ -272,10 +256,9 @@ class TestSample:
         steps = uniform_steps(500, 25)
         c = 2.5
         x0 = np.linspace(-2, 2, 11)
-        base = sample(GaussianPosteriorDenoiser(1.0, 1.5, sched), None, sched,
-                      steps, eta=0.0, x_init=x0)
-        shifted = sample(GaussianPosteriorDenoiser(1.0 + c, 1.5, sched), None, sched,
-                         steps, eta=0.0, x_init=x0 + math.sqrt(sched.alpha_bar[500]) * c)
+        base = sample(VolumeDenoiser(1.0, 1.5, sched), None, sched, steps, x0.copy())
+        shifted = sample(VolumeDenoiser(1.0 + c, 1.5, sched), None, sched, steps,
+                         x0 + math.sqrt(sched.alpha_bar[500]) * c)
         assert np.allclose(shifted, base + c, atol=1e-9)
 
     def test_full_schedule_moment_check(self):
@@ -283,9 +266,7 @@ class TestSample:
         mu, s, n = 3.0, 2.0, 10_000
         sched = make_schedule(1000)
         steps = list(range(1000, -1, -1))
-        den = GaussianPosteriorDenoiser(mu, s, sched)
-        out = sample(den, None, sched, steps, eta=1.0,
-                     rng=np.random.default_rng(77), shape=(n,))
+        out = from_noise(VolumeDenoiser(mu, s, sched), sched, steps, (n,), 77, eta=1.0)
         se_mean = s / math.sqrt(n)
         assert abs(out.mean() - mu) < 4 * se_mean
         se_var = s * s * math.sqrt(2.0 / (n - 1))
@@ -298,11 +279,11 @@ class TestSample:
         mu, s, n = 3.0, 2.0, 20_000
         sched = make_schedule(1000)
         steps = uniform_steps(1000, 50)
-        den = GaussianPosteriorDenoiser(mu, s, sched)
+        den = VolumeDenoiser(mu, s, sched)
         expected_sd = den.final_sd(steps, eta=1.0)
         assert expected_sd == pytest.approx(1.8854, abs=2e-3)
 
-        out = sample(den, None, sched, steps, eta=1.0, rng=np.random.default_rng(3), shape=(n,))
+        out = from_noise(den, sched, steps, (n,), 3, eta=1.0)
         se_sd = expected_sd / math.sqrt(2 * (n - 1))
         assert abs(out.std(ddof=1) - expected_sd) < 4 * se_sd
 
@@ -311,9 +292,9 @@ class TestSample:
         mu, s, n = 3.0, 2.0, 20_000
         sched = make_schedule(1000)
         steps = uniform_steps(1000, 50)
-        den = GaussianPosteriorDenoiser(mu, s, sched)
+        den = VolumeDenoiser(mu, s, sched)
         expected_sd = den.final_sd(steps, eta=0.0)
-        out = sample(den, None, sched, steps, eta=0.0, rng=np.random.default_rng(4), shape=(n,))
+        out = from_noise(den, sched, steps, (n,), 4)
         se_sd = expected_sd / math.sqrt(2 * (n - 1))
         assert abs(out.std(ddof=1) - expected_sd) < 4 * se_sd
 
@@ -341,7 +322,7 @@ class TestSample:
                 if line.split() and line.split()[0].isdigit()]
         keys = [(int(r[0]), float(r[1])) for r in rows]
         assert keys == [(n, eta) for n in check.STEP_LADDER for eta in (0.0, 1.0)]
-        den = GaussianPosteriorDenoiser(3.0, 2.0, make_schedule(250))
+        den = VolumeDenoiser(3.0, 2.0, make_schedule(250))
         for (n, eta), row in zip(keys, rows):
             if eta == 0.0:
                 assert row[4] == f"{den.final_sd(uniform_steps(250, n), 0.0):9.4f}".strip()
@@ -352,22 +333,53 @@ class TestSample:
         sched = make_schedule(1000)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match=r"DDIM chain at eta=1e\+308 ended in non-finite"):
-            sample(GaussianPosteriorDenoiser(np.zeros(1000), 0.0, sched), None, sched,
-                   uniform_steps(1000, 2), eta=1e308, rng=np.random.default_rng(0),
-                   shape=(1000,))
+            from_noise(VolumeDenoiser(np.zeros(1000)), sched, uniform_steps(1000, 2), (1000,),
+                       0, eta=1e308)
 
     def test_subsequence_validation(self, rng):
         sched = make_schedule(100)
-        den = GaussianPosteriorDenoiser(np.zeros(2), 0.0, sched)
-        g = np.random.default_rng(0)
+        den = VolumeDenoiser(np.zeros(2))
         with pytest.raises(ValueError):
-            sample(den, None, sched, [], rng=g, shape=(2,))
+            sample(den, None, sched, [], np.zeros(2))
         with pytest.raises(ValueError):
-            sample(den, None, sched, [50, 60, 0], rng=g, shape=(2,))
+            sample(den, None, sched, [50, 60, 0], np.zeros(2))
         with pytest.raises(ValueError):
-            sample(den, None, sched, [50, 20], rng=g, shape=(2,))  # no data end
+            sample(den, None, sched, [50, 20], np.zeros(2))  # no data end
         with pytest.raises(ValueError):
-            sample(den, None, sched, [200, 0], rng=g, shape=(2,))  # beyond T
+            sample(den, None, sched, [200, 0], np.zeros(2))  # beyond T
+
+
+class TestVolumeDenoiser:
+    @pytest.mark.parametrize("t", [1, 500, 1000])
+    def test_slab_pick_is_the_denoiser_of_the_slab(self, rng, t):
+        sched = make_schedule(1000)
+        mu = rng.standard_normal((4, 5, 20))
+        x_t = rng.standard_normal((4, 5, 8))
+        for z0 in (0, 6, 12):
+            got = VolumeDenoiser(mu, 2.0, sched)(x_t, t, {"slab_range": (z0, z0 + 8)})
+            want = VolumeDenoiser(mu[:, :, z0 : z0 + 8], 2.0, sched)(x_t, t, None)
+            assert got.tobytes() == want.tobytes()
+
+    def test_zero_sd_returns_the_slab_of_mu(self, rng):
+        mu = rng.standard_normal((4, 5, 20))
+        vol = Volume3D(data=mu, spacing=(1.0, 1.0, 1.0), affine=np.eye(4))
+        x_t = rng.standard_normal((4, 5, 8))
+        for prior in (mu, vol):
+            den = VolumeDenoiser(prior)
+            assert den(x_t, 7, {"slab_range": (6, 14)}).tobytes() == mu[:, :, 6:14].tobytes()
+            assert den(mu, 7, None).tobytes() == mu.tobytes()
+        assert VolumeDenoiser(-1.5)(x_t, 7, None).tobytes() == np.full(x_t.shape, -1.5).tobytes()
+
+    def test_slab_must_match_x_t(self, rng):
+        with pytest.raises(ValueError, match=r"prior mean slab \(4, 5, 3\) does not match x_t"):
+            VolumeDenoiser(np.zeros((4, 5, 20)))(np.zeros((4, 5, 8)), 7, {"slab_range": (17, 25)})
+
+    @pytest.mark.parametrize("s", [2.0, -0.5])
+    def test_nonzero_sd_needs_the_schedule(self, s):
+        with pytest.raises(ValueError, match="needs the diffusion schedule"):
+            VolumeDenoiser(0.0, s)
+        with pytest.raises(ValueError, match="needs the diffusion schedule"):
+            VolumeDenoiser(0.0).final_sd([50, 0], 0.0)
 
 
 class TestSlabs:
@@ -477,16 +489,19 @@ def full_tiling_cascade(defaced, removed, stage1, stage2, config):
     its (seed, 1, i) stream, merged and composited inside ``removed``."""
     schedule = make_schedule(T_STEPS)
     steps = uniform_steps(T_STEPS, config.sample_steps)
+
+    def chain(denoiser, condition, shape, rng):
+        return sample(denoiser, condition, schedule, steps, rng.standard_normal(shape),
+                      eta=config.eta, rng=rng)
+
     low = downsample(defaced, config.downsample_factor)
-    x_low = sample(stage1, {"defaced_lowres": low}, schedule, steps, eta=config.eta,
-                   rng=_stage_rng(config.seed, 0), shape=low.dims)
+    x_low = chain(stage1, {"defaced_lowres": low}, low.dims, _stage_rng(config.seed, 0))
     nx, ny, nz = defaced.dims
     up = upsample_trilinear(low.with_data(x_low), config.downsample_factor).data[:nx, :ny, :nz]
     ranges = stage2_slabs(nz, config.slab)
-    slabs = [sample(stage2, {"defaced": defaced.data[:, :, z0:z1], "upsampled": up[:, :, z0:z1],
-                             "slab_range": (z0, z1)},
-                    schedule, steps, eta=config.eta, rng=_stage_rng(config.seed, 1, i),
-                    shape=(nx, ny, z1 - z0))
+    slabs = [chain(stage2, {"defaced": defaced.data[:, :, z0:z1], "upsampled": up[:, :, z0:z1],
+                            "slab_range": (z0, z1)},
+                   (nx, ny, z1 - z0), _stage_rng(config.seed, 1, i))
              for i, (z0, z1) in enumerate(ranges)]
     return np.where(removed.data, merge_slabs(slabs, nz, config.slab), defaced.data)
 
@@ -660,7 +675,7 @@ class TestCascade:
         vol, brain, _ = small_phantom
         defaced, removed = quickshear(vol, brain, buffer_mm=8.0, head=small_head)
         config = CascadeConfig(sample_steps=5, eta=eta, seed=3)
-        den = GaussianPosteriorDenoiser(0.4, 2.0, make_schedule(T_STEPS))
+        den = VolumeDenoiser(0.4, 2.0, make_schedule(T_STEPS))
         outs = [cascade_reface(defaced, removed, den, den, config, slab_workers=w).data.tobytes()
                 for w in (1, 2, 3)]
         assert outs[0] == outs[1] == outs[2]

@@ -172,6 +172,15 @@ class TestReader:
         with pytest.raises(FormatError, match="3D"):
             read_nifti(bytes(raw))
 
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    @pytest.mark.parametrize("value", [0, -1, -32768])
+    def test_axis_shorter_than_one_voxel_is_format_error(self, axis, value):
+        # read as one voxel, it would take the first voxels of the payload
+        raw = bytearray(assemble_nifti((4, 4, 4), 4, bytes(128)))
+        struct.pack_into("<h", raw, 40 + 2 * axis, value)
+        with pytest.raises(FormatError, match=r"dim \(.*\) has an axis shorter than one voxel"):
+            read_nifti(bytes(raw))
+
     def test_valid_qform_file_reads_its_rotation(self):
         vol = read_nifti(VALID_FILES["qform"])
         expected = read_nifti(VALID_FILES["sform"])
