@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from refaudit.cli import nonnegative_int
+from refaudit.cli import nonnegative_float, nonnegative_int
 from refaudit.ddim import make_schedule, sample, uniform_steps
 from refaudit.denoisers import VolumeDenoiser
 
@@ -36,7 +36,7 @@ def int_at_least(minimum):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--mu", type=float, default=3.0)
-    parser.add_argument("--s", type=float, default=2.0)
+    parser.add_argument("--s", type=nonnegative_float, default=2.0)
     parser.add_argument("--n", type=int_at_least(2), default=10_000)  # the SD uses ddof=1
     parser.add_argument("--t", type=int_at_least(STEP_LADDER[-1]), default=1000)
     parser.add_argument("--seed", type=nonnegative_int, default=0)
@@ -60,8 +60,9 @@ def report(args):
             out = sample(denoiser, None, schedule, steps, rng.standard_normal(args.n), eta=eta,
                          rng=rng)
             exact = denoiser.final_sd(steps, eta)
-            print(f"{n_steps:6d} {eta:4.1f} {out.mean():8.4f} {out.std(ddof=1):8.4f} "
-                  f"{exact:9.4f} {out.std(ddof=1) / args.s:6.4f}")
+            sd = out.std(ddof=1)
+            ratio = f"{sd / args.s:6.4f}" if args.s else f"{'-':>6}"  # no ratio to a point mass
+            print(f"{n_steps:6d} {eta:4.1f} {out.mean():8.4f} {sd:8.4f} {exact:9.4f} {ratio}")
 
 
 if __name__ == "__main__":

@@ -3,6 +3,15 @@
 The head-mask recipe (Otsu threshold, close with a radius-2 ball, fill holes,
 keep the largest component) is a declared surrogate and is tagged
 "head-mask-v1" in report metadata.
+
+The closing and the hole fill are computed from array shifts and one
+labelling, with the results of ``ndimage.binary_closing`` and
+``ndimage.binary_fill_holes``. The radius-2 ball (33 offsets) is the 3x3x3
+cube plus the six offsets two voxels along an axis, so a dilation by it is the
+cube's dilation (three 1-voxel shift-ORs, one per axis) ORed with the input
+shifted two voxels each way along each axis; the erosion is the same with AND,
+where a shift that reaches past the array meets background. A hole is a
+6-connected background component that touches none of the array's six faces.
 """
 
 from __future__ import annotations
@@ -51,13 +60,60 @@ def otsu_threshold(vol: Volume3D) -> float:
     return float(edges[k])
 
 
-def ball_structure(radius: int) -> np.ndarray:
-    """Ball structuring element: offsets with squared norm <= radius^2
-    (the 6-connected cross at radius 1)."""
-    r = int(radius)
-    ax = np.arange(-r, r + 1)
-    dx, dy, dz = np.meshgrid(ax, ax, ax, indexing="ij")
-    return dx * dx + dy * dy + dz * dz <= r * r
+def _along(axis: int, part) -> tuple:
+    """An index taking ``part`` (a slice or one position) of ``axis`` and all
+    of the other two."""
+    index = [slice(None)] * 3
+    index[axis] = part
+    return tuple(index)
+
+
+def _shift_combine(out: np.ndarray, src: np.ndarray, axis: int, step: int, erode: bool):
+    """Combine ``out`` in place with ``src`` shifted ``step`` voxels each way
+    along ``axis``: OR for a dilation, AND for an erosion, where the voxels a
+    shift leaves uncovered meet background. Returns ``out``."""
+    ahead, behind = _along(axis, slice(step, None)), _along(axis, slice(None, -step))
+    if erode:
+        out[ahead] &= src[behind]
+        out[behind] &= src[ahead]
+        out[_along(axis, slice(None, step))] = False
+        out[_along(axis, slice(-step, None))] = False
+    else:
+        out[ahead] |= src[behind]
+        out[behind] |= src[ahead]
+    return out
+
+
+def _ball2(data: np.ndarray, erode: bool) -> np.ndarray:
+    """Dilation (or erosion) of ``data`` by the radius-2 ball, everything
+    outside the array background: by the 3x3x3 cube one axis at a time, then
+    with ``data`` shifted two voxels each way along each axis."""
+    out = data
+    for axis in range(3):
+        out = _shift_combine(out.copy(), out, axis, 1, erode)
+    for axis in range(3):
+        _shift_combine(out, data, axis, 2, erode)
+    return out
+
+
+def _close_ball2(data: np.ndarray) -> np.ndarray:
+    """``ndimage.binary_closing(data, structure=<radius-2 ball>)``: outside
+    the array is background, so the closing leaves a 2-voxel outer ring
+    background."""
+    return _ball2(_ball2(data, erode=False), erode=True)
+
+
+def _fill_holes(data: np.ndarray) -> np.ndarray:
+    """``ndimage.binary_fill_holes(data)``: every 6-connected background
+    component (``ndimage.label``'s default cross) that touches none of the
+    array's six faces becomes foreground."""
+    labels, n = ndimage.label(~data)
+    filled = np.ones(n + 1, dtype=bool)  # by label; label 0 is the foreground
+    for axis in range(3):
+        for face in (0, -1):
+            filled[labels[_along(axis, face)]] = False
+    filled[0] = True
+    return filled[labels]
 
 
 def _largest_component(data: np.ndarray) -> np.ndarray:
@@ -82,6 +138,12 @@ def head_mask(vol: Volume3D) -> BinaryMask:
     background), holes filled (background not connected to the volume
     border), then the largest component.
 
+    The closing is the 3x3x3 cube's dilation and erosion, each one axis at a
+    time, combined with the foreground shifted two voxels along each axis
+    (the ball is the cube plus those six offsets). The fill labels the
+    closed mask's background once: a label found on any of the box's six
+    faces stays background, every other label becomes foreground.
+
     The threshold is taken over the whole volume; the rest runs on the
     foreground's bounding box grown by 5 voxels, twice the ball radius plus
     one. The closing stays inside the box and leaves its outer ring
@@ -91,8 +153,7 @@ def head_mask(vol: Volume3D) -> BinaryMask:
     foreground = BinaryMask.like(vol, vol.data > otsu_threshold(vol))
     box = foreground.bounding_box(5)  # not None: the maximum is above the threshold
     out = np.zeros(vol.dims, dtype=bool)
-    closed = ndimage.binary_closing(foreground.data[box], structure=ball_structure(2))
-    out[box] = _largest_component(ndimage.binary_fill_holes(closed))
+    out[box] = _largest_component(_fill_holes(_close_ball2(foreground.data[box])))
     return BinaryMask.like(vol, out)
 
 

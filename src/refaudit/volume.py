@@ -277,13 +277,13 @@ def read_nifti(raw: bytes) -> Volume3D:
     if offset < HEADER_SIZE:
         raise FormatError(f"vox_offset {offset} overlaps the header")
     nbytes = nx * ny * nz * (bitpix // 8)
-    payload = raw[offset : offset + nbytes]
-    if len(payload) < nbytes:
+    if len(raw) - offset < nbytes:
         raise CorruptFileError(
-            f"data section truncated: need {nbytes} bytes, have {len(payload)}"
+            f"data section truncated: need {nbytes} bytes, have {max(len(raw) - offset, 0)}"
         )
-    arr = np.frombuffer(payload, dtype=dtype).reshape((nx, ny, nz), order="F")
-    data = arr.astype(np.float64)
+    # one copy: the payload is read in place and converted straight to C order
+    arr = np.frombuffer(raw, dtype=dtype, count=nx * ny * nz, offset=offset)
+    data = arr.reshape((nx, ny, nz), order="F").astype(np.float64, order="C")
     if scl_slope != 0.0 and (scl_slope, scl_inter) != (1.0, 0.0):
         if not (math.isfinite(scl_slope) and math.isfinite(scl_inter)):
             raise FormatError(f"scl_slope {scl_slope} or scl_inter {scl_inter} is not finite")

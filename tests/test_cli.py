@@ -810,7 +810,9 @@ class TestHostileInputs:
                                (["--n", "1"], "--n: must be an integer >= 2, got 1"),
                                (["--seed", "-1"], "--seed: must be a non-negative integer, got -1"),
                                (["--mu", "nan"], "DDIM chain at eta=0.0 ended in non-finite"),
-                               (["--s", "1e200"], "Numerical result out of range")):
+                               (["--s", "1e200"], "Numerical result out of range"),
+                               (["--s", "-1"], "--s: must be finite and >= 0, got -1.0"),
+                               (["--s", "nan"], "--s: must be finite and >= 0, got nan")):
             with pytest.raises(SystemExit) as exc:
                 moment_check.main(flags)
             assert exc.value.code == 2

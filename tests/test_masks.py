@@ -7,7 +7,14 @@ from scipy import ndimage
 from refaudit.deface import quickshear
 from refaudit.denoisers import mirror_fill
 from refaudit.errors import DegenerateInputError
-from refaudit.masks import _largest_component, ball_structure, face_roi, head_mask, otsu_threshold
+from refaudit.masks import (
+    _close_ball2,
+    _fill_holes,
+    _largest_component,
+    face_roi,
+    head_mask,
+    otsu_threshold,
+)
 from refaudit.volume import BinaryMask, Volume3D
 
 
@@ -86,6 +93,15 @@ class TestOtsu:
         assert np.array_equal(fg, fg_mapped)
 
 
+def ball_structure(radius: int) -> np.ndarray:
+    """Ball structuring element: offsets with squared norm <= radius^2
+    (the 6-connected cross at radius 1)."""
+    r = int(radius)
+    ax = np.arange(-r, r + 1)
+    dx, dy, dz = np.meshgrid(ax, ax, ax, indexing="ij")
+    return dx * dx + dy * dy + dz * dz <= r * r
+
+
 def erode1(data):
     """Erosion by the 6-connected cross; outside the volume is background."""
     return ndimage.binary_erosion(data, structure=ball_structure(1))
@@ -94,6 +110,18 @@ def erode1(data):
 def dilate1(data):
     """Dilation by the 6-connected cross."""
     return ndimage.binary_dilation(data, structure=ball_structure(1))
+
+
+@st.composite
+def random_masks(draw):
+    """Boolean arrays with axes of 1-12 voxels (some shorter than the
+    5-voxel ball), sometimes with foreground over a whole face."""
+    shape = tuple(draw(st.integers(1, 12)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.random(shape) < draw(st.floats(0.05, 0.95))
+    if draw(st.booleans()):
+        data[(slice(None),) * draw(st.integers(0, 2)) + (draw(st.sampled_from([0, -1])),)] = True
+    return data
 
 
 class TestMorphology:
@@ -112,6 +140,15 @@ class TestMorphology:
         pitted[7, 7, 7] = False
         closed = head_mask(vol_of(np.where(pitted, 100.0, 0.0)))
         assert np.array_equal(closed.data, cube)
+
+    @given(random_masks())
+    def test_closing_equals_scipy_closing_by_the_ball(self, data):
+        expected = ndimage.binary_closing(data, structure=ball_structure(2))
+        assert np.array_equal(_close_ball2(data), expected)
+
+    @given(random_masks())
+    def test_fill_equals_scipy_fill_holes(self, data):
+        assert np.array_equal(_fill_holes(data), ndimage.binary_fill_holes(data))
 
     def test_largest_component_prefers_more_voxels(self):
         data = np.zeros((16, 16, 16), bool)
@@ -216,6 +253,12 @@ class TestHeadMaskCrop:
         for _ in range(10):
             data = ndimage.uniform_filter(rng.random((18, 20, 22)), 3)
             self.assert_matches_full_grid(vol_of(data))
+
+
+@pytest.mark.parametrize("dims", [(1, 12, 12), (12, 2, 12), (12, 12, 1), (1, 2, 12)])
+def test_head_mask_on_axes_of_one_and_two_voxels_matches_full_grid(rng, dims):
+    vol = vol_of(rng.uniform(0.0, 5.0, size=dims))
+    assert np.array_equal(head_mask(vol).data, head_mask_full_grid(vol))
 
 
 class TestFaceRoi:

@@ -160,6 +160,26 @@ class TestReader:
         with pytest.raises(CorruptFileError, match="truncated"):
             read_nifti(raw)
 
+    def test_payload_decodes_in_one_copy_that_the_volume_adopts(self, rng, monkeypatch):
+        values = rng.standard_normal((3, 4, 5)).astype(np.float32)
+        payload = values.tobytes(order="F")
+        raw = assemble_nifti(values.shape, 16, payload + b"trailing bytes")
+        coerced = []
+        coerce = Volume3D._coerce
+
+        def spy(data):
+            coerced.append((data, coerce(data)))
+            return coerced[-1][1]
+
+        monkeypatch.setattr(Volume3D, "_coerce", staticmethod(spy))
+        vol = read_nifti(raw)
+        (given, kept), = coerced
+        assert given.dtype == np.float64 and given.flags.c_contiguous
+        assert kept is given and vol.data is given  # adopted: no copy after the decode
+        assert np.array_equal(vol.data, values)
+        with pytest.raises(CorruptFileError, match="truncated"):
+            read_nifti(assemble_nifti(values.shape, 16, payload[:-1]))
+
     def test_big_endian_rejected(self):
         raw = bytearray(assemble_nifti((2, 2, 2), 4, bytes(16)))
         struct.pack_into(">i", raw, 0, HEADER_SIZE)
