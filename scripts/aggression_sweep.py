@@ -11,10 +11,11 @@ Usage: python scripts/aggression_sweep.py [--n 10] [--seed 42] [--out sweep.csv]
 import argparse
 import sys
 
-from refaudit.cli import _summary_cells, _write_csv, nonnegative_int, positive_int
+from refaudit.cli import EXIT_IO, _write_csv, nonnegative_int, positive_int
 from refaudit.deface import quickshear
 from refaudit.masks import head_mask
 from refaudit.phantom import generate_cohort
+from refaudit.stats import bootstrap_cells
 from refaudit.surface import face_distance_report
 
 BUFFERS_MM = (0.0, 5.0, 10.0, 20.0)
@@ -27,6 +28,11 @@ def main(argv=None):
     parser.add_argument("--boot", type=positive_int, default=1000)
     parser.add_argument("--out", default=None, help="per-subject CSV path")
     args = parser.parse_args(argv)
+    try:  # a bad --out path fails here, before the sweep rather than after it
+        out = open(args.out, "w", newline="") if args.out else None
+    except OSError as exc:
+        print(f"aggression_sweep: I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
     rows = []
     for case in generate_cohort(args.n, seed=args.seed):
@@ -41,14 +47,14 @@ def main(argv=None):
             print(f"{case.subject_id} buffer {buffer_mm:5.1f} mm: "
                   f"removed {removed.count():7d} voxels, masd {d:6.3f} mm")
 
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            _write_csv(fh, ["subject_id", "buffer_mm", "removed_voxels", "masd_mm"], rows)
+    if out:
+        with out:
+            _write_csv(out, ["subject_id", "buffer_mm", "removed_voxels", "masd_mm"], rows)
 
     print("\nbuffer_mm  masd cell (bootstrap mean [95% CI])")
-    cells = _summary_cells([(sid, b, d) for sid, b, _, d in rows], args.boot, args.seed)
+    cells = bootstrap_cells([(sid, b, d) for sid, b, _, d in rows], args.boot, args.seed)
     for buffer_mm, cell in cells.items():
-        print(f"{buffer_mm:9.1f}  {cell}")
+        print(f"{buffer_mm:9.1f}  {cell.summary.format()}")
     return 0
 
 

@@ -132,15 +132,6 @@ def _write_csv(fh, header, rows) -> None:
     writer.writerows(rows)
 
 
-def _summary_cells(rows, n_boot: int, seed: int) -> dict:
-    """``{cell: text}`` over (subject_id, cell, value) rows: the bootstrap
-    mean [95% CI], or the value itself to 2 decimals when the rows hold one
-    subject, since a bootstrap needs two."""
-    if len({sid for sid, _, _ in rows}) == 1:
-        return {key: f"{value:.2f}" for _, key, value in rows}
-    return {key: c.summary.format() for key, c in bootstrap_cells(rows, n_boot, seed).items()}
-
-
 def _check_mode_flags(args, paths, table_only=(), pair_only=()) -> None:
     """Reject, as an argument error, a flag the chosen mode would ignore:
     positional ``paths`` or a ``pair_only`` flag with ``--table``, or a
@@ -362,7 +353,8 @@ def cmd_demo(args) -> int:
             "buffer_mm": args.buffer_mm,
             "n_boot": args.boot,
             "sampler_config": config.to_json_dict(),
-            "masd_cells": _summary_cells(masd_rows, args.boot, args.seed),
+            "masd_cells": {m: c.summary.format()
+                           for m, c in bootstrap_cells(masd_rows, args.boot, args.seed).items()},
             "files": sorted(p.name for p in out.iterdir() if p.name != "manifest.json"),
         }
 

@@ -125,21 +125,13 @@ def read_predictions_csv(path) -> dict:
 
 @dataclass(frozen=True)
 class LmmFit:
-    beta0: float
-    beta1: float
-    beta2: float
+    beta: tuple  # (intercept, age, sex) fixed effects
     beta_se: tuple
     sigma_r2: float
     sigma_e2: float
     loglik: float
     theta: float  # variance ratio sigma_r2 / sigma_e2
     theta_identifiable: bool
-    n_obs: int
-    n_subjects: int
-
-    @property
-    def beta(self) -> np.ndarray:
-        return np.array([self.beta0, self.beta1, self.beta2])
 
 
 def _design(table: ObservationTable):
@@ -201,17 +193,13 @@ def fit_lmm(table: ObservationTable) -> LmmFit:
     cov = sigma_e2 * np.linalg.inv(xtx)
     se = tuple(float(s) for s in np.sqrt(np.maximum(np.diag(cov), 0.0)))
     return LmmFit(
-        beta0=float(beta[0]),
-        beta1=float(beta[1]),
-        beta2=float(beta[2]),
+        beta=tuple(float(b) for b in beta),
         beta_se=se,
         sigma_r2=theta_hat * sigma_e2,
         sigma_e2=sigma_e2,
         loglik=loglik,
         theta=theta_hat,
         theta_identifiable=identifiable,
-        n_obs=len(table),
-        n_subjects=len(counts),
     )
 
 
@@ -247,9 +235,10 @@ def _maximize_theta(X, y, codes, counts):
 
 
 def residualize(table: ObservationTable, fit: LmmFit) -> np.ndarray:
-    """Per-row y - beta0 - beta1*age - beta2*sex (fixed effects only; the
-    random intercept is deliberately not subtracted)."""
-    return table.y - fit.beta0 - fit.beta1 * table.age - fit.beta2 * table.sex
+    """Per-row y - b0 - b1*age - b2*sex (fixed effects only; the random
+    intercept is deliberately not subtracted)."""
+    b0, b1, b2 = fit.beta
+    return table.y - b0 - b1 * table.age - b2 * table.sex
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +426,14 @@ def bootstrap_replicates(data, statistic, n_boot: int, seed: int) -> np.ndarray:
     return np.array(replicates, dtype=np.float64).T.copy()
 
 
-def bootstrap(data, statistic, n_boot: int = 1000, seed: int = 0) -> StatSummary:
-    """Percentile bootstrap of a scalar ``statistic`` over row resamples of
-    ``data`` (see ``bootstrap_replicates`` for the redraw rule)."""
-    return StatSummary.from_replicates(bootstrap_replicates(data, statistic, n_boot, seed))
+def bootstrap(data, statistic, n_boot: int = 1000, seed: int = 0):
+    """Percentile bootstrap of ``statistic`` over row resamples of ``data``
+    (see ``bootstrap_replicates`` for the redraw rule): a StatSummary for a
+    scalar statistic, a list of one per component for a vector one."""
+    replicates = bootstrap_replicates(data, statistic, n_boot, seed)
+    if replicates.ndim == 1:
+        return StatSummary.from_replicates(replicates)
+    return [StatSummary.from_replicates(r) for r in replicates]
 
 
 Cell = namedtuple("Cell", "values summary")  # {subject_id: value}, StatSummary of the mean
@@ -449,8 +442,10 @@ Cell = namedtuple("Cell", "values summary")  # {subject_id: value}, StatSummary 
 def bootstrap_cells(rows, n_boot: int, seed: int) -> dict:
     """Group (subject_id, cell, value) rows into {cell: Cell} in sorted cell
     order, values in input order (which decides the resamples drawn), and
-    bootstrap each cell's mean. A repeated (subject_id, cell) or a NaN value
-    raises ValueError; +-inf is kept (an exact refacing's PSNR is inf)."""
+    bootstrap each cell's mean, the cells of one size sharing each
+    replicate's resample; a one-subject cell's summary is its value. A
+    repeated (subject_id, cell) or a NaN value raises ValueError; +-inf is
+    kept (an exact refacing's PSNR is inf)."""
     groups: dict = {}
     for sid, key, value in rows:
         if math.isnan(value):
@@ -459,10 +454,14 @@ def bootstrap_cells(rows, n_boot: int, seed: int) -> dict:
         if sid in values:
             raise ValueError(f"duplicate row for ({sid!r}, {key!r})")
         values[sid] = value
-    return {
-        key: Cell(values, bootstrap(np.array(list(values.values())), np.mean, n_boot, seed))
-        for key, values in sorted(groups.items())
-    }
+    summaries = {}
+    for n in {len(values) for values in groups.values()}:
+        keys = [key for key, values in groups.items() if len(values) == n]
+        arrays = [np.array(list(groups[key].values())) for key in keys]
+        found = (bootstrap(np.arange(n), lambda idx: [a[idx].mean() for a in arrays], n_boot, seed)
+                 if n > 1 else [StatSummary(*[float(a[0])] * 3) for a in arrays])
+        summaries.update(zip(keys, found))
+    return {key: Cell(values, summaries[key]) for key, values in sorted(groups.items())}
 
 
 def significance_stars(p: float) -> str:

@@ -606,6 +606,24 @@ class TestDemoCommand:
                      "phantom-000_refaced_stub.nii.gz"):
             assert (out_dir / name).exists()
 
+    def test_single_subject_tables_aggregate_as_the_demo_does(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "generate_cohort", small_cohort)
+        out = tmp_path / "demo"
+        assert run_cli(["demo", str(out), "-n", "1", "--steps", "1", "--boot", "50"])[0] == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        summary = tmp_path / "masd.json"
+        rc, text = run_cli(["masd", "--table", str(out / "masd.csv"), "--boot", "50",
+                            "--summary", str(summary)])
+        assert rc == 0
+        assert json.loads(summary.read_text())["methods"] == manifest["masd_cells"]
+        for method, cell in manifest["masd_cells"].items():
+            mean = cell.split()[0]
+            assert cell == f"{mean} [{mean}, {mean}]", method
+        assert [r["n"] for r in csv_rows(text)] == ["1"] * 3
+        rc, text = run_cli(["quality", "--table", str(out / "quality.csv"), "--boot", "50"])
+        assert rc == 0
+        assert [r["n"] for r in csv_rows(text)] == ["1"] * 12
+
 
 class TestOriginalSideOnce:
     def test_demo_subject_builds_one_head_mask_of_the_original(self, monkeypatch, tmp_path):
@@ -817,6 +835,18 @@ class TestHostileInputs:
                 moment_check.main(flags)
             assert exc.value.code == 2
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_aggression_sweep_bad_out_path_exits_3_before_the_sweep(self, tmp_path, capsys,
+                                                                     where):
+        sweep = load_script("aggression_sweep")
+        sweep.generate_cohort = no_cohort
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "sweep.csv"
+        assert sweep.main(["--n", "1", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert "I/O error" in captured.err and str(out) in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "missing").exists()
 
     def test_aggression_sweep_negative_seed_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

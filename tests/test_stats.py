@@ -118,9 +118,8 @@ class TestFitLmm:
 
 class TestResidualize:
     def make_fit(self, beta):
-        return LmmFit(beta0=beta[0], beta1=beta[1], beta2=beta[2],
-                      beta_se=(0, 0, 0), sigma_r2=0.0, sigma_e2=1.0, loglik=0.0,
-                      theta=0.0, theta_identifiable=True, n_obs=0, n_subjects=0)
+        return LmmFit(beta=tuple(beta), beta_se=(0, 0, 0), sigma_r2=0.0, sigma_e2=1.0,
+                      loglik=0.0, theta=0.0, theta_identifiable=True)
 
     def simple_table(self, rng, n=20):
         return ObservationTable(
@@ -434,6 +433,12 @@ class TestBootstrap:
         np.testing.assert_array_equal(reps[1], bootstrap_replicates(data, np.median, 200, 5))
         assert bootstrap(data, np.median, 200, 5) == StatSummary.from_replicates(reps[1])
 
+    def test_vector_bootstrap_equals_its_scalar_components(self, rng):
+        data = rng.standard_normal(25)
+        summaries = bootstrap(data, lambda x: [np.mean(x), np.median(x), x.max()], 300, 9)
+        assert summaries == [bootstrap(data, np.mean, 300, 9), bootstrap(data, np.median, 300, 9),
+                             bootstrap(data, np.max, 300, 9)]
+
     def test_undefined_component_redraws_the_whole_replicate(self):
         data = np.arange(12.0)
 
@@ -464,6 +469,24 @@ class TestBootstrapCells:
         assert list(cells["b"].values.items()) == [("s2", 3.0), ("s0", 5.0), ("s1", 4.0)]
         assert cells["b"].summary == bootstrap(np.array([3.0, 5.0, 4.0]), np.mean, 50, 4)
         assert cells["a"].summary.mean == math.inf
+
+    def test_cells_sharing_resamples_equal_their_own_bootstraps(self, rng):
+        # cells of 9 subjects share each replicate's resample; every cell must
+        # still equal its own bootstrap of the mean bit for bit
+        sizes = {"a": 1, "b": 2, "c": 9, "d": 9, "e": 30}
+        rows = [(f"s{i:02d}", key, float(rng.normal(4.0, 1.5)))
+                for key, n in sizes.items() for i in rng.permutation(n)]
+        k = next(k for k, row in enumerate(rows) if row[1] == "d")
+        rows[k] = (*rows[k][:2], math.inf)
+        cells = bootstrap_cells(rows, n_boot=200, seed=6)
+        assert {key: len(c.values) for key, c in cells.items()} == sizes
+        (v,) = cells["a"].values.values()
+        assert cells["a"].summary == StatSummary(v, v, v)
+        assert cells["a"].summary.format() == f"{v:.2f} [{v:.2f}, {v:.2f}]"
+        for key in "bcde":
+            values = np.array(list(cells[key].values.values()))
+            assert cells[key].summary == bootstrap(values, np.mean, 200, 6), key
+        assert cells["d"].summary.ci_high == math.inf
 
     def test_duplicate_key_raises_naming_it(self):
         with pytest.raises(ValueError, match=r"duplicate row for \('s1', 'dpm'\)"):
