@@ -191,8 +191,14 @@ MASD_HEADER = ("subject_id", "method", "masd_mm")
 
 
 def _read_distance_table(path):
-    return [(r["subject_id"], r["method"], float(r["masd_mm"]))
+    """(subject_id, method, masd_mm) rows; a negative distance, -inf among
+    them, raises ValueError naming its row."""
+    rows = [(r["subject_id"], r["method"], float(r["masd_mm"]))
             for r in read_csv_rows(path, MASD_HEADER, "distance")]
+    for sid, method, d in rows:
+        if d < 0:
+            raise ValueError(f"masd_mm of ({sid!r}, {method!r}) is {d}, below 0")
+    return rows
 
 
 def cmd_masd(args) -> int:
@@ -245,13 +251,20 @@ def cmd_quality(args) -> int:
     _check_mode_flags(args, ("original", "defaced", "refaced"), pair_only=("removed", "summary"))
     if args.table:
         table = read_csv_rows(args.table, QUALITY_HEADER, "quality")
-        cells = {metric: bootstrap_cells([(r["subject_id"], r["image"], float(r[metric]))
-                                          for r in table], args.boot, args.seed)
-                 for metric in QUALITY_METRICS}
+        seen = set()
+        for r in table:
+            key = (r["subject_id"], r["image"])
+            if key in seen:
+                raise ValueError(f"duplicate row for {key!r}")
+            seen.add(key)
+        # one call, so the (image, metric) cells of one size share each resample
+        cells = bootstrap_cells([(r["subject_id"], (r["image"], metric), float(r[metric]))
+                                 for r in table for metric in QUALITY_METRICS],
+                                args.boot, args.seed)
         rows = []
-        for image in cells[QUALITY_METRICS[0]]:
+        for image in sorted({image for image, _ in cells}):
             for metric in QUALITY_METRICS:
-                values, s = cells[metric][image]
+                values, s = cells[image, metric]
                 rows.append([image, metric, len(values), _fmt(s.mean, 2), _fmt(s.ci_low, 2),
                              _fmt(s.ci_high, 2), s.format()])
         _write_csv(sys.stdout, ["image", "metric", "n", "mean", "ci_low", "ci_high", "cell"], rows)

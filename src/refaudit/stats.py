@@ -245,20 +245,28 @@ def residualize(table: ObservationTable, fit: LmmFit) -> np.ndarray:
 # Rank statistics
 
 
+def _rank_codes(a) -> tuple:
+    """Each value of a 1D array as its index among the array's sorted
+    distinct values (-0.0 and 0.0 are one value), from one sort, and the
+    number of distinct values."""
+    distinct, codes = np.unique(a, return_inverse=True)
+    return codes, len(distinct)
+
+
+def _average_ranks(codes: np.ndarray, n_distinct: int) -> np.ndarray:
+    """Average ranks 1..n of the values coded by ``codes`` (any draw of the
+    codes ``_rank_codes`` gave): a value's rank is the number of values
+    below it plus half of its own count + 1, an exact half-integer."""
+    counts = np.bincount(codes, minlength=n_distinct)
+    below = counts.cumsum() - counts
+    return (below + 0.5 * (counts + 1))[codes]
+
+
 def rankdata(a) -> np.ndarray:
-    """Ranks 1..n of a 1D array, tied values sharing their average rank.
-    scipy's algorithm (stable argsort, then each value's run of equal sorted
-    values), so the ranks equal ``scipy.stats.rankdata``'s bit for bit on
-    NaN-free input; NaN must be rejected before."""
-    a = np.asarray(a)
-    order = np.argsort(a, kind="stable")
-    inverse = np.empty(order.size, dtype=np.intp)
-    inverse[order] = np.arange(order.size, dtype=np.intp)
-    ordered = a[order]
-    obs = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    dense = obs.cumsum()[inverse]
-    count = np.concatenate((np.flatnonzero(obs), [obs.size]))
-    return 0.5 * (count[dense] + count[dense - 1] + 1)
+    """Ranks 1..n of a 1D array, tied values sharing their average rank, by
+    one sort and counting; the ranks equal ``scipy.stats.rankdata``'s
+    bit for bit on NaN-free input; NaN must be rejected before."""
+    return _average_ranks(*_rank_codes(a))
 
 
 def _reject_nan(name: str, values: np.ndarray) -> None:
@@ -281,19 +289,24 @@ def spearman(x, y):
                          "or of rows of n values")
     _reject_nan("spearman x", x)
     _reject_nan("spearman y", y)
-    ry = rankdata(y)
+    rhos = _rank_correlations([rankdata(row) for row in np.atleast_2d(x)], rankdata(y))
+    return rhos if x.ndim == 2 else rhos[0]
+
+
+def _rank_correlations(rank_rows, ry) -> list:
+    """Spearman's rho of each rank vector in ``rank_rows`` against the ranks
+    ``ry``, as floats; DegenerateInputError if ``ry`` or any row has zero
+    rank variance."""
     ry = ry - ry.mean()
     ryy = ry @ ry
     centred = []
-    for row in np.atleast_2d(x):
-        rx = rankdata(row)
+    for rx in rank_rows:
         rx = rx - rx.mean()
         centred.append((rx, rx @ rx))
     # centred half-integer ranks are all 0 exactly when the ranks are constant
     if ryy == 0.0 or any(rxx == 0.0 for _, rxx in centred):
         raise DegenerateInputError("zero rank variance")
-    rhos = [float((rx @ ry) / math.sqrt(rxx * ryy)) for rx, rxx in centred]
-    return rhos if x.ndim == 2 else rhos[0]
+    return [float((rx @ ry) / math.sqrt(rxx * ryy)) for rx, rxx in centred]
 
 
 def wilcoxon_signed_rank(a, b) -> tuple:
@@ -444,8 +457,9 @@ def bootstrap_cells(rows, n_boot: int, seed: int) -> dict:
     order, values in input order (which decides the resamples drawn), and
     bootstrap each cell's mean, the cells of one size sharing each
     replicate's resample; a one-subject cell's summary is its value. A
-    repeated (subject_id, cell) or a NaN value raises ValueError; +-inf is
-    kept (an exact refacing's PSNR is inf)."""
+    repeated (subject_id, cell), a NaN value or a cell holding both inf and
+    -inf raises ValueError; +-inf alone is kept (an exact refacing's PSNR is
+    inf)."""
     groups: dict = {}
     for sid, key, value in rows:
         if math.isnan(value):
@@ -454,6 +468,9 @@ def bootstrap_cells(rows, n_boot: int, seed: int) -> dict:
         if sid in values:
             raise ValueError(f"duplicate row for ({sid!r}, {key!r})")
         values[sid] = value
+    for key, values in groups.items():
+        if math.inf in values.values() and -math.inf in values.values():
+            raise ValueError(f"cell {key!r} holds both inf and -inf, so its mean is undefined")
     summaries = {}
     for n in {len(values) for values in groups.values()}:
         keys = [key for key, values in groups.items() if len(values) == n]
@@ -505,8 +522,15 @@ def correlation_report(
     aligned = np.array([[predictions[m][k] for k in keys] for m in methods],
                        dtype=np.float64).reshape(len(methods), len(keys))
 
+    _reject_nan("predictions", aligned)
+    _reject_nan("residuals", resid)
+    # each column is sorted once; a resample's ranks are counted from its codes
+    columns = [_rank_codes(row) for row in aligned]
+    resid_codes, resid_distinct = _rank_codes(resid)
+
     def rhos(idx):  # one resample of row indices, shared by every method
-        return spearman(aligned[:, idx], resid[idx])
+        return _rank_correlations([_average_ranks(codes[idx], u) for codes, u in columns],
+                                  _average_ranks(resid_codes[idx], resid_distinct))
 
     n = len(table)
     replicates = dict(zip(methods, bootstrap_replicates(np.arange(n), rhos, n_boot, seed)))

@@ -500,6 +500,31 @@ class TestQualityCommand:
         want = stats.bootstrap(vals, np.mean, n_boot=300, seed=3)
         assert got[("refaced", "psnr_head")]["cell"] == want.format()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_table_equals_one_bootstrap_per_metric(self, tmp_path):
+        # every (image, metric) cell shares its size's resamples; the output
+        # is that of four bootstrap_cells calls, one per metric, byte for byte
+        rng = np.random.default_rng(8)
+        rows = [[f"s{i:02d}", image, *(f"{v:.3f}" for v in rng.normal(20.0, 4.0, 4))]
+                for image, n in (("refaced", 9), ("defaced", 9), ("stub", 14), ("one", 1))
+                for i in rng.permutation(n)]
+        rows[3][2] = "inf"
+        rows[20][5] = "-inf"
+        table = write_csv(tmp_path / "q.csv", QUALITY_HEADER, rows)
+        rc, out = run_cli(["quality", "--table", table, "--boot", "150", "--seed", "5"])
+        assert rc == 0
+
+        cells = {metric: stats.bootstrap_cells([(r[0], r[1], float(r[k])) for r in rows], 150, 5)
+                 for k, metric in enumerate(cli.QUALITY_METRICS, start=2)}
+        want = io.StringIO()
+        cli._write_csv(want, ["image", "metric", "n", "mean", "ci_low", "ci_high", "cell"],
+                       [[image, metric, len(values), cli._fmt(s.mean, 2), cli._fmt(s.ci_low, 2),
+                         cli._fmt(s.ci_high, 2), s.format()]
+                        for image in cells["psnr_head"] for metric in cli.QUALITY_METRICS
+                        for values, s in [cells[metric][image]]])
+        assert out == want.getvalue()
+        assert len(csv_rows(out)) == 16
+
 
 class TestCorrelateCommand:
     def write_inputs(self, tmp_path, perfect=True):
@@ -688,6 +713,33 @@ class TestHostileInputs:
         rc, _ = run_cli(["masd", "--table", table, "--boot", "20"])
         assert rc == 2
         assert "duplicate row for ('s1', 'dpm')" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", ["-2.0", "-inf"])
+    def test_negative_distance_exits_2_naming_its_row(self, tmp_path, capsys, value):
+        rows = [["s0", "dpm", value], ["s1", "dpm", "1.0"], ["s0", "popavg", "0.5"]]
+        rc, out = run_cli(["masd", "--table", write_csv(tmp_path / "d.csv", DISTANCE_HEADER, rows),
+                           "--boot", "20"])
+        assert rc == 2 and out == ""
+        assert f"masd_mm of ('s0', 'dpm') is {float(value)}, below 0" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_distances_inf_and_minus_inf_exit_2(self, tmp_path, capsys):
+        rows = [["s0", "dpm", "inf"], ["s1", "dpm", "-inf"], ["s2", "dpm", "1.0"]]
+        rc, out = run_cli(["masd", "--table", write_csv(tmp_path / "d.csv", DISTANCE_HEADER, rows),
+                           "--boot", "20"])
+        assert rc == 2 and out == ""
+        assert "masd_mm of ('s1', 'dpm') is -inf, below 0" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_quality_cell_holding_inf_and_minus_inf_exits_2_naming_it(self, tmp_path, capsys):
+        rows = quality_rows()
+        rows[0][3], rows[2][3] = "inf", "-inf"
+        rc, out = run_cli(["quality", "--table", write_csv(tmp_path / "q.csv", QUALITY_HEADER, rows),
+                           "--boot", "20"])
+        assert rc == 2 and out == ""
+        assert ("cell ('refaced', 'psnr_face') holds both inf and -inf"
+                in capsys.readouterr().err)
 
     def test_duplicate_quality_row_exits_2(self, tmp_path, capsys):
         table = write_csv(tmp_path / "q.csv", QUALITY_HEADER, quality_rows() + quality_rows()[:1])

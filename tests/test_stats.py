@@ -21,8 +21,10 @@ from refaudit.stats import (
     bootstrap_indices,
     bootstrap_replicates,
     correlation_report,
+    _average_ranks,
     _design,
     _profile,
+    _rank_codes,
     fit_lmm,
     rankdata,
     residualize,
@@ -199,6 +201,19 @@ class TestRankdata:
     def test_bitwise_equal_to_scipy(self):
         for a in self.arrays():
             assert rankdata(a).tobytes() == scipy.stats.rankdata(a).tobytes(), a
+
+    @given(st.lists(st.sampled_from([-math.inf, -2.5, -1.0, -0.0, 0.0, 0.5, 3.0, math.inf])
+                    | st.floats(-1e6, 1e6), min_size=1, max_size=60),
+           st.integers(0, 2**32 - 1), st.integers(1, 80))
+    @settings(max_examples=300)
+    def test_counted_ranks_of_a_resample_equal_its_own_ranks(self, values, seed, size):
+        # a resample's ranks counted from the full array's codes are the
+        # ranks of the resample itself, bit for bit, ties, -0.0 and +-inf included
+        a = np.array(values)
+        codes, n_distinct = _rank_codes(a)
+        assert n_distinct == len(set(values))  # -0.0 == 0.0 in a set too
+        idx = np.random.default_rng(seed).integers(0, len(a), size)
+        assert _average_ranks(codes[idx], n_distinct).tobytes() == rankdata(a[idx]).tobytes()
 
 
 def test_importing_refaudit_does_not_load_scipy_stats():
@@ -496,6 +511,12 @@ class TestBootstrapCells:
         with pytest.raises(ValueError, match="NaN"):
             bootstrap_cells([("s1", "dpm", 1.0), ("s2", "dpm", float("nan"))], 10, 0)
 
+    def test_cell_holding_inf_and_minus_inf_raises_naming_it(self):
+        rows = [("s1", "a", math.inf), ("s2", "a", 1.0), ("s1", "b", -math.inf),
+                ("s2", "b", 1.0), ("s3", "b", math.inf)]
+        with pytest.raises(ValueError, match=r"cell 'b' holds both inf and -inf"):
+            bootstrap_cells(rows, 10, 0)
+
 
 class TestFormatting:
     def test_table_cell_layout(self):
@@ -563,32 +584,40 @@ class TestCorrelationReport:
 
     def test_tied_method_redraws_the_whole_replicate(self, rng):
         """A method that is constant on a resample makes spearman undefined:
-        the replicate is redrawn for every method, and each method's rho is
-        the one-row spearman of the accepted resample."""
+        the replicate is redrawn for every method, and the methods' rhos are
+        the rows of ``spearman`` on the accepted resample, bit for bit, also
+        for a method whose predictions hold ties and +-inf."""
         table = simulate_table(rng, n_subjects=12, n_visits=2)
         resid = residualize(table, fit_lmm(table))
         keys = table.keys()
         hits = {keys[i] for i in rng.choice(len(keys), size=3, replace=False)}
+        spiky = rng.choice([-math.inf, -1.0, -0.0, 0.0, 2.0, 3.5, math.inf], len(keys))
         preds = {"coarse": {k: float(k in hits) for k in keys},
-                 "dpm": {k: float(r + rng.normal(0.0, 2.0)) for k, r in zip(keys, resid)}}
+                 "dpm": {k: float(r + rng.normal(0.0, 2.0)) for k, r in zip(keys, resid)},
+                 "spiky": {k: float(v) for k, v in zip(keys, spiky)}}
         report = correlation_report(preds, table, seed=4, n_boot=200)
 
-        columns = {m: np.array([preds[m][k] for k in keys]) for m in preds}
-        want = {m: [] for m in preds}
+        methods = sorted(preds)
+        aligned = np.array([[preds[m][k] for k in keys] for m in methods])
+        want = []
         redraws = 0
         for r in range(200):
             for attempt in range(10):
                 idx = bootstrap_indices(len(keys), 4, r, attempt)
-                if columns["coarse"][idx].std() > 0:
+                try:
+                    want.append(spearman(aligned[:, idx], resid[idx]))
                     break
-                redraws += 1
-            for m in preds:
-                want[m].append(spearman(columns[m][idx], resid[idx]))
+                except DegenerateInputError:
+                    redraws += 1
         assert redraws > 0
-        for m in preds:
-            s = StatSummary.from_replicates(np.array(want[m]))
+        want = dict(zip(methods, np.array(want).T.copy()))
+        for m in methods:
+            s = StatSummary.from_replicates(want[m])
             assert report["methods"][m]["rho_mean"] == s.mean
             assert report["methods"][m]["ci"] == [s.ci_low, s.ci_high]
+        for entry in report["pairwise"]:
+            assert (entry["w"], entry["p"]) == wilcoxon_signed_rank(want[entry["a"]],
+                                                                    want[entry["b"]])
 
     def test_join_error_lists_missing_keys(self, rng):
         table, preds = self.table_and_predictions(rng, n=20)
