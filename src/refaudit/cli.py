@@ -220,13 +220,13 @@ def cmd_masd(args) -> int:
                                         np.array([per_b[s] for s in shared]))
             rows.append(["wilcoxon", a, b, len(shared), "", "", "", significance_stars(p),
                          _fmt(w, 1), f"{p:.6g}"])
-        _write_csv(sys.stdout, ["kind", "method", "peer", "n", "mean", "ci_low", "ci_high",
-                                "cell", "w", "p"], rows)
-        if args.summary:
+        if args.summary:  # before the CSV, so a bad path leaves stdout empty
             summary = {**_base_metadata(args.seed), "kind": "masd-aggregate",
                        "n_boot": args.boot,
                        "methods": {m: c.summary.format() for m, c in cells.items()}}
             Path(args.summary).write_text(_json_text(summary))
+        _write_csv(sys.stdout, ["kind", "method", "peer", "n", "mean", "ci_low", "ci_high",
+                                "cell", "w", "p"], rows)
         return EXIT_OK
 
     if not (args.original and args.candidate):
@@ -278,14 +278,14 @@ def cmd_quality(args) -> int:
     removed = intersection_mask([read_mask_file(p) for p in args.removed])
     records = quality_report(original, {"defaced": defaced, "refaced": refaced}, removed,
                              head=head_mask(original))
-    _write_csv(sys.stdout, QUALITY_HEADER, [_quality_row(args.subject_id, rec) for rec in records])
-    if args.summary:
+    if args.summary:  # before the CSV, so a bad path leaves stdout empty
         summary = {**_base_metadata(args.seed), "kind": "quality-report",
                    "masks_used": list(args.removed),
                    # strict JSON has no inf: a non-finite PSNR is its CSV cell's text
                    "records": [{k: _fmt(v, 2) if isinstance(v, float) and not math.isfinite(v)
                                 else v for k, v in rec.__dict__.items()} for rec in records]}
         Path(args.summary).write_text(_json_text(summary))
+    _write_csv(sys.stdout, QUALITY_HEADER, [_quality_row(args.subject_id, rec) for rec in records])
     return EXIT_OK
 
 
@@ -309,6 +309,9 @@ def cmd_correlate(args) -> int:
 # demo
 
 
+DEMO_IMAGES = ("original", "defaced", "removed", "refaced_oracle", "refaced_stub")
+
+
 def _demo_subject(case, out, config, buffer_mm, slab_workers=None):
     vol, brain = case.volume, case.brain
     head = head_mask(vol)
@@ -325,11 +328,9 @@ def _demo_subject(case, out, config, buffer_mm, slab_workers=None):
     refaced_stub = reface(mirror_fill(defaced, removed))
 
     sid = case.subject_id
-    write_nifti_file(vol, out / f"{sid}_original.nii.gz")
-    write_nifti_file(defaced, out / f"{sid}_defaced.nii.gz")
-    write_mask_file(removed, out / f"{sid}_removed.nii.gz")
-    write_nifti_file(refaced_oracle, out / f"{sid}_refaced_oracle.nii.gz")
-    write_nifti_file(refaced_stub, out / f"{sid}_refaced_stub.nii.gz")
+    files = [f"{sid}_{name}.nii.gz" for name in DEMO_IMAGES]
+    for name, image in zip(files, (vol, defaced, removed, refaced_oracle, refaced_stub)):
+        (write_mask_file if image is removed else write_nifti_file)(image, out / name)
 
     masd_rows = [(sid, method, d) for method, d in face_distance_report(
         vol, {"defaced": defaced, "refaced-oracle": refaced_oracle, "refaced-stub": refaced_stub},
@@ -337,7 +338,7 @@ def _demo_subject(case, out, config, buffer_mm, slab_workers=None):
     quality_rows = [_quality_row(sid, rec) for rec in quality_report(
         vol, {"refaced-oracle": refaced_oracle, "defaced": defaced, "refaced-stub": refaced_stub},
         removed, head=head)]
-    return masd_rows, quality_rows
+    return masd_rows, quality_rows, files
 
 
 def cmd_demo(args) -> int:
@@ -357,18 +358,20 @@ def cmd_demo(args) -> int:
                          f"{min(dims)} voxels")
 
     def finish(out, results):
-        masd_rows = [row for rows, _ in results for row in rows]
+        masd_rows = [row for rows, _, _ in results for row in rows]
         with open(out / "masd.csv", "w", newline="") as fh:
             _write_csv(fh, MASD_HEADER, [[sid, method, _fmt(d)] for sid, method, d in masd_rows])
         with open(out / "quality.csv", "w", newline="") as fh:
-            _write_csv(fh, QUALITY_HEADER, [row for _, rows in results for row in rows])
+            _write_csv(fh, QUALITY_HEADER, [row for _, rows, _ in results for row in rows])
         return {
             "buffer_mm": args.buffer_mm,
             "n_boot": args.boot,
             "sampler_config": config.to_json_dict(),
             "masd_cells": {m: c.summary.format()
                            for m, c in bootstrap_cells(masd_rows, args.boot, args.seed).items()},
-            "files": sorted(p.name for p in out.iterdir() if p.name != "manifest.json"),
+            # what this run wrote, not what else the directory holds
+            "files": sorted(["masd.csv", "quality.csv", *(f for _, _, files in results
+                                                         for f in files)]),
         }
 
     # the cohort pool runs min(cap, n) subjects at once; each subject's

@@ -11,7 +11,7 @@ parameter so tests can evaluate membership and surface offsets analytically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -100,22 +100,13 @@ class PhantomGeometry:
         return tip
 
     def to_json_dict(self) -> dict:
+        """The record's fields and its parameters' in one flat dict (they
+        share ``head_radii``), tuples as lists, plus the shell band and the
+        tissue intensities."""
+        record = asdict(self)
+        record = {**record.pop("params"), **record, "shell_band": SHELL_BAND}
         return {
-            "seed": self.seed,
-            "head_center": list(self.head_center),
-            "head_radii": list(self.head_radii),
-            "brain_center": list(self.brain_center),
-            "brain_radii": list(self.brain_radii),
-            "nose_center": list(self.nose_center),
-            "nose_radii": list(self.nose_radii),
-            "brow_center": list(self.brow_center),
-            "brow_radii": list(self.brow_radii),
-            "shell_band": list(SHELL_BAND),
-            "nose_length": self.params.nose_length,
-            "brow_depth": self.params.brow_depth,
-            "noise_amplitude": self.params.noise_amplitude,
-            "dims": list(self.params.dims),
-            "spacing": list(self.params.spacing),
+            **{name: list(v) if isinstance(v, tuple) else v for name, v in record.items()},
             "intensities": {
                 "background": INTENSITY_BACKGROUND,
                 "skull": INTENSITY_SKULL,

@@ -36,36 +36,46 @@ STATS_CONVENTIONS = {
 # Tables
 
 
+# each column of an observation table, in field order: its CSV cell parser
+# and its array dtype
+OBSERVATION_COLUMNS = {
+    "subject_id": (str, object),  # opaque string ids
+    "visit": (int, np.int64),  # ordinal ints
+    "age": (float, np.float64),  # years
+    "sex": (int, np.int64),  # 0/1
+    "y": (float, np.float64),  # target (HU or unitless)
+}
+
+
 @dataclass(frozen=True)
 class ObservationTable:
-    """Longitudinal records (subject_id, visit, age, sex, y)."""
+    """Longitudinal records, one array per column of ``OBSERVATION_COLUMNS``."""
 
-    subject_id: np.ndarray  # opaque string ids
-    visit: np.ndarray  # ordinal ints
-    age: np.ndarray  # years
-    sex: np.ndarray  # 0/1
-    y: np.ndarray  # target (HU or unitless)
+    subject_id: np.ndarray
+    visit: np.ndarray
+    age: np.ndarray
+    sex: np.ndarray
+    y: np.ndarray
 
     def __post_init__(self):
-        sid = np.asarray(self.subject_id, dtype=object)
-        visit = np.asarray(self.visit, dtype=np.int64)
-        age = np.asarray(self.age, dtype=np.float64)
-        sex = np.asarray(self.sex, dtype=np.int64)
-        y = np.asarray(self.y, dtype=np.float64)
-        n = len(sid)
-        if not (len(visit) == len(age) == len(sex) == len(y) == n):
+        for name, (_, dtype) in OBSERVATION_COLUMNS.items():
+            try:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+            except OverflowError as exc:
+                raise ValueError(f"{name} holds a value out of {np.dtype(dtype)} range") from exc
+        n = len(self)
+        if any(len(getattr(self, name)) != n for name in OBSERVATION_COLUMNS):
             raise ValueError("columns have mismatched lengths")
-        keys = list(zip(sid, visit))
-        if len(set(keys)) != n:
+        if len(set(self.keys())) != n:
             raise ValueError("(subject_id, visit) keys are not unique")
-        if not np.isfinite(age).all():
+        if not np.isfinite(self.age).all():
             raise ValueError("age must be finite")
-        if not np.isfinite(y).all():
+        if not np.isfinite(self.y).all():
             raise ValueError("y must be finite")
-        if not np.isin(sex, (0, 1)).all():
+        if not np.isin(self.sex, (0, 1)).all():
             raise ValueError("sex must be coded 0/1")
-        for name, arr in (("subject_id", sid), ("visit", visit), ("age", age), ("sex", sex), ("y", y)):
-            object.__setattr__(self, name, frozen(arr))
+        for name in OBSERVATION_COLUMNS:
+            object.__setattr__(self, name, frozen(getattr(self, name)))
 
     def __len__(self) -> int:
         return len(self.subject_id)
@@ -75,14 +85,10 @@ class ObservationTable:
 
     @classmethod
     def from_csv(cls, path) -> "ObservationTable":
-        cols = {k: [] for k in ("subject_id", "visit", "age", "sex", "y")}
-        for row in read_csv_rows(path, cols, "observation"):
-            cols["subject_id"].append(row["subject_id"])
-            cols["visit"].append(int(row["visit"]))
-            cols["age"].append(float(row["age"]))
-            cols["sex"].append(int(row["sex"]))
-            cols["y"].append(float(row["y"]))
-        return cls(**{k: np.array(v, dtype=object if k == "subject_id" else None) for k, v in cols.items()})
+        """Parsed row by row, so a bad cell raises at the first one in file order."""
+        rows = [[parse(row[name]) for name, (parse, _) in OBSERVATION_COLUMNS.items()]
+                for row in read_csv_rows(path, OBSERVATION_COLUMNS, "observation")]
+        return cls(*zip(*rows))
 
 
 def read_csv_rows(path, required, kind: str) -> list:
@@ -274,23 +280,18 @@ def _reject_nan(name: str, values: np.ndarray) -> None:
         raise ValueError(f"{name} holds NaN")
 
 
-def spearman(x, y):
-    """Spearman rank correlation with average ranks for ties.
-
-    ``x`` is n values (returns a float) or a (k, n) array of k rows
-    (returns k floats, each bitwise ``spearman(x[i], y)``), so ``y`` is
-    ranked once for every row. DegenerateInputError if ``y`` or any row has
-    zero rank variance; ValueError on NaN.
+def spearman(x, y) -> float:
+    """Spearman rank correlation of two samples of n values, with average
+    ranks for ties. DegenerateInputError if either has zero rank variance;
+    ValueError on NaN.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.ndim not in (1, 2) or y.ndim != 1 or x.shape[-1] != len(y) or len(y) < 3:
-        raise ValueError("spearman needs a 1D y of n >= 3 values and an x of n values "
-                         "or of rows of n values")
+    if x.ndim != 1 or x.shape != y.shape or len(y) < 3:
+        raise ValueError("spearman needs two 1D arrays of n >= 3 values")
     _reject_nan("spearman x", x)
     _reject_nan("spearman y", y)
-    rhos = _rank_correlations([rankdata(row) for row in np.atleast_2d(x)], rankdata(y))
-    return rhos if x.ndim == 2 else rhos[0]
+    return _rank_correlations([rankdata(x)], rankdata(y))[0]
 
 
 def _rank_correlations(rank_rows, ry) -> list:
@@ -332,14 +333,15 @@ def wilcoxon_signed_rank(a, b) -> tuple:
     n = len(d)
     if n < 5:
         raise ValueError(f"need >= 5 nonzero differences, got {n}")
-    ranks = rankdata(np.abs(d))
+    codes, n_distinct = _rank_codes(np.abs(d))
+    ranks = _average_ranks(codes, n_distinct)
     w_pos = float(ranks[d > 0].sum())
 
     if n <= WILCOXON_EXACT_MAX_N:
         p = _wilcoxon_exact_p(ranks, w_pos)
     else:
         mean = n * (n + 1) / 4.0
-        _, tie_counts = np.unique(ranks, return_counts=True)
+        tie_counts = np.bincount(codes)
         tie_term = float((tie_counts**3 - tie_counts).sum()) / 48.0
         var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
         dev = w_pos - mean

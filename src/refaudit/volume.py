@@ -405,7 +405,7 @@ def _trilinear_at(src: np.ndarray, axes):
     for corner in range(8):
         (i, wi), (j, wj), (k, wk) = (corners[axis][corner >> axis & 1] for axis in range(3))
         w = wi[:, None, None] * wj[:, None] * wk
-        w *= src[np.ix_(i, j, k)]
+        w *= src.take(i, 0).take(j, 1).take(k, 2)  # the gather of src[np.ix_(i, j, k)]
         vals += w
     return vals
 

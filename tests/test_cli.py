@@ -219,6 +219,20 @@ def test_negative_seed_exits_2_before_any_output(monkeypatch, tmp_path, capsys, 
     assert not any(tmp_path.iterdir())
 
 
+def test_demo_manifest_lists_only_the_files_it_wrote(monkeypatch, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    monkeypatch.setattr(cli, "generate_cohort", small_cohort)
+    assert run_cli(["demo", str(out), "-n", "2", "--steps", "1", "--boot", "20"])[0] == 0
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    images = ("defaced", "original", "refaced_oracle", "refaced_stub", "removed")
+    assert files == ["masd.csv", *(f"phantom-{i:03d}_{name}.nii.gz" for i in range(2)
+                                   for name in images), "quality.csv"]
+    assert sorted(p.name for p in out.iterdir()) == sorted([*files, "manifest.json",
+                                                            "notes.txt"])
+
+
 @pytest.mark.parametrize("existing", [False, True])
 def test_failing_demo_leaves_only_what_was_there(monkeypatch, tmp_path, capsys, existing):
     # the second subject fails after both have written their volumes
@@ -395,6 +409,11 @@ class TestMasdCommand:
         rc, _ = run_cli(["masd", str(tmp_path / "nope.nii"), str(tmp_path / "nope.nii")])
         assert rc == 3
 
+    def test_table_with_unwritable_summary_exits_3_before_any_csv(self, tmp_path):
+        table = write_csv(tmp_path / "d.csv", DISTANCE_HEADER, distance_rows())
+        rc, out = run_cli(["masd", "--table", table, "--boot", "20", "--summary", str(tmp_path)])
+        assert rc == 3 and out == ""
+
     def test_table_aggregation_matches_bootstrap(self, tmp_path):
         rng = np.random.default_rng(0)
         values = {f"s{i:02d}": 0.5 + 0.05 * rng.standard_normal() for i in range(15)}
@@ -463,6 +482,14 @@ class TestQualityCommand:
         assert records["refaced"]["psnr_face"] == "inf" == csv_rows(out)[1]["psnr_face"]
         assert records["refaced"]["psnr_head"] == "inf"
         assert isinstance(records["defaced"]["psnr_face"], float)
+
+    def test_unwritable_summary_exits_3_before_any_csv(self, small_files, tmp_path):
+        rc, out = run_cli([
+            "quality", str(small_files["original"]), str(small_files["defaced"]),
+            str(small_files["original"]), "--removed", str(small_files["removed"]),
+            "--summary", str(tmp_path),
+        ])
+        assert rc == 3 and out == ""
 
     def test_deterministic_output(self, small_files):
         args = ["quality", str(small_files["original"]), str(small_files["defaced"]),
@@ -936,6 +963,26 @@ class TestHostileInputs:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not target.exists()
+
+    def test_first_bad_observation_cell_in_row_order_is_named(self, tmp_path, capsys):
+        # row s0/1's y comes after row s0/0's columns and before row s1/0's visit
+        obs, preds = write_correlate_inputs(tmp_path, 6, (0, 1), y={("s0", 1): "abc"})
+        rows = list(csv.reader(io.StringIO(Path(obs).read_text())))
+        rows[3][1] = "x"  # the visit of (s1, 0)
+        write_csv(obs, rows[0], rows[1:])
+        rc, out = run_cli(["correlate", obs, preds, "--boot", "20"])
+        assert rc == 2 and out == ""
+        assert capsys.readouterr().err == "refaudit: could not convert string to float: 'abc'\n"
+
+    @pytest.mark.parametrize("column", ["visit", "sex"])
+    def test_observation_int_beyond_int64_exits_2(self, tmp_path, capsys, column):
+        obs, preds = write_correlate_inputs(tmp_path, 6, (0, 1))
+        rows = list(csv.reader(io.StringIO(Path(obs).read_text())))
+        rows[1][rows[0].index(column)] = str(2**70)
+        write_csv(obs, rows[0], rows[1:])
+        rc, out = run_cli(["correlate", obs, preds, "--boot", "20"])
+        assert rc == 2 and out == ""
+        assert capsys.readouterr().err == f"refaudit: {column} holds a value out of int64 range\n"
 
     def test_infinite_prediction_is_kept(self, tmp_path):
         obs, preds = write_correlate_inputs(tmp_path, 6, (0, 1), y_pred={("s1", 0): "inf"})

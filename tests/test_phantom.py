@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -8,6 +10,8 @@ from refaudit.phantom import (
     INTENSITY_BRAIN,
     INTENSITY_SKULL,
     INTENSITY_SOFT,
+    SHELL_BAND,
+    PhantomGeometry,
     PhantomParams,
     generate_cohort,
     generate_phantom,
@@ -92,6 +96,17 @@ class TestGeneratePhantom:
         assert d["dims"] == [64, 64, 64]
         assert d["intensities"]["brain"] == INTENSITY_BRAIN
         assert len(d["head_radii"]) == 3
+
+    def test_geometry_json_holds_every_field_of_the_record_and_its_params(self, small_phantom):
+        _, _, geom = small_phantom
+        d = geom.to_json_dict()
+        records = [(geom, f.name) for f in fields(PhantomGeometry) if f.name != "params"]
+        records += [(geom.params, f.name) for f in fields(PhantomParams)]
+        assert set(d) == {name for _, name in records} | {"shell_band", "intensities"}
+        for record, name in records:
+            value = getattr(record, name)
+            assert d[name] == (list(value) if isinstance(value, tuple) else value), name
+        assert d["shell_band"] == list(SHELL_BAND)
 
 
 class TestGenerateCohort:

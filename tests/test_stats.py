@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from refaudit.errors import DegenerateInputError, FitError, JoinError
 from refaudit.stats import (
+    OBSERVATION_COLUMNS,
     LmmFit,
     ObservationTable,
     StatSummary,
@@ -116,6 +119,23 @@ class TestFitLmm:
         assert fit.theta == 0.0
         assert fit.sigma_r2 == 0.0
         assert not fit.theta_identifiable
+
+
+class TestObservationTable:
+    def test_columns_are_the_fields_in_order(self):
+        assert list(OBSERVATION_COLUMNS) == [f.name for f in fields(ObservationTable)]
+
+    def test_columns_take_their_dtypes_and_freeze(self):
+        table = ObservationTable(["a", "b"], [0, 1], [40, 50], [0, 1], [1, 2])
+        for name, (_, dtype) in OBSERVATION_COLUMNS.items():
+            column = getattr(table, name)
+            assert column.dtype == np.dtype(dtype) and not column.flags.writeable, name
+
+    def test_failed_check_leaves_the_callers_arrays_writable(self):
+        sex = np.array([0, 2])
+        with pytest.raises(ValueError, match="sex must be coded 0/1"):
+            ObservationTable(["a", "b"], [0, 1], [40.0, 50.0], sex, [1.0, 2.0])
+        assert sex.flags.writeable
 
 
 class TestResidualize:
@@ -267,41 +287,28 @@ class TestSpearman:
     @pytest.mark.parametrize("x, y", [
         ([1.0, 2.0, math.nan, 4.0], [1.0, 2.0, 3.0, 4.0]),
         ([1.0, 2.0, 3.0, 4.0], [1.0, math.nan, 3.0, 4.0]),
-        ([[1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, math.nan]], [1.0, 2.0, 3.0, 4.0]),
-    ], ids=["x", "y", "one-row"])
+    ], ids=["x", "y"])
     def test_nan_raises(self, x, y):
         with pytest.raises(ValueError, match="NaN"):
             spearman(x, y)
 
 
 class TestSpearmanRows:
-    def test_each_row_bitwise_equals_the_one_row_call(self, rng):
-        for n in (3, 7, 60, 601):
-            y = rng.permutation(np.arange(n) % 20).astype(np.float64)
-            x = np.vstack([rng.standard_normal(n), rng.permutation(np.arange(n) % 4),
-                           rng.standard_normal(n) ** 3, -y])
-            rhos = spearman(x, y)
-            assert isinstance(rhos, list) and len(rhos) == len(x)
-            for row, rho in zip(x, rhos):
-                one = spearman(row, y)
-                assert type(rho) is type(one) is float
-                assert np.float64(rho).tobytes() == np.float64(one).tobytes()
-
-    def test_zero_variance_row_raises(self):
-        x = [[1.0, 2.0, 3.0, 4.0], [5.0, 5.0, 5.0, 5.0]]
-        with pytest.raises(DegenerateInputError):
-            spearman(x, [4.0, 1.0, 3.0, 2.0])
+    """``spearman``'s input checks. It takes one sample of each variable: a
+    (k, n) array of rows raises ValueError, as every shape but two 1D arrays
+    of n >= 3 values does."""
 
     def test_zero_variance_y_raises(self):
         with pytest.raises(DegenerateInputError):
-            spearman([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]], [2.0, 2.0, 2.0])
+            spearman([1.0, 2.0, 3.0], [2.0, 2.0, 2.0])
 
     @pytest.mark.parametrize("x, y", [
         (np.zeros((2, 5)), np.arange(4.0)),
         (np.zeros((2, 2, 4)), np.arange(4.0)),
         (np.arange(4.0).reshape(2, 2), np.arange(2.0)),
         (np.arange(4.0), np.arange(4.0).reshape(2, 2)),
-    ], ids=["row-length", "3d-x", "n-below-3", "2d-y"])
+        (np.arange(8.0).reshape(2, 4), np.arange(4.0)),
+    ], ids=["row-length", "3d-x", "n-below-3", "2d-y", "rows"])
     def test_shape_errors_raise(self, x, y):
         with pytest.raises(ValueError):
             spearman(x, y)
@@ -367,6 +374,20 @@ class TestWilcoxon:
             sums = np.arange(total + 1)
             exact = counts[np.abs(sums - mean2) >= dev - 1e-9].sum() / 2.0**30
             assert p == pytest.approx(exact, abs=0.01)
+
+    def test_normal_approximation_with_ties_matches_hand_formula(self, rng):
+        # n=40 of 9 distinct magnitudes: the tie-corrected normal approximation
+        for _ in range(5):
+            diffs = rng.integers(-9, 10, 40).astype(float)
+            diffs[diffs == 0] = 5.0
+            w, p = wilcoxon_signed_rank(diffs, np.zeros(40))
+            ranks = rank_oracle(np.abs(diffs))
+            assert w == sum(r for r, d in zip(ranks, diffs) if d > 0)
+            ties = sum(t**3 - t for t in Counter(ranks).values())
+            var = 40 * 41 * 81 / 24.0 - ties / 48.0
+            dev = w - 40 * 41 / 4.0
+            z = (abs(dev) - 0.5) / math.sqrt(var) if dev else 0.0
+            assert p == pytest.approx(min(1.0, math.erfc(z / math.sqrt(2.0))), rel=1e-12)
 
     def test_all_zero_differences_degenerate(self):
         with pytest.raises(DegenerateInputError):
@@ -584,9 +605,9 @@ class TestCorrelationReport:
 
     def test_tied_method_redraws_the_whole_replicate(self, rng):
         """A method that is constant on a resample makes spearman undefined:
-        the replicate is redrawn for every method, and the methods' rhos are
-        the rows of ``spearman`` on the accepted resample, bit for bit, also
-        for a method whose predictions hold ties and +-inf."""
+        the replicate is redrawn for every method, and each method's rho is
+        ``spearman`` of its predictions on the accepted resample, bit for
+        bit, also for a method whose predictions hold ties and +-inf."""
         table = simulate_table(rng, n_subjects=12, n_visits=2)
         resid = residualize(table, fit_lmm(table))
         keys = table.keys()
@@ -605,7 +626,7 @@ class TestCorrelationReport:
             for attempt in range(10):
                 idx = bootstrap_indices(len(keys), 4, r, attempt)
                 try:
-                    want.append(spearman(aligned[:, idx], resid[idx]))
+                    want.append([spearman(row[idx], resid[idx]) for row in aligned])
                     break
                 except DegenerateInputError:
                     redraws += 1
