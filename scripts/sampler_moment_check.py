@@ -43,7 +43,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         report(args)
-    except (ValueError, OverflowError) as exc:  # a --mu or --s the chain cannot carry
+    except (ValueError, OverflowError, MemoryError) as exc:  # a --mu, --s or --n too large
         parser.error(str(exc))
     return 0
 

@@ -24,7 +24,7 @@ class DegenerateInputError(ValueError):
 
 
 class GeometryMismatchError(ValueError):
-    """Operands do not share dims/spacing/affine."""
+    """Operands do not share dims/affine."""
 
 
 class FitError(ValueError):

@@ -200,7 +200,7 @@ def generate_phantom(seed: int, params: PhantomParams | None = None):
     noise = _smooth_noise(params.dims, seed)
     data[soft] = INTENSITY_SOFT + params.noise_amplitude * noise[soft]
 
-    vol = Volume3D(data=data, spacing=params.spacing, affine=affine)
+    vol = Volume3D(data=data, affine=affine)
     return vol, BinaryMask.like(vol, brain), geom
 
 

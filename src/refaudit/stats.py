@@ -331,8 +331,6 @@ def wilcoxon_signed_rank(a, b) -> tuple:
     if len(d) == 0:
         raise DegenerateInputError("all differences are zero")
     n = len(d)
-    if n < 5:
-        raise ValueError(f"need >= 5 nonzero differences, got {n}")
     codes, n_distinct = _rank_codes(np.abs(d))
     ranks = _average_ranks(codes, n_distinct)
     w_pos = float(ranks[d > 0].sum())
@@ -506,6 +504,8 @@ def correlation_report(
     residuals, with bootstrap summaries (``methods``, a cell is significant
     when its 95% CI does not overlap 0) and pairwise Wilcoxon comparisons
     over paired replicates (identical resample indices across methods).
+    A method that predicts one value for every row raises ValueError naming
+    it, since none of its replicates has a rank correlation.
     """
     fit = fit_lmm(table)
     resid = residualize(table, fit)
@@ -528,6 +528,10 @@ def correlation_report(
     _reject_nan("residuals", resid)
     # each column is sorted once; a resample's ranks are counted from its codes
     columns = [_rank_codes(row) for row in aligned]
+    for m, (_, n_distinct) in zip(methods, columns):
+        if n_distinct == 1:
+            raise ValueError(f"method {m!r} predicts one value for every row, "
+                             "so its rank correlation is undefined")
     resid_codes, resid_distinct = _rank_codes(resid)
 
     def rhos(idx):  # one resample of row indices, shared by every method

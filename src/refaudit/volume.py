@@ -40,11 +40,9 @@ _DATATYPES = {2: ("<u1", 8), 4: ("<i2", 16), 16: ("<f4", 32)}
 _FLOAT32_CODE = 16
 
 
-def _check_geometry(data: np.ndarray, spacing, affine: np.ndarray):
+def _check_geometry(data: np.ndarray, affine: np.ndarray):
     if data.ndim != 3 or min(data.shape) < 1:
         raise ValueError(f"expected 3D data, got shape {data.shape}")
-    if len(spacing) != 3 or not all(0 < s < math.inf for s in spacing):
-        raise ValueError(f"spacing must be 3 finite positive values, got {spacing}")
     if affine.shape != (4, 4) or not np.isfinite(affine).all():
         raise ValueError("affine must be a finite 4x4 matrix")
     if abs(np.linalg.det(affine[:3, :3])) < 1e-12:
@@ -64,7 +62,8 @@ def frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Grid:
-    """A voxel grid with spacing and a voxel-index -> world-mm affine.
+    """A voxel grid and its voxel-index -> world-mm affine, the grid's only
+    stored geometry.
 
     ``data`` is indexed ``[x, y, z]``; world coordinates follow RAS. Each
     subclass coerces its data in ``_coerce``; the geometry is then checked and
@@ -72,29 +71,31 @@ class _Grid:
     """
 
     data: np.ndarray
-    spacing: tuple
     affine: np.ndarray
 
     def __post_init__(self):
         data = self._coerce(self.data)
         affine = np.array(self.affine, dtype=np.float64)
-        spacing = tuple(float(s) for s in self.spacing)
-        _check_geometry(data, spacing, affine)
+        _check_geometry(data, affine)
         object.__setattr__(self, "data", frozen(data))
         object.__setattr__(self, "affine", frozen(affine))
-        object.__setattr__(self, "spacing", spacing)
 
     @property
     def dims(self) -> tuple:
         return self.data.shape
+
+    @property
+    def spacing(self) -> tuple:
+        """Voxel size in mm per axis: the lengths of the affine's columns."""
+        return tuple(float(s) for s in np.linalg.norm(self.affine[:3, :3], axis=0))
 
     def with_data(self, data: np.ndarray):
         return replace(self, data=data)
 
     @classmethod
     def like(cls, grid: "_Grid", data):
-        """``data`` on the spacing and affine of ``grid``."""
-        return cls(data=data, spacing=grid.spacing, affine=grid.affine)
+        """``data`` on the affine of ``grid``."""
+        return cls(data=data, affine=grid.affine)
 
 
 class Volume3D(_Grid):
@@ -136,10 +137,9 @@ class BinaryMask(_Grid):
 def require_same_geometry(a, b, what="operands"):
     if not (
         a.dims == b.dims
-        and np.allclose(a.spacing, b.spacing, atol=1e-6)
         and np.allclose(a.affine, b.affine, atol=1e-6)
     ):
-        raise GeometryMismatchError(f"{what} do not share dims/spacing/affine")
+        raise GeometryMismatchError(f"{what} do not share dims/affine")
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +180,10 @@ def _dominant_axes(affine):
     return perm, flips
 
 
-def _reorient_to_ras(data, spacing, affine):
+def _reorient_to_ras(data, affine):
     axes = _dominant_axes(affine)
     if axes is None:
-        return data, spacing, affine
+        return data, affine
     perm, flips = axes
     new_data = np.transpose(data, axes=perm)
     for i, f in enumerate(flips):
@@ -199,17 +199,16 @@ def _reorient_to_ras(data, spacing, affine):
             M[j, 3] = data.shape[j] - 1
         else:
             M[j, i] = 1.0
-    new_affine = affine @ M
-    new_spacing = tuple(spacing[perm[i]] for i in range(3))
-    return np.ascontiguousarray(new_data), new_spacing, new_affine
+    return np.ascontiguousarray(new_data), affine @ M
 
 
 def read_nifti(raw: bytes) -> Volume3D:
     """Parse a NIfTI-1 single file (optionally gzip-compressed).
 
     The affine comes from the sform when ``sform_code > 0``, else the qform,
-    else ``diag(spacing)``. ``scl_slope``/``scl_inter`` are applied when the
-    slope is nonzero. A ``dim[1..3]`` below 1, non-finite voxels (after
+    else ``diag(pixdim[1:4])``; the spacing is read off the affine, so an
+    sform file's ``pixdim`` need only be nonzero and finite.
+    ``scl_slope``/``scl_inter`` are applied when the slope is nonzero. A ``dim[1..3]`` below 1, non-finite voxels (after
     scaling), a zero or non-finite pixdim and a non-finite or singular affine
     raise ``FormatError`` before the volume is reoriented to RAS.
     """
@@ -254,8 +253,8 @@ def read_nifti(raw: bytes) -> Volume3D:
         )
     dtype, bitpix = _DATATYPES[datatype]
 
-    spacing = tuple(abs(float(p)) for p in pixdim[1:4])
-    if not all(0 < s < math.inf for s in spacing):
+    scale = tuple(abs(float(p)) for p in pixdim[1:4])
+    if not all(0 < s < math.inf for s in scale):
         raise FormatError(f"pixdim {pixdim[1:4]} is zero or not finite")
 
     if sform_code > 0:
@@ -266,10 +265,10 @@ def read_nifti(raw: bytes) -> Volume3D:
             raise FormatError(f"quaternion fields {quatern} are not all finite")
         qfac = -1.0 if pixdim[0] < 0 else 1.0
         affine = _quaternion_affine(
-            quatern[0], quatern[1], quatern[2], quatern[3:6], spacing, qfac
+            quatern[0], quatern[1], quatern[2], quatern[3:6], scale, qfac
         )
     else:
-        affine = np.diag(list(spacing) + [1.0])
+        affine = np.diag(list(scale) + [1.0])
 
     if not np.isfinite(vox_offset):
         raise FormatError(f"vox_offset {vox_offset} is not finite")
@@ -291,11 +290,11 @@ def read_nifti(raw: bytes) -> Volume3D:
     if not np.isfinite(data).all():
         raise FormatError("voxel values are not all finite")
     try:
-        _check_geometry(data, spacing, affine)
+        _check_geometry(data, affine)
     except ValueError as exc:
         raise FormatError(f"header geometry: {exc}") from None
 
-    return Volume3D(*_reorient_to_ras(data, spacing, affine))
+    return Volume3D(*_reorient_to_ras(data, affine))
 
 
 def write_nifti(vol: Volume3D) -> bytes:
@@ -369,8 +368,8 @@ def downsample(vol: Volume3D, factor) -> Volume3D:
     """Block-mean pooling by integer factors.
 
     Dims not divisible by the factor are padded by edge replication before
-    pooling. Spacing is multiplied by the factor and the affine translation
-    adjusted so block centers keep their original world positions.
+    pooling. The affine's columns are multiplied by the factor and its
+    translation adjusted so block centers keep their original world positions.
     """
     fx, fy, fz = integer_factors(factor)
     if (fx, fy, fz) == (1, 1, 1):
@@ -386,8 +385,7 @@ def downsample(vol: Volume3D, factor) -> Volume3D:
     affine = vol.affine.copy()
     affine[:3, :3] = vol.affine[:3, :3] * f
     affine[:3, 3] = vol.affine[:3, 3] + vol.affine[:3, :3] @ ((f - 1) / 2.0)
-    spacing = tuple(s * fi for s, fi in zip(vol.spacing, (fx, fy, fz)))
-    return replace(vol, data=pooled, spacing=spacing, affine=affine)
+    return replace(vol, data=pooled, affine=affine)
 
 
 def _trilinear_at(src: np.ndarray, axes):
@@ -437,5 +435,4 @@ def upsample_trilinear(vol: Volume3D, factor, z_range=None) -> Volume3D:
     affine = vol.affine.copy()
     affine[:3, :3] = vol.affine[:3, :3] / f
     affine[:3, 3] = vol.affine[:3, 3] + vol.affine[:3, :3] @ ((np.array(start) + 0.5) / f - 0.5)
-    spacing = tuple(s / fi for s, fi in zip(vol.spacing, (fx, fy, fz)))
-    return replace(vol, data=data, spacing=spacing, affine=affine)
+    return replace(vol, data=data, affine=affine)

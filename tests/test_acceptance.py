@@ -96,7 +96,7 @@ def test_criterion_01_nifti_round_trip():
         spacing = tuple(float(s) for s in rng.integers(8, 129, size=3) / 32.0)
         affine = np.diag(list(spacing) + [1.0])
         affine[:3, 3] = rng.integers(-100, 100, size=3) / 2.0
-        vol = Volume3D(data=data.astype(np.float64), spacing=spacing, affine=affine)
+        vol = Volume3D(data=data.astype(np.float64), affine=affine)
         raw = write_nifti(vol)
         if i % 2:
             raw = gzip.compress(raw)
@@ -120,7 +120,7 @@ def test_criterion_02_otsu_oracle_equivalence():
                             rng.normal(8, 2, (32, 32, 32)))
         else:
             data = rng.integers(0, 12, (32, 32, 32)).astype(float)
-        vol = Volume3D(data=data, spacing=(1, 1, 1), affine=np.eye(4))
+        vol = Volume3D(data=data, affine=np.eye(4))
         c.check(otsu_threshold(vol) == otsu_oracle(vol.data, 256), f"mismatch at {i}")
     c.finish()
 

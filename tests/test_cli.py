@@ -1,4 +1,5 @@
 import csv
+import gzip
 import hashlib
 import importlib.util
 import io
@@ -39,7 +40,7 @@ from refaudit.volume import (
 )
 
 from conftest import SMALL_PARAMS
-from test_volume_io import HEADER_MUTATIONS, assemble_nifti
+from test_volume_io import HEADER_MUTATIONS, assemble_nifti, with_pixdim
 
 
 def run_cli(args):
@@ -105,6 +106,15 @@ def write_correlate_inputs(tmp_path, subjects, sexes, y=None, y_pred=None):
     return (write_csv(tmp_path / "obs.csv", ["subject_id", "visit", "age", "sex", "y"], obs_rows),
             write_csv(tmp_path / "preds.csv", ["subject_id", "visit", "method", "y_pred"],
                       pred_rows))
+
+
+def add_method(preds, method, values):
+    """Append a method to the prediction CSV ``preds``: its k-th row holds
+    ``values[k]`` for the key of the file's k-th row."""
+    with open(preds, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    write_csv(preds, header, rows + [[sid, visit, method, value]
+                                     for (sid, visit, _, _), value in zip(rows, values)])
 
 
 @pytest.fixture(scope="module")
@@ -405,6 +415,14 @@ class TestMasdCommand:
                                  head=head_mask(orig))["defaced"], abs=5e-4)
         assert out_sym != out_dir
 
+    def test_sform_file_with_another_pixdim_is_the_same_geometry(self, small_files, tmp_path):
+        copy = tmp_path / "copy.nii"
+        raw = gzip.decompress(small_files["original"].read_bytes())
+        copy.write_bytes(with_pixdim(raw, (1.0, 1.0, 1.0)))
+        rc, out = run_cli(["masd", str(small_files["original"]), str(copy)])
+        assert rc == 0
+        assert csv_rows(out)[0]["masd_mm"] == "0.000"
+
     def test_unreadable_file_exits_3(self, tmp_path):
         rc, _ = run_cli(["masd", str(tmp_path / "nope.nii"), str(tmp_path / "nope.nii")])
         assert rc == 3
@@ -454,6 +472,15 @@ class TestMasdCommand:
         assert float(wrow["w"]) == pytest.approx(w_want)
         assert float(wrow["p"]) == pytest.approx(p_want, rel=1e-4)
         assert int(wrow["n"]) == len(subjects)
+
+    def test_compare_of_three_subjects_gets_the_exact_p(self, tmp_path):
+        rows = [[f"s{i}", m, f"{d + i:.3f}"] for i in range(3) for m, d in (("a", 1), ("b", 0))]
+        table = write_csv(tmp_path / "d.csv", DISTANCE_HEADER, rows)
+        rc, out = run_cli(["masd", "--table", table, "--boot", "20", "--compare", "a", "b"])
+        assert rc == 0
+        wrow = [r for r in csv_rows(out) if r["kind"] == "wilcoxon"][0]
+        # three positive differences: W = 6, and 2 of the 8 sign patterns are as extreme
+        assert (float(wrow["w"]), float(wrow["p"]), int(wrow["n"])) == (6.0, 0.25, 3)
 
 
 class TestQualityCommand:
@@ -626,6 +653,24 @@ class TestCorrelateCommand:
         doc = json.loads(target.read_text())
         assert doc["kind"] == "correlation-report"
         assert doc["version"]
+
+    @pytest.mark.parametrize("boot", [3, 4])
+    def test_two_methods_on_fewer_than_five_replicates(self, tmp_path, boot):
+        obs, preds = write_correlate_inputs(tmp_path, 10, (0, 1))
+        add_method(preds, "popavg", [f"{v:.4f}" for v in np.random.default_rng(5).normal(size=20)])
+        out = tmp_path / "report.json"
+        rc, _ = run_cli(["correlate", obs, preds, "--boot", str(boot), "--out", str(out)])
+        assert rc == 0
+        [pair] = json.loads(out.read_text())["pairwise"]
+        assert (pair["a"], pair["b"]) == ("dpm", "popavg") and 0 < pair["p"] <= 1
+
+    def test_constant_prediction_method_exits_2_naming_it(self, tmp_path, capsys):
+        obs, preds = write_correlate_inputs(tmp_path, 10, (0, 1))
+        add_method(preds, "flat", ["1.5"] * 20)
+        out = tmp_path / "report.json"
+        rc, _ = run_cli(["correlate", obs, preds, "--boot", "20", "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert "method 'flat' predicts one value" in capsys.readouterr().err
 
     def test_join_failure_exits_5(self, tmp_path, capsys):
         obs, preds = self.write_inputs(tmp_path)
@@ -915,6 +960,19 @@ class TestHostileInputs:
             assert exc.value.code == 2
             assert message in capsys.readouterr().err
 
+    def test_moment_check_out_of_memory_exits_2(self, monkeypatch, capsys):
+        moment_check = load_script("sampler_moment_check")
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(moment_check, "sample", out_of_memory)
+        with pytest.raises(SystemExit) as exc:
+            moment_check.main(["--n", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Unable to allocate 7.28 TiB" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("where", ["directory", "missing parent"])
     def test_aggression_sweep_bad_out_path_exits_3_before_the_sweep(self, tmp_path, capsys,
                                                                      where):
@@ -1108,14 +1166,12 @@ def subject_bytes():
     shifted = removed.affine.copy()
     shifted[0, 3] += 1.0
     masks = {"removed": removed, "shifted removed": replace(removed, affine=shifted),
-             "cut removed": BinaryMask(data=removed.data[:, :, 1:], spacing=removed.spacing,
-                                       affine=removed.affine)}
+             "cut removed": BinaryMask(data=removed.data[:, :, 1:], affine=removed.affine)}
     zero_peak = case.volume.with_data(case.volume.data - case.volume.data.max())
     return {"original": write_nifti(case.volume), "defaced": write_nifti(defaced),
             "zero-peak original": write_nifti(zero_peak),
             "refaced": write_nifti(mirror_fill(defaced, removed)),
-            **{name: write_nifti(Volume3D(data=m.data.astype(np.float64), spacing=m.spacing,
-                                          affine=m.affine))
+            **{name: write_nifti(Volume3D(data=m.data.astype(np.float64), affine=m.affine))
                for name, m in masks.items()}}
 
 

@@ -362,7 +362,7 @@ class TestVolumeDenoiser:
 
     def test_zero_sd_returns_the_slab_of_mu(self, rng):
         mu = rng.standard_normal((4, 5, 20))
-        vol = Volume3D(data=mu, spacing=(1.0, 1.0, 1.0), affine=np.eye(4))
+        vol = Volume3D(data=mu, affine=np.eye(4))
         x_t = rng.standard_normal((4, 5, 8))
         for prior in (mu, vol):
             den = VolumeDenoiser(prior)
@@ -556,8 +556,7 @@ class TestCascade:
         # skipped slab that is read or a changed merge order would show
         spec, gone = case
         data = np.random.default_rng(seed).standard_normal(gone.shape)
-        defaced = Volume3D(data=np.where(gone, 0.0, data), spacing=(1.0, 1.0, 1.0),
-                           affine=np.eye(4))
+        defaced = Volume3D(data=np.where(gone, 0.0, data), affine=np.eye(4))
         removed = BinaryMask.like(defaced, gone)
         config = CascadeConfig(sample_steps=steps, eta=eta, slab=spec, seed=seed)
         sampled = []
@@ -809,8 +808,7 @@ class TestMirrorFill:
         transforms only the removed region's box must break distance ties
         the same way."""
         rng = np.random.default_rng(seed)
-        vol = Volume3D(data=rng.standard_normal(shape), spacing=spacing,
-                       affine=np.diag([*spacing, 1.0]))
+        vol = Volume3D(data=rng.standard_normal(shape), affine=np.diag([*spacing, 1.0]))
         gx, gy, _ = np.indices(shape)
         interior = np.zeros(shape, bool)
         interior[2:-2, 3:-2, 2:-3] = True

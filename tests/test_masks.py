@@ -19,12 +19,12 @@ from refaudit.volume import BinaryMask, Volume3D
 
 
 def vol_of(data, spacing=(1.0, 1.0, 1.0)):
-    return Volume3D(data=np.asarray(data, dtype=np.float64), spacing=spacing,
+    return Volume3D(data=np.asarray(data, dtype=np.float64),
                     affine=np.diag(list(spacing) + [1.0]))
 
 
 def mask_of(data):
-    return BinaryMask(data=np.asarray(data, dtype=bool), spacing=(1, 1, 1), affine=np.eye(4))
+    return BinaryMask(data=np.asarray(data, dtype=bool), affine=np.eye(4))
 
 
 def otsu_oracle(data, bins):

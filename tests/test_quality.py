@@ -14,11 +14,11 @@ from refaudit.volume import BinaryMask, Volume3D
 
 
 def vol_of(data):
-    return Volume3D(data=np.asarray(data, dtype=np.float64), spacing=(1, 1, 1), affine=np.eye(4))
+    return Volume3D(data=np.asarray(data, dtype=np.float64), affine=np.eye(4))
 
 
 def mask_of(data):
-    return BinaryMask(data=np.asarray(data, bool), spacing=(1, 1, 1), affine=np.eye(4))
+    return BinaryMask(data=np.asarray(data, bool), affine=np.eye(4))
 
 
 def ball_mask(dims, center, radius):
@@ -63,8 +63,7 @@ class TestIntersection:
 
     def test_geometry_mismatch(self):
         a = mask_of(np.ones((4, 4, 4), bool))
-        b = BinaryMask(data=np.ones((4, 4, 4), bool), spacing=(2, 2, 2),
-                       affine=np.diag([2.0, 2, 2, 1]))
+        b = BinaryMask(data=np.ones((4, 4, 4), bool), affine=np.diag([2.0, 2, 2, 1]))
         with pytest.raises(GeometryMismatchError):
             intersection_mask([a, b])
 

@@ -393,9 +393,18 @@ class TestWilcoxon:
         with pytest.raises(DegenerateInputError):
             wilcoxon_signed_rank([1.0] * 6, [1.0] * 6)
 
-    def test_too_few_nonzero_raises(self):
-        with pytest.raises(ValueError):
-            wilcoxon_signed_rank([1.0, 2, 3, 1, 1], [1.0, 2, 3, 0, 0])
+    def test_one_to_four_nonzero_differences_match_enumeration(self, rng):
+        # ties included; equal pairs are dropped before the differences are counted
+        cases = [([1.0, 2, 3, 1, 1], [1.0, 2, 3, 0, 0]), ([2.0], [0.0]), ([-1.0, 3], [0.0, 0])]
+        for n in (1, 2, 3, 4):
+            for _ in range(5):
+                diffs = rng.integers(1, 4, n) * rng.choice([-1.0, 1.0], n)
+                cases.append((diffs, np.zeros(n)))
+        for a, b in cases:
+            w, p = wilcoxon_signed_rank(a, b)
+            w_want, p_want = wilcoxon_enumeration_p(np.subtract(a, b))
+            assert w == w_want
+            assert p == pytest.approx(p_want, abs=1e-12)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n", [6, 30], ids=["exact", "normal"])

@@ -19,7 +19,7 @@ from refaudit.volume import BinaryMask
 
 def mask_of(data, spacing=(1.0, 1.0, 1.0)):
     affine = np.diag(list(spacing) + [1.0])
-    return BinaryMask(data=np.asarray(data, bool), spacing=spacing, affine=affine)
+    return BinaryMask(data=np.asarray(data, bool), affine=affine)
 
 
 def mesh_edges(mesh):
@@ -151,7 +151,7 @@ def test_mesh_winds_outward_under_any_affine(seed, handedness):
     data[0, 0, 0], data[-1, -1, -1] = True, False  # nonempty and not full
     affine = random_affine(rng, handedness)
     assert np.sign(np.linalg.det(affine[:3, :3])) == handedness
-    mesh = marching_cubes(BinaryMask(data=data, spacing=(1, 1, 1), affine=affine))
+    mesh = marching_cubes(BinaryMask(data=data, affine=affine))
     assert signed_volume(mesh) > 0
 
 

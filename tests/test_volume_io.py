@@ -1,6 +1,7 @@
 import gzip
 import math
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from refaudit.volume import (
 def make_volume(data, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)):
     affine = np.diag(list(spacing) + [1.0])
     affine[:3, 3] = origin
-    return Volume3D(data=np.asarray(data, dtype=np.float64), spacing=spacing, affine=affine)
+    return Volume3D(data=np.asarray(data, dtype=np.float64), affine=affine)
 
 
 def random_volume(rng, dtype):
@@ -109,7 +110,7 @@ def _valid_files():
     rng = np.random.default_rng(3)
     affine = np.array([[0.0, 2.0, 0.0, 3.0], [-1.0, 0.0, 0.0, -4.0],
                        [0.0, 0.0, 1.5, 5.0], [0.0, 0.0, 0.0, 1.0]])
-    vol = Volume3D(data=rng.standard_normal((3, 4, 5)), spacing=(1.0, 2.0, 1.5), affine=affine)
+    vol = Volume3D(data=rng.standard_normal((3, 4, 5)), affine=affine)
     sform = write_nifti(vol)
     qform = bytearray(sform)
     struct.pack_into("<2h", qform, 252, 1, 0)  # qform_code 1, sform_code 0
@@ -230,7 +231,7 @@ class TestReader:
         data = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
         affine = np.diag([-1.0, 1.0, 1.0, 1.0])
         affine[0, 3] = 1.0
-        vol = Volume3D(data=data, spacing=(1, 1, 1), affine=affine)
+        vol = Volume3D(data=data, affine=affine)
         back = read_nifti(write_nifti(vol))
         assert np.array_equal(back.data, data[::-1])
         # world position of every voxel is preserved by the reorientation
@@ -242,13 +243,47 @@ class TestReader:
         # and flips the new x axis
         affine = np.array([[0.0, -2, 0, 5], [1, 0, 0, 0], [0, 0, 3, 0], [0, 0, 0, 1]])
         data = np.arange(4 * 6 * 8, dtype=np.float64).reshape(4, 6, 8)
-        back = read_nifti(write_nifti(Volume3D(data=data, spacing=(1, 2, 3), affine=affine)))
+        back = read_nifti(write_nifti(Volume3D(data=data, affine=affine)))
         assert np.array_equal(back.data, np.transpose(data, (1, 0, 2))[::-1])
         assert back.spacing == (2.0, 1.0, 3.0)
         # file voxel (1, 2, 3) is RAS voxel (6 - 1 - 2, 1, 3) at the same world position
         assert back.data[3, 1, 3] == data[1, 2, 3]
         assert np.allclose(back.affine @ [3, 1, 3, 1], affine @ [1, 2, 3, 1])
         assert np.all(np.diag(back.affine)[:3] > 0)
+
+
+def with_pixdim(raw: bytes, pixdim) -> bytes:
+    """An uncompressed NIfTI-1 file with ``pixdim[1:4]`` rewritten and its
+    sform kept."""
+    raw = bytearray(raw)
+    struct.pack_into("<3f", raw, 80, *pixdim)
+    return bytes(raw)
+
+
+class TestSpacingFromAffine:
+    def test_grid_stores_data_and_affine_only(self):
+        assert [f.name for f in fields(Volume3D)] == ["data", "affine"]
+        assert [f.name for f in fields(BinaryMask)] == ["data", "affine"]
+
+    def test_sform_file_takes_its_spacing_from_the_sform(self, phantom_default):
+        vol = phantom_default[0]
+        copy = read_nifti(with_pixdim(write_nifti(vol), (1.0, 1.0, 1.0)))
+        assert copy.spacing == vol.spacing == (2.0, 2.0, 2.0)
+        assert np.array_equal(copy.affine, vol.affine)
+
+    def test_written_pixdim_follows_the_affine(self, phantom_default):
+        copy = read_nifti(with_pixdim(write_nifti(phantom_default[0]), (1.0, 1.0, 1.0)))
+        assert struct.unpack_from("<3f", write_nifti(copy), 80) == (2.0, 2.0, 2.0)
+
+    def test_oblique_affine_spacing_is_its_column_lengths(self, rng):
+        rotation, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        affine = np.eye(4)
+        affine[:3, :3] = rotation * [0.7, 1.9, 2.6]
+        affine[:3, 3] = [4.0, -2.0, 9.0]
+        vol = Volume3D(data=np.zeros((2, 3, 4)), affine=affine)
+        assert vol.spacing == pytest.approx([math.hypot(*affine[:3, j]) for j in range(3)],
+                                            rel=1e-15)
+        assert vol.spacing == pytest.approx((0.7, 1.9, 2.6), rel=1e-12)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -375,7 +410,7 @@ class TestUpsample:
     def test_z_range_is_a_slice_of_the_full_upsample(self, rng, factor):
         affine = np.array([[0.0, -1.2, 0.1, 4.0], [0.9, 0.0, 0.0, -2.5],
                            [0.05, 0.0, 1.7, 11.0], [0.0, 0.0, 0.0, 1.0]])
-        vol = Volume3D(rng.standard_normal((5, 4, 7)), (1.2, 0.9, 1.7), affine)
+        vol = Volume3D(rng.standard_normal((5, 4, 7)), affine)
         full = upsample_trilinear(vol, factor)
         nz = full.dims[2]
         for z0, z1 in [(0, nz), (0, 1), (4, nz - 2), (nz - 1, nz)]:
@@ -452,13 +487,6 @@ GRIDS = pytest.mark.parametrize("grid", [Volume3D, BinaryMask], ids=["volume", "
 
 class TestValidation:
     @GRIDS
-    @pytest.mark.parametrize("spacing", [(1, 0, 1), (1, 1, -2), (1, math.inf, 1)],
-                             ids=["zero", "negative", "inf"])
-    def test_spacing_must_be_positive(self, grid, spacing):
-        with pytest.raises(ValueError, match="spacing"):
-            grid(data=np.zeros((2, 2, 2)), spacing=spacing, affine=np.eye(4))
-
-    @GRIDS
     @pytest.mark.parametrize("value, message", [(0.0, "singular"), (math.nan, "finite"),
                                                 (math.inf, "finite")],
                              ids=["singular", "nan", "inf"])
@@ -466,17 +494,17 @@ class TestValidation:
         affine = np.eye(4)
         affine[1, 1] = value
         with pytest.raises(ValueError, match=message):
-            grid(data=np.zeros((2, 2, 2)), spacing=(1, 1, 1), affine=affine)
+            grid(data=np.zeros((2, 2, 2)), affine=affine)
 
     @GRIDS
     @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 2, 1), (2, 0, 2)], ids=["2d", "4d", "empty"])
     def test_data_must_be_3d(self, grid, shape):
         with pytest.raises(ValueError, match="3D"):
-            grid(data=np.zeros(shape), spacing=(1, 1, 1), affine=np.eye(4))
+            grid(data=np.zeros(shape), affine=np.eye(4))
 
     def test_mask_requires_binary_data(self):
         with pytest.raises(ValueError):
-            BinaryMask(data=np.full((2, 2, 2), 0.5), spacing=(1, 1, 1), affine=np.eye(4))
+            BinaryMask(data=np.full((2, 2, 2), 0.5), affine=np.eye(4))
 
     def test_volumes_are_immutable(self, rng):
         vol = random_volume(rng, np.float32)
@@ -487,7 +515,7 @@ class TestValidation:
     def test_writable_view_is_copied_and_affine_left_writable(self, grid):
         base = np.zeros((4, 2, 2), dtype=np.float64 if grid is Volume3D else bool)
         affine = np.eye(4)
-        g = grid(base[:2], (1, 1, 1), affine)
+        g = grid(base[:2], affine)
         base[0, 0, 0] = 1
         assert g.data[0, 0, 0] == 0
         assert base.flags.writeable and affine.flags.writeable
@@ -497,16 +525,15 @@ class TestValidation:
     @GRIDS
     def test_owned_array_is_adopted_without_a_copy(self, grid):
         data = np.zeros((2, 2, 2), dtype=np.float64 if grid is Volume3D else bool)
-        assert grid(data, (1, 1, 1), np.eye(4)).data is data
+        assert grid(data, np.eye(4)).data is data
         assert not data.flags.writeable
 
 
 # record type -> (a writable base array, the record built on a view of it,
 # the field that holds the view)
 RECORDS = {
-    "Volume3D": (np.zeros((2, 2, 2)), lambda v: Volume3D(v, (1, 1, 1), np.eye(4)), "data"),
-    "BinaryMask": (np.zeros((2, 2, 2), bool), lambda v: BinaryMask(v, (1, 1, 1), np.eye(4)),
-                   "data"),
+    "Volume3D": (np.zeros((2, 2, 2)), lambda v: Volume3D(v, np.eye(4)), "data"),
+    "BinaryMask": (np.zeros((2, 2, 2), bool), lambda v: BinaryMask(v, np.eye(4)), "data"),
     "DiffusionSchedule": (np.array([1.0, 0.9, 0.5]), DiffusionSchedule, "alpha_bar"),
     "TriMesh": (np.eye(3), lambda v: TriMesh(v, [[0, 1, 2]]), "vertices"),
     "ObservationTable": (np.array([0.5, 1.5]),
@@ -531,7 +558,7 @@ def test_read_only_view_is_copied_so_its_base_cannot_change_the_record(record):
 
 class TestBoundingBox:
     def mask(self, data):
-        return BinaryMask(data=data, spacing=(1, 1, 1), affine=np.eye(4))
+        return BinaryMask(data=data, affine=np.eye(4))
 
     def test_empty_mask_has_no_box(self):
         assert self.mask(np.zeros((4, 5, 6), bool)).bounding_box(3) is None
