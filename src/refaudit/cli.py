@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
@@ -41,7 +42,14 @@ from .stats import (
 )
 from .surface import face_distance_report
 from .phantom import PhantomParams, generate_cohort
-from .volume import downsample, read_mask_file, read_nifti_file, write_mask_file, write_nifti_file
+from .volume import (
+    downsample,
+    read_mask_file,
+    read_nifti_file,
+    same_nifti,
+    write_mask_file,
+    write_nifti_file,
+)
 
 EXIT_OK = 0
 EXIT_ARGUMENT = 2
@@ -330,7 +338,13 @@ def _demo_subject(case, out, config, buffer_mm, slab_workers=None):
     sid = case.subject_id
     files = [f"{sid}_{name}.nii.gz" for name in DEMO_IMAGES]
     for name, image in zip(files, (vol, defaced, removed, refaced_oracle, refaced_stub)):
-        (write_mask_file if image is removed else write_nifti_file)(image, out / name)
+        if image is removed:
+            write_mask_file(image, out / name)
+        elif image is refaced_oracle and same_nifti(image, vol):
+            # the oracle's file is the original's: copy it rather than compress it again
+            shutil.copyfile(out / files[0], out / name)
+        else:
+            write_nifti_file(image, out / name)
 
     masd_rows = [(sid, method, d) for method, d in face_distance_report(
         vol, {"defaced": defaced, "refaced-oracle": refaced_oracle, "refaced-stub": refaced_stub},

@@ -10,9 +10,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
+from ._lazy import LazyModule
 from .volume import BinaryMask, Volume3D, require_same_geometry
+
+spatial = LazyModule("scipy.spatial")
 
 QUICKSHEAR_VERSION = "quickshear-v1"
 
@@ -26,8 +28,8 @@ def _hull_cycle(points: np.ndarray):
     on qhull. None when the points span no polygon (fewer than three distinct
     points, or all on one line)."""
     try:
-        hull = points[ConvexHull(points).vertices]
-    except QhullError:
+        hull = points[spatial.ConvexHull(points).vertices]
+    except spatial.QhullError:
         return None
     return np.roll(hull, -np.lexsort((hull[:, 1], hull[:, 0]))[0], axis=0)
 

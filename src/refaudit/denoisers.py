@@ -6,12 +6,15 @@ deterministically or from closed-form conditioning).
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
-from scipy import ndimage
 
+from ._lazy import LazyModule
 from .ddim import DiffusionSchedule
 from .volume import BinaryMask, Volume3D
+
+ndimage = LazyModule("scipy.ndimage")
 
 
 class VolumeDenoiser:
@@ -25,7 +28,13 @@ class VolumeDenoiser:
     with no arithmetic, so from a finite x_t the sampler returns it bit for
     bit: with the pre-defacing image this is the oracle that closes the
     refacing loop, with a surrogate fill the demo stub. ``s != 0`` needs the
-    ``schedule``."""
+    ``schedule``.
+
+    A slab of a taller ``mu`` is a strided view, slow to read on every step,
+    so it is copied once per chain: each thread keeps the last slab it was
+    given, C-contiguous and read-only, and copies again only on a new
+    ``slab_range``. Keeping every slab would hold more memory than a chain
+    needs."""
 
     def __init__(self, mu, s: float = 0.0, schedule: DiffusionSchedule | None = None):
         self.mu = np.asarray(mu.data if isinstance(mu, Volume3D) else mu, dtype=np.float64)
@@ -33,12 +42,21 @@ class VolumeDenoiser:
         if self.s2 != 0.0 and schedule is None:
             raise ValueError(f"a prior SD s = {s} other than 0 needs the diffusion schedule")
         self.schedule = schedule
+        self._last_slab = threading.local()
+
+    def _slab(self, slab_range):
+        last = self._last_slab
+        if getattr(last, "range", None) != slab_range:
+            z0, z1 = slab_range
+            slab = np.ascontiguousarray(self.mu[:, :, z0:z1])
+            slab.flags.writeable = False
+            last.range, last.slab = slab_range, slab
+        return last.slab
 
     def __call__(self, x_t, t, condition):
         mu, shape = self.mu, np.shape(x_t)
         if mu.ndim and mu.shape != shape:
-            z0, z1 = condition["slab_range"]
-            mu = mu[:, :, z0:z1]
+            mu = self._slab(condition["slab_range"])
             if mu.shape != shape:
                 raise ValueError(f"prior mean slab {mu.shape} does not match x_t {shape}")
         if self.s2 == 0.0:  # broadcast_to alone would cost more than the rest of the call

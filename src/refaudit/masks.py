@@ -17,10 +17,12 @@ where a shift that reaches past the array meets background. A hole is a
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
+from ._lazy import LazyModule
 from .errors import DegenerateInputError
 from .volume import BinaryMask, Volume3D
+
+ndimage = LazyModule("scipy.ndimage")
 
 HEAD_MASK_VERSION = "head-mask-v1"
 

@@ -19,10 +19,12 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy import ndimage
 
+from ._lazy import LazyModule
 from .errors import DegenerateInputError
 from .volume import BinaryMask, Volume3D, require_same_geometry
+
+ndimage = LazyModule("scipy.ndimage")
 
 SSIM_SIGMA = 1.5
 SSIM_WINDOW = 11

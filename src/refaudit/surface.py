@@ -17,12 +17,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
+from ._lazy import LazyModule
 from ._mc_tables import EDGE_ANCHORS, TRI_TABLE
 from .errors import DegenerateInputError
 from .masks import face_roi, head_mask
 from .volume import BinaryMask, Volume3D, frozen, require_same_geometry
+
+spatial = LazyModule("scipy.spatial")
 
 
 @dataclass(frozen=True)
@@ -115,12 +117,12 @@ def marching_cubes(mask: BinaryMask) -> TriMesh:
     return TriMesh(vertices=vertices, triangles=triangles)
 
 
-def _nearest_tree(points) -> cKDTree:
+def _nearest_tree(points) -> spatial.cKDTree:
     """A k-d tree for exact nearest-vertex queries. Sliding-midpoint splits
     without node compaction build faster and, for queries near a dense
     surface, visit fewer leaves than the default median-balanced tree; an
     exact query (eps=0) returns the same distances on any tree."""
-    return cKDTree(points, balanced_tree=False, compact_nodes=False)
+    return spatial.cKDTree(points, balanced_tree=False, compact_nodes=False)
 
 
 def masd(a: TriMesh, b: TriMesh, directed: bool = False) -> float:

@@ -324,6 +324,15 @@ def write_nifti(vol: Volume3D) -> bytes:
     return bytes(hdr) + b"\x00" * (VOX_OFFSET - HEADER_SIZE) + payload
 
 
+def same_nifti(a: Volume3D, b: Volume3D) -> bool:
+    """True when ``write_nifti`` would write ``a`` and ``b`` to the same bytes
+    because they have the same dims, the same affine and the same float32
+    payload bit for bit (float64 data that differ below float32's resolution
+    compare equal; 0.0 and -0.0 do not). Found without writing either."""
+    return (a.dims == b.dims and a.affine.tobytes() == b.affine.tobytes()
+            and np.array_equal(a.data.astype("<f4").view("<u4"), b.data.astype("<f4").view("<u4")))
+
+
 def read_nifti_file(path) -> Volume3D:
     return read_nifti(Path(path).read_bytes())
 

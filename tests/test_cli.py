@@ -5,7 +5,9 @@ import importlib.util
 import io
 import json
 import math
+import os
 import struct
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -759,6 +761,122 @@ class TestOriginalSideOnce:
         }
         with pytest.raises(GeometryMismatchError):
             calls[function]()
+
+    @staticmethod
+    def demo_subject_writes(monkeypatch, tmp_path, case):
+        """The names ``cli.write_nifti_file`` is called with while ``case``
+        runs through ``_demo_subject``."""
+        written = []
+
+        def counting_write(vol, path):
+            written.append(Path(path).name)
+            return real(vol, path)
+
+        real = cli.write_nifti_file
+        monkeypatch.setattr(cli, "write_nifti_file", counting_write)
+        cli._demo_subject(case, tmp_path, CascadeConfig(sample_steps=1, seed=5), 10.0)
+        return written
+
+    def test_oracle_file_is_a_copy_of_the_originals(self, monkeypatch, tmp_path):
+        # the oracle's float32 payload is the original's: the file is copied,
+        # not compressed a second time
+        case = generate_cohort(1, seed=5, base=SMALL_PARAMS)[0]
+        written = self.demo_subject_writes(monkeypatch, tmp_path, case)
+        sid = case.subject_id
+        assert written == [f"{sid}_original.nii.gz", f"{sid}_defaced.nii.gz",
+                           f"{sid}_refaced_stub.nii.gz"]
+        assert ((tmp_path / f"{sid}_refaced_oracle.nii.gz").read_bytes()
+                == (tmp_path / f"{sid}_original.nii.gz").read_bytes())
+
+    def test_an_oracle_that_differs_is_written(self, monkeypatch, tmp_path):
+        refaced = []
+
+        def shifted_cascade(*args, **kwargs):
+            vol = real(*args, **kwargs)
+            if not refaced:  # the oracle is refaced first
+                vol = vol.with_data(vol.data + 0.5)
+            refaced.append(vol)
+            return vol
+
+        real = cli.cascade_reface
+        monkeypatch.setattr(cli, "cascade_reface", shifted_cascade)
+        case = generate_cohort(1, seed=5, base=SMALL_PARAMS)[0]
+        written = self.demo_subject_writes(monkeypatch, tmp_path, case)
+        path = tmp_path / f"{case.subject_id}_refaced_oracle.nii.gz"
+        assert path.name in written
+        assert np.array_equal(read_nifti_file(path).data, refaced[0].data.astype(np.float32))
+        assert not np.array_equal(read_nifti_file(path).data, case.volume.data.astype(np.float32))
+
+
+SCIPY_SUBMODULES = ("scipy.ndimage", "scipy.spatial", "scipy.stats")
+
+
+def fresh_cli(argv, prelude="", **env):
+    """Run ``cli.main(argv)`` (or, for ``argv`` None, only import ``refaudit``
+    and ``refaudit.cli``) in a fresh interpreter, after the Python lines
+    ``prelude``, with ``env`` added to the environment. Returns the exit code
+    and those of ``SCIPY_SUBMODULES`` the process loaded."""
+    import refaudit
+
+    src = str(Path(refaudit.__file__).resolve().parents[1])
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "\n".join([
+        "import json, sys",
+        "import refaudit, refaudit.cli as cli",
+        prelude,
+        "argv = json.loads(sys.argv[1])",
+        "rc = None if argv is None else cli.main(argv)",
+        f"print(json.dumps([rc, [m for m in {SCIPY_SUBMODULES!r} if m in sys.modules]]))",
+    ])
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    rc, loaded = json.loads(done.stdout.splitlines()[-1])
+    return rc, loaded
+
+
+class TestImportFootprint:
+    """scipy.stats, scipy.ndimage and scipy.spatial each cost a process
+    tenths of a second and tens of MiB to import; refaudit imports each at
+    its first call, so a command loads only what it calls."""
+
+    def test_importing_refaudit_loads_no_scipy_submodule(self):
+        assert fresh_cli(None) == (None, [])
+
+    @pytest.mark.parametrize("command", ["correlate", "masd-table", "quality-table", "phantom"])
+    def test_statistics_and_phantom_commands_load_none(self, tmp_path, command):
+        obs, preds = write_correlate_inputs(tmp_path, 6, (0, 1))
+        argv = {
+            "correlate": ["correlate", obs, preds, "--boot", "20", "--out",
+                          str(tmp_path / "c.json")],
+            "masd-table": ["masd", "--table", write_csv(tmp_path / "d.csv", DISTANCE_HEADER,
+                                                        distance_rows()), "--boot", "20"],
+            "quality-table": ["quality", "--table", write_csv(tmp_path / "q.csv", QUALITY_HEADER,
+                                                              quality_rows()), "--boot", "20"],
+            "phantom": ["phantom", str(tmp_path / "phantoms"), "-n", "1"],
+        }[command]
+        assert fresh_cli(argv) == (0, [])
+
+    def test_scoring_a_pair_loads_what_it_calls(self, small_files):
+        original, defaced = str(small_files["original"]), str(small_files["defaced"])
+        assert fresh_cli(["masd", original, defaced]) == (0, ["scipy.ndimage", "scipy.spatial"])
+        assert fresh_cli(["quality", original, defaced, original, "--removed",
+                          str(small_files["removed"])]) == (0, ["scipy.ndimage"])
+
+    def test_first_scipy_calls_on_two_threads_write_the_one_thread_bytes(self, tmp_path):
+        # the two subject threads reach head_mask's ndimage.label, the first
+        # scipy call of the process, at about the same moment
+        prelude = ("from refaudit.phantom import PhantomParams, generate_cohort\n"
+                   f"cli.generate_cohort = lambda n, seed: generate_cohort(n, seed, base={SMALL_PARAMS!r})")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            rc, loaded = fresh_cli(["demo", str(out), "-n", "2", "--steps", "2", "--boot", "50"],
+                                   prelude, REFAUDIT_THREADS=threads)
+            assert (rc, loaded) == (0, ["scipy.ndimage", "scipy.spatial"])
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(outputs[0]) == 13  # 5 NIfTIs per subject, masd.csv, quality.csv, manifest.json
+        assert outputs[0] == outputs[1]
 
 
 class TestHostileInputs:

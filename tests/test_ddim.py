@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import sys
 import threading
 from pathlib import Path
 
@@ -380,6 +381,57 @@ class TestVolumeDenoiser:
             VolumeDenoiser(0.0, s)
         with pytest.raises(ValueError, match="needs the diffusion schedule"):
             VolumeDenoiser(0.0).final_sd([50, 0], 0.0)
+
+
+class TestSlabCopy:
+    """A stage-2 slab of a taller prior is copied once per chain and thread."""
+
+    def test_slab_is_a_read_only_contiguous_copy(self, rng):
+        mu = rng.standard_normal((4, 5, 20))
+        den = VolumeDenoiser(mu)
+        got = den(np.zeros((4, 5, 8)), 7, {"slab_range": (6, 14)})
+        assert got.flags.c_contiguous and not got.flags.writeable
+        assert not np.shares_memory(got, mu)
+        assert got.tobytes() == mu[:, :, 6:14].tobytes()
+        assert den(np.zeros((4, 5, 8)), 3, {"slab_range": (6, 14)}) is got  # the chain's next step
+
+    def test_alternating_ranges_each_get_their_own_slab(self, rng):
+        mu = rng.standard_normal((4, 5, 20))
+        den = VolumeDenoiser(mu)
+        for z0 in (0, 12, 0, 6, 6, 12, 0):
+            got = den(np.zeros((4, 5, 8)), 7, {"slab_range": (z0, z0 + 8)})
+            assert got.tobytes() == mu[:, :, z0 : z0 + 8].tobytes(), z0
+
+    def test_concurrent_threads_each_get_their_own_slab(self, rng):
+        mu = rng.standard_normal((4, 5, 20))
+        den = VolumeDenoiser(mu)
+        starts = (0, 4, 8, 12)  # more threads than a 2-core machine has cores
+        barrier = threading.Barrier(len(starts), timeout=30)
+        wrong, done = [], []
+
+        def chain(z0):
+            slabs = []
+            for t in range(50, 0, -1):
+                barrier.wait()  # the threads' steps interleave
+                slabs.append(den(np.zeros((4, 5, 8)), t, {"slab_range": (z0, z0 + 8)}))
+            # each thread copied its slab once, and it is its own
+            if any(got is not slabs[0] for got in slabs) or (
+                    slabs[0].tobytes() != mu[:, :, z0 : z0 + 8].tobytes()):
+                wrong.append(z0)
+            done.append(z0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=chain, args=(z0,)) for z0 in starts]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(done) == list(starts) and wrong == []
 
 
 class TestSlabs:

@@ -20,6 +20,7 @@ from refaudit.volume import (
     _trilinear_at,
     downsample,
     read_nifti,
+    same_nifti,
     upsample_trilinear,
     write_nifti,
 )
@@ -284,6 +285,26 @@ class TestSpacingFromAffine:
         assert vol.spacing == pytest.approx([math.hypot(*affine[:3, j]) for j in range(3)],
                                             rel=1e-15)
         assert vol.spacing == pytest.approx((0.7, 1.9, 2.6), rel=1e-12)
+
+
+def test_same_nifti_is_whether_the_written_bytes_are_equal(rng):
+    data = rng.standard_normal((3, 4, 5))
+    data[0, 0, 0] = 0.0
+    vol = make_volume(data, (2.0, 2.0, 2.0))
+    flipped_zero = data.copy()
+    flipped_zero[0, 0, 0] = -0.0
+    one_voxel = data.copy()
+    one_voxel[1, 2, 3] += 1e-3
+    others = [
+        vol.with_data(data * (1 + 1e-12)),  # below float32's resolution
+        vol.with_data(flipped_zero),
+        vol.with_data(one_voxel),
+        make_volume(data, (2.0, 2.0, 2.0), origin=(0.0, 0.0, 1.0)),
+        make_volume(data.reshape(4, 3, 5), (2.0, 2.0, 2.0)),
+    ]
+    assert [same_nifti(vol, other) for other in others] == [True, False, False, False, False]
+    for other in others:
+        assert same_nifti(vol, other) == (write_nifti(vol) == write_nifti(other))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
