@@ -397,10 +397,18 @@ def downsample(vol: Volume3D, factor) -> Volume3D:
     return replace(vol, data=pooled, affine=affine)
 
 
+# most target voxels one block of _trilinear_at evaluates, so that its
+# corner terms stay in cache between the 8 passes over the block
+TRILINEAR_BLOCK_VOXELS = 2**15
+
+
 def _trilinear_at(src: np.ndarray, axes):
     """Trilinear interpolation of ``src`` with edge clamping on the grid
     spanned by ``axes``, three 1D arrays of fractional index coordinates (one
-    per axis); returns shape ``(len(axes[0]), len(axes[1]), len(axes[2]))``."""
+    per axis); returns shape ``(len(axes[0]), len(axes[1]), len(axes[2]))``.
+    Evaluated in blocks of whole x slices, at most ``TRILINEAR_BLOCK_VOXELS``
+    each (at least one slice); every voxel takes the same operations in the
+    same order whatever the blocking."""
     corners = []
     for axis, c in enumerate(axes):
         n = src.shape[axis]
@@ -409,11 +417,14 @@ def _trilinear_at(src: np.ndarray, axes):
         frac = c - i0
         corners.append(((i0, 1.0 - frac), (np.minimum(i0 + 1, n - 1), frac)))
     vals = np.zeros(tuple(len(c) for c in axes), dtype=np.float64)
-    for corner in range(8):
-        (i, wi), (j, wj), (k, wk) = (corners[axis][corner >> axis & 1] for axis in range(3))
-        w = wi[:, None, None] * wj[:, None] * wk
-        w *= src.take(i, 0).take(j, 1).take(k, 2)  # the gather of src[np.ix_(i, j, k)]
-        vals += w
+    step = max(1, TRILINEAR_BLOCK_VOXELS // max(vals.shape[1] * vals.shape[2], 1))
+    for x0 in range(0, vals.shape[0], step):
+        x = slice(x0, x0 + step)
+        for corner in range(8):
+            (i, wi), (j, wj), (k, wk) = (corners[axis][corner >> axis & 1] for axis in range(3))
+            w = wi[x, None, None] * wj[:, None] * wk
+            w *= src.take(i[x], 0).take(j, 1).take(k, 2)  # the gather of src[np.ix_(i, j, k)]
+            vals[x] += w
     return vals
 
 

@@ -931,6 +931,24 @@ class TestHostileInputs:
         assert ("cell ('refaced', 'psnr_face') holds both inf and -inf"
                 in capsys.readouterr().err)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_distances_whose_sum_overflows_exit_2_naming_the_cell(self, tmp_path, capsys):
+        rows = [[f"s{i}", "dpm", "1e308"] for i in range(3)]
+        rc, out = run_cli(["masd", "--table", write_csv(tmp_path / "d.csv", DISTANCE_HEADER, rows),
+                           "--boot", "20"])
+        assert rc == 2 and out == ""
+        assert "cell 'dpm' holds values up to 1e+308" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_quality_cell_whose_sum_overflows_exits_2_naming_it(self, tmp_path, capsys):
+        rows = quality_rows()
+        for row in rows:
+            row[2] = "-1e308"
+        rc, out = run_cli(["quality", "--table", write_csv(tmp_path / "q.csv", QUALITY_HEADER, rows),
+                           "--boot", "20"])
+        assert rc == 2 and out == ""
+        assert "cell ('refaced', 'psnr_head') holds values up to 1e+308" in capsys.readouterr().err
+
     def test_duplicate_quality_row_exits_2(self, tmp_path, capsys):
         table = write_csv(tmp_path / "q.csv", QUALITY_HEADER, quality_rows() + quality_rows()[:1])
         rc, _ = run_cli(["quality", "--table", table, "--boot", "20"])

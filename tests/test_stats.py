@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from refaudit.errors import DegenerateInputError, FitError, JoinError
 from refaudit.stats import (
+    BOOTSTRAP_BLOCK,
     OBSERVATION_COLUMNS,
     LmmFit,
     ObservationTable,
@@ -31,6 +32,10 @@ from refaudit.stats import (
     spearman,
     wilcoxon_signed_rank,
 )
+
+
+# replicate counts around one block of the bootstrap engine
+BLOCK_COUNTS = [1, BOOTSTRAP_BLOCK - 1, BOOTSTRAP_BLOCK, BOOTSTRAP_BLOCK + 1]
 
 
 def simulate_table(rng, n_subjects=200, n_visits=3, beta=(10.0, -0.5, 4.0),
@@ -430,11 +435,11 @@ class TestBootstrap:
     def test_degenerate_statistic_is_redrawn(self):
         calls = []
 
-        def stat(rows):
+        def stat(rows, axis):
             calls.append(len(rows))
             if len(calls) < 3:
-                raise DegenerateInputError("first draws rejected")
-            return float(np.mean(rows))
+                return np.full(len(rows), np.nan)  # first draws rejected
+            return np.mean(rows, axis=axis)
 
         assert bootstrap_replicates(np.arange(10.0), stat, 2, 0).shape == (2,)
         assert len(calls) >= 3
@@ -455,7 +460,8 @@ class TestBootstrap:
 
     def test_vector_statistic_matches_scalar_components(self, rng):
         data = rng.standard_normal(40)
-        reps = bootstrap_replicates(data, lambda x: [np.mean(x), np.median(x)], 200, 5)
+        reps = bootstrap_replicates(
+            data, lambda x, axis: [np.mean(x, axis=axis), np.median(x, axis=axis)], 200, 5)
         assert reps.shape == (2, 200) and reps[1].flags["C_CONTIGUOUS"]
         np.testing.assert_array_equal(reps[0], bootstrap_replicates(data, np.mean, 200, 5))
         np.testing.assert_array_equal(reps[1], bootstrap_replicates(data, np.median, 200, 5))
@@ -463,20 +469,21 @@ class TestBootstrap:
 
     def test_vector_bootstrap_equals_its_scalar_components(self, rng):
         data = rng.standard_normal(25)
-        summaries = bootstrap(data, lambda x: [np.mean(x), np.median(x), x.max()], 300, 9)
+        summaries = bootstrap(data, lambda x, axis: [np.mean(x, axis=axis), np.median(x, axis=axis),
+                                                     x.max(axis=axis)], 300, 9)
         assert summaries == [bootstrap(data, np.mean, 300, 9), bootstrap(data, np.median, 300, 9),
                              bootstrap(data, np.max, 300, 9)]
 
     def test_undefined_component_redraws_the_whole_replicate(self):
         data = np.arange(12.0)
 
-        def max_or_undefined(x):
-            if x.max() < 11.0:
-                raise DegenerateInputError("largest row not drawn")
-            return x.max()
+        def max_or_undefined(x, axis):
+            largest = x.max(axis=axis)
+            return np.where(largest < 11.0, np.nan, largest)  # largest row not drawn
 
         scalar = bootstrap_replicates(data, max_or_undefined, 300, 2)
-        vector = bootstrap_replicates(data, lambda x: [np.mean(x), max_or_undefined(x)], 300, 2)
+        vector = bootstrap_replicates(data, lambda x, axis: [np.mean(x, axis=axis),
+                                                             max_or_undefined(x, axis)], 300, 2)
         np.testing.assert_array_equal(vector[1], scalar)
         # the mean is taken from the same accepted resample, never a rejected one
         accepted = []
@@ -485,6 +492,80 @@ class TestBootstrap:
                        if data[i].max() == 11.0)
             accepted.append(data[idx].mean())
         np.testing.assert_array_equal(vector[0], accepted)
+
+
+class TestBlockedEngine:
+    """The engine calls its statistic once per block of replicates; each
+    replicate still equals the statistic of its own resample."""
+
+    @pytest.mark.parametrize("n_boot", BLOCK_COUNTS)
+    def test_scalar_replicates_equal_a_per_replicate_loop(self, rng, n_boot):
+        data = rng.standard_normal(23)
+        want = [np.median(data[bootstrap_indices(23, 8, r)]) for r in range(n_boot)]
+        np.testing.assert_array_equal(bootstrap_replicates(data, np.median, n_boot, 8), want)
+
+    def test_undefined_replicates_inside_a_block_are_redrawn_alone(self, monkeypatch):
+        n, seed, n_boot = 15, 3, 3 * BOOTSTRAP_BLOCK + 2
+        # replicate -> its attempts the statistic rejects: two neighbours inside
+        # the second block, and one in the third block rejected twice
+        rejects = {BOOTSTRAP_BLOCK + 1: 1, BOOTSTRAP_BLOCK + 2: 1, 2 * BOOTSTRAP_BLOCK + 4: 2}
+        rejected = [bootstrap_indices(n, seed, r, a) for r, k in rejects.items() for a in range(k)]
+
+        def mean_unless_rejected(x, axis):  # the data are 0..n-1, so a resample is its indices
+            undefined = [any(np.array_equal(row, idx) for idx in rejected) for row in x]
+            return np.where(undefined, np.nan, x.mean(axis=axis))
+
+        drawn = []
+
+        def recording_indices(n, seed, replicate, attempt=0):
+            drawn.append((replicate, attempt))
+            return bootstrap_indices(n, seed, replicate, attempt)
+
+        monkeypatch.setattr("refaudit.stats.bootstrap_indices", recording_indices)
+        got = bootstrap_replicates(np.arange(n), mean_unless_rejected, n_boot, seed)
+        plain = bootstrap_replicates(np.arange(n), np.mean, n_boot, seed)
+        for r in range(n_boot):
+            idx = bootstrap_indices(n, seed, r, rejects.get(r, 0))
+            assert got[r] == idx.mean(), r
+            assert (got[r] == plain[r]) == (r not in rejects), r
+        # one draw per replicate and attempt, as the benchmark's tracer counts them
+        redraws = [(r, a) for r, k in rejects.items() for a in range(1, k + 1)]
+        assert sorted(drawn[:n_boot + len(redraws)]) == sorted(
+            [(r, 0) for r in range(n_boot)] + redraws)
+
+    def test_replicate_undefined_on_every_attempt_raises_naming_it(self):
+        with pytest.raises(DegenerateInputError, match="10 consecutive redraws of replicate 0"):
+            bootstrap_replicates(np.arange(5.0), lambda x, axis: np.full(len(x), np.nan), 3, 0)
+
+    def test_statistic_of_the_wrong_shape_raises(self):
+        with pytest.raises(ValueError, match=r"statistic returned shape \(\) for 3 resamples"):
+            bootstrap_replicates(np.arange(5.0), lambda x, axis: 1.0, 3, 0)
+
+    def test_data_must_be_1d(self):
+        with pytest.raises(ValueError, match="1D"):
+            bootstrap_replicates(np.ones((5, 2)), np.mean, 3, 0)
+
+    @pytest.mark.parametrize("n_boot", BLOCK_COUNTS)
+    def test_cell_rows_equal_a_per_replicate_loop(self, monkeypatch, rng, n_boot):
+        # two cells of each size share a resample set; row c of the engine's
+        # (2, n_boot) replicates is cell c's a[idx].mean() on each replicate
+        sizes = (2, 3, 8, 9, 129, 200)
+        rows = [(f"s{i:03d}", (n, c), float(rng.normal(4.0, 1.5)))
+                for n in sizes for c in (0, 1) for i in rng.permutation(n)]
+        rows[0] = (*rows[0][:2], math.inf)
+        replicates = {}
+
+        def recording_bootstrap(data, statistic, n_boot, seed):
+            replicates[len(data)] = bootstrap_replicates(data, statistic, n_boot, seed)
+            return bootstrap(data, statistic, n_boot, seed)
+
+        monkeypatch.setattr("refaudit.stats.bootstrap", recording_bootstrap)
+        cells = bootstrap_cells(rows, n_boot, seed=5)
+        for (n, c), cell in cells.items():
+            a = np.array(list(cell.values.values()))
+            want = [a[bootstrap_indices(n, 5, r)].mean() for r in range(n_boot)]
+            np.testing.assert_array_equal(replicates[n][c], want)
+            assert cell.summary == StatSummary.from_replicates(np.array(want))
 
 
 class TestBootstrapCells:
@@ -523,6 +604,20 @@ class TestBootstrapCells:
     def test_nan_value_raises(self):
         with pytest.raises(ValueError, match="NaN"):
             bootstrap_cells([("s1", "dpm", 1.0), ("s2", "dpm", float("nan"))], 10, 0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_values_whose_sum_could_overflow_raise_naming_the_cell(self):
+        rows = [(f"s{i}", "big", v) for i, v in enumerate([1e308, -1e308, 1.0])]
+        with pytest.raises(ValueError, match=r"cell 'big' holds values up to 1e\+308"):
+            bootstrap_cells(rows, 2, 0)
+        # the mean over the replicates sums n_boot of them
+        rows = [(f"s{i}", "big", 1.5e307) for i in range(3)]
+        summary = bootstrap_cells(rows, 10, 0)["big"].summary
+        assert (summary.ci_low, summary.ci_high) == pytest.approx((1.5e307, 1.5e307))
+        with pytest.raises(ValueError, match=r"so a sum of 20 of them overflows float64"):
+            bootstrap_cells(rows, 20, 0)
+        # a one-subject cell sums nothing
+        assert bootstrap_cells(rows[:1], 1000, 0)["big"].summary.mean == 1.5e307
 
     def test_cell_holding_inf_and_minus_inf_raises_naming_it(self):
         rows = [("s1", "a", math.inf), ("s2", "a", 1.0), ("s1", "b", -math.inf),
@@ -631,6 +726,45 @@ class TestCorrelationReport:
         for entry in report["pairwise"]:
             assert (entry["w"], entry["p"]) == wilcoxon_signed_rank(want[entry["a"]],
                                                                     want[entry["b"]])
+
+    @pytest.mark.parametrize("n_boot", BLOCK_COUNTS)
+    def test_blocked_replicates_equal_spearman_on_each_accepted_resample(
+            self, monkeypatch, rng, n_boot):
+        table = simulate_table(rng, n_subjects=12, n_visits=2)
+        resid = residualize(table, fit_lmm(table))
+        keys = table.keys()
+        n = len(keys)
+        hit = int(rng.integers(n))
+        # "coarse" is constant, so undefined, on each resample that misses row
+        # ``hit``; the seed makes replicate 0 one of those
+        seed = next(s for s in range(100) if hit not in bootstrap_indices(n, s, 0))
+        spiky = rng.choice([-math.inf, -1.0, -0.0, 0.0, 2.0, 3.5, math.inf], n)
+        preds = {"coarse": {k: float(i == hit) for i, k in enumerate(keys)},
+                 "dpm": {k: float(r + rng.normal(0.0, 2.0)) for k, r in zip(keys, resid)},
+                 "spiky": {k: float(v) for k, v in zip(keys, spiky)}}
+        replicates = []
+
+        def recording_replicates(data, statistic, n_boot, seed):
+            replicates.append(bootstrap_replicates(data, statistic, n_boot, seed))
+            return replicates[-1]
+
+        monkeypatch.setattr("refaudit.stats.bootstrap_replicates", recording_replicates)
+        correlation_report(preds, table, seed=seed, n_boot=n_boot)
+
+        aligned = np.array([[preds[m][k] for k in keys] for m in sorted(preds)])
+        want = []
+        redraws = 0
+        for r in range(n_boot):
+            for attempt in range(10):
+                idx = bootstrap_indices(n, seed, r, attempt)
+                try:
+                    want.append([spearman(row[idx], resid[idx]) for row in aligned])
+                    break
+                except DegenerateInputError:
+                    redraws += 1
+        assert redraws > 0
+        (got,) = replicates
+        np.testing.assert_array_equal(got, np.array(want).T)
 
     def test_join_error_lists_missing_keys(self, rng):
         table, preds = self.table_and_predictions(rng, n=20)

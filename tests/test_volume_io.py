@@ -14,6 +14,7 @@ from refaudit.stats import ObservationTable
 from refaudit.surface import TriMesh
 from refaudit.volume import (
     HEADER_SIZE,
+    TRILINEAR_BLOCK_VOXELS,
     VOX_OFFSET,
     BinaryMask,
     Volume3D,
@@ -488,6 +489,13 @@ class TestTrilinearAt:
 
     def test_phantom_lattice_coordinates_match_pointwise_formula(self, rng):
         dims, step = (40, 33, 18), 16
+        lattice = rng.standard_normal(tuple(d // step + 2 for d in dims))
+        self.assert_matches_pointwise(lattice, [np.arange(d) / step for d in dims])
+
+    def test_grid_of_several_blocks_and_a_ragged_one_matches_pointwise_formula(self, rng):
+        dims, step = (37, 129, 20), 16
+        slices = TRILINEAR_BLOCK_VOXELS // (dims[1] * dims[2])
+        assert 2 * slices < dims[0] and dims[0] % slices  # three whole blocks, then part of one
         lattice = rng.standard_normal(tuple(d // step + 2 for d in dims))
         self.assert_matches_pointwise(lattice, [np.arange(d) / step for d in dims])
 
