@@ -57,6 +57,9 @@ EXIT_IO = 3
 EXIT_GEOMETRY = 4
 EXIT_JOIN = 5
 
+# the defaults of the flags _check_mode_flags must see unset, applied after it
+FLAG_DEFAULTS = {"boot": 1000, "subject_id": "subject", "method": "candidate"}
+
 CONVENTIONS = {
     "head_mask": HEAD_MASK_VERSION,
     "quickshear": QUICKSHEAR_VERSION,
@@ -140,16 +143,17 @@ def _write_csv(fh, header, rows) -> None:
     writer.writerows(rows)
 
 
-def _check_mode_flags(args, paths, table_only=(), pair_only=()) -> None:
+def _check_mode_flags(args, paths, table_only, pair_only) -> None:
     """Reject, as an argument error, a flag the chosen mode would ignore:
     positional ``paths`` or a ``pair_only`` flag with ``--table``, or a
-    ``table_only`` flag without it."""
+    ``table_only`` flag without it. A flag not given is None or False."""
     if args.table and any(getattr(args, name) for name in paths):
         raise ValueError("--table takes no positional paths")
     for name in pair_only if args.table else table_only:
-        if getattr(args, name):
-            raise ValueError(f"--{name} does not apply with --table" if args.table
-                             else f"--{name} needs --table")
+        if getattr(args, name) not in (None, False):
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} does not apply with --table" if args.table
+                             else f"{flag} needs --table")
 
 
 def _quality_row(subject_id: str, rec) -> list:
@@ -210,8 +214,6 @@ def _read_distance_table(path):
 
 
 def cmd_masd(args) -> int:
-    _check_mode_flags(args, ("original", "candidate"), table_only=("compare", "summary"),
-                      pair_only=("directed",))
     if args.table:
         cells = bootstrap_cells(_read_distance_table(args.table), args.boot, args.seed)
         rows = [["masd", method, "", len(values), _fmt(s.mean), _fmt(s.ci_low),
@@ -224,6 +226,8 @@ def cmd_masd(args) -> int:
             # Wilcoxon pairs per-subject distances of the two methods
             per_a, per_b = cells[a].values, cells[b].values
             shared = sorted(set(per_a) & set(per_b))
+            if not shared:
+                raise ValueError(f"--compare methods {a!r} and {b!r} share no subject")
             w, p = wilcoxon_signed_rank(np.array([per_a[s] for s in shared]),
                                         np.array([per_b[s] for s in shared]))
             rows.append(["wilcoxon", a, b, len(shared), "", "", "", significance_stars(p),
@@ -256,7 +260,6 @@ QUALITY_HEADER = ("subject_id", "image", *QUALITY_METRICS)
 
 
 def cmd_quality(args) -> int:
-    _check_mode_flags(args, ("original", "defaced", "refaced"), pair_only=("removed", "summary"))
     if args.table:
         table = read_csv_rows(args.table, QUALITY_HEADER, "quality")
         seen = set()
@@ -414,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=nonnegative_int, default=0)
     boot = argparse.ArgumentParser(add_help=False)
-    boot.add_argument("--boot", type=positive_int, default=1000)
+    boot.add_argument("--boot", type=positive_int)
 
     p = sub.add_parser("phantom", parents=[seed], help="generate a phantom cohort")
     p.add_argument("out_dir")
@@ -426,25 +429,28 @@ def build_parser() -> argparse.ArgumentParser:
                        help="face surface distance (single pair or cohort table)")
     p.add_argument("original", nargs="?")
     p.add_argument("candidate", nargs="?")
-    p.add_argument("--subject-id", default="subject")
-    p.add_argument("--method", default="candidate")
+    p.add_argument("--subject-id")
+    p.add_argument("--method")
     p.add_argument("--directed", action="store_true")
     p.add_argument("--table", help="CSV of subject_id,method,masd_mm to aggregate")
     p.add_argument("--compare", nargs=2, metavar=("A", "B"),
                    help="Wilcoxon on per-subject paired distances of two methods")
     p.add_argument("--summary", help="write a JSON summary here")
-    p.set_defaults(func=cmd_masd)
+    p.set_defaults(func=cmd_masd, mode_flags=(("original", "candidate"),
+                                              ("compare", "summary", "boot"),
+                                              ("directed", "method", "subject_id")))
 
     p = sub.add_parser("quality", parents=[seed, boot], help="masked PSNR/SSIM report")
     p.add_argument("original", nargs="?")
     p.add_argument("defaced", nargs="?")
     p.add_argument("refaced", nargs="?")
-    p.add_argument("--removed", action="append", default=[],
+    p.add_argument("--removed", action="append",
                    help="changed-area mask NIfTI (repeatable; intersection is used)")
-    p.add_argument("--subject-id", default="subject")
+    p.add_argument("--subject-id")
     p.add_argument("--table", help="CSV of per-subject quality rows to aggregate")
     p.add_argument("--summary", help="write a JSON summary here")
-    p.set_defaults(func=cmd_quality)
+    p.set_defaults(func=cmd_quality, mode_flags=(("original", "defaced", "refaced"), ("boot",),
+                                                 ("removed", "summary", "subject_id")))
 
     p = sub.add_parser("correlate", parents=[seed, boot],
                        help="prediction-vs-residual correlation report")
@@ -471,6 +477,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "mode_flags" in args:  # masd and quality: a pair of files or a --table
+            _check_mode_flags(args, *args.mode_flags)
+        for name, value in FLAG_DEFAULTS.items():
+            if getattr(args, name, value) is None:
+                setattr(args, name, value)
         return args.func(args)
     except JoinError as exc:
         print(f"refaudit: join error: {exc}", file=sys.stderr)

@@ -251,24 +251,22 @@ def residualize(table: ObservationTable, fit: LmmFit) -> np.ndarray:
 # Rank statistics
 
 
-def _rank_codes(a) -> tuple:
+def _rank_codes(a) -> np.ndarray:
     """Each value of a 1D array as its index among the array's sorted
-    distinct values (-0.0 and 0.0 are one value), from one sort, and the
-    number of distinct values."""
-    distinct, codes = np.unique(a, return_inverse=True)
-    return codes, len(distinct)
+    distinct values (-0.0 and 0.0 are one value), from one sort."""
+    return np.unique(a, return_inverse=True)[1]
 
 
-def _average_ranks(codes: np.ndarray, n_distinct: int) -> np.ndarray:
+def _average_ranks(codes: np.ndarray, n_codes: int) -> np.ndarray:
     """Average ranks 1..n of the values coded by ``codes``, a 1D array or an
-    (m, n) stack of rows, each any draw of the codes ``_rank_codes`` gave: a
-    value's rank is the number of values below it in its row plus half of
-    its own count + 1, an exact half-integer. The rows are counted at once,
-    each offset by its row number times ``n_distinct``."""
+    (m, n) stack of rows, each any draw of the codes ``_rank_codes`` gave an
+    array of length ``n_codes``: a value's rank is the number of values
+    below it in its row plus half of its own count + 1, an exact
+    half-integer. Each row is counted in its own ``n_codes`` bins at once."""
     rows = np.atleast_2d(codes)
-    offset = rows + n_distinct * np.arange(len(rows))[:, None]
-    counts = np.bincount(offset.ravel(), minlength=len(rows) * n_distinct)
-    counts = counts.reshape(len(rows), n_distinct)
+    offset = rows + n_codes * np.arange(len(rows))[:, None]
+    counts = np.bincount(offset.ravel(), minlength=len(rows) * n_codes)
+    counts = counts.reshape(len(rows), n_codes)
     below = counts.cumsum(axis=1) - counts
     return (below + 0.5 * (counts + 1)).ravel()[offset].reshape(codes.shape)
 
@@ -277,7 +275,7 @@ def rankdata(a) -> np.ndarray:
     """Ranks 1..n of a 1D array, tied values sharing their average rank, by
     one sort and counting; the ranks equal ``scipy.stats.rankdata``'s
     bit for bit on NaN-free input; NaN must be rejected before."""
-    return _average_ranks(*_rank_codes(a))
+    return _average_ranks(_rank_codes(a), len(a))
 
 
 def _reject_nan(name: str, values: np.ndarray) -> None:
@@ -296,29 +294,25 @@ def spearman(x, y) -> float:
         raise ValueError("spearman needs two 1D arrays of n >= 3 values")
     _reject_nan("spearman x", x)
     _reject_nan("spearman y", y)
-    ((rho,),) = _rank_correlations([rankdata(x)[None]], rankdata(y)[None])
+    rho = _rank_correlations(rankdata(x), rankdata(y))
     if math.isnan(rho):
         raise DegenerateInputError("zero rank variance")
     return float(rho)
 
 
-def _rank_correlations(rank_blocks, ry: np.ndarray) -> np.ndarray:
-    """Spearman's rho of each (m, n) rank array in ``rank_blocks`` against
-    the (m, n) ranks ``ry``, row by row, as a (k, m) array; NaN, with no
-    numpy warning, where either row has zero rank variance. The blocks are
-    centred one at a time, so a generator of them holds one in memory."""
+def _rank_correlations(rx: np.ndarray, ry: np.ndarray) -> np.ndarray:
+    """Spearman's rho of the rank vectors along the last axis of ``rx``
+    against those of ``ry``, leading axes broadcast; NaN, with no numpy
+    warning, where either side has zero rank variance. Exact in any
+    summation order: n ranks sum to n(n+1)/2, so centred ranks are exact
+    multiples of 1/2, and the partial sums of their products, multiples of
+    1/4, stay exact below 2**51, as they do for n up to about 10**5."""
+    rx = rx - rx.mean(axis=-1, keepdims=True)
     ry = ry - ry.mean(axis=-1, keepdims=True)
-    # one BLAS dot per row: its summation order is the one the results were
-    # pinned with, which a stacked matmul or einsum need not keep
-    ryy = np.array([r @ r for r in ry])
-    rhos = []
-    for rx in rank_blocks:
-        rx = rx - rx.mean(axis=-1, keepdims=True)
-        rxy = np.array([r @ s for r, s in zip(rx, ry)])
-        # centred half-integer ranks are all 0 exactly when the ranks are constant
-        den = np.sqrt(np.array([r @ r for r in rx]) * ryy)
-        rhos.append(np.divide(rxy, den, out=np.full_like(rxy, math.nan), where=den > 0))
-    return np.array(rhos)
+    rxy = np.einsum("...n,...n->...", rx, ry)
+    # centred half-integer ranks are all 0 exactly when the ranks are constant
+    den = np.sqrt(np.einsum("...n,...n->...", rx, rx) * np.einsum("...n,...n->...", ry, ry))
+    return np.divide(rxy, den, out=np.full_like(rxy, math.nan), where=den > 0)
 
 
 def wilcoxon_signed_rank(a, b) -> tuple:
@@ -342,8 +336,8 @@ def wilcoxon_signed_rank(a, b) -> tuple:
     if len(d) == 0:
         raise DegenerateInputError("all differences are zero")
     n = len(d)
-    codes, n_distinct = _rank_codes(np.abs(d))
-    ranks = _average_ranks(codes, n_distinct)
+    codes = _rank_codes(np.abs(d))
+    ranks = _average_ranks(codes, n)
     w_pos = float(ranks[d > 0].sum())
 
     if n <= WILCOXON_EXACT_MAX_N:
@@ -560,9 +554,11 @@ def correlation_report(
     residuals, with bootstrap summaries (``methods``, a cell is significant
     when its 95% CI does not overlap 0) and pairwise Wilcoxon comparisons
     over paired replicates (identical resample indices across methods).
-    A method that predicts one value for every row raises ValueError naming
-    it, since none of its replicates has a rank correlation.
+    No method, or one that predicts one value for every row (named), raises
+    ValueError: there is no rank correlation to bootstrap.
     """
+    if not predictions:
+        raise ValueError("correlation report needs the predictions of at least one method")
     fit = fit_lmm(table)
     resid = residualize(table, fit)
     keys = table.keys()
@@ -576,25 +572,25 @@ def correlation_report(
                 f"{missing[:5]}{'...' if len(missing) > 5 else ''}",
                 missing_keys=missing,
             )
-    # one row per method, in sorted order; the reshape keeps (0, n) without methods
-    aligned = np.array([[predictions[m][k] for k in keys] for m in methods],
-                       dtype=np.float64).reshape(len(methods), len(keys))
+    # one row per method, in sorted order
+    aligned = np.array([[predictions[m][k] for k in keys] for m in methods], dtype=np.float64)
 
     _reject_nan("predictions", aligned)
     _reject_nan("residuals", resid)
     # each column is sorted once; a resample's ranks are counted from its codes
     columns = [_rank_codes(row) for row in aligned]
-    for m, (_, n_distinct) in zip(methods, columns):
-        if n_distinct == 1:
+    for m, codes in zip(methods, columns):
+        if not codes.any():
             raise ValueError(f"method {m!r} predicts one value for every row, "
                              "so its rank correlation is undefined")
-    resid_codes, resid_distinct = _rank_codes(resid)
+    resid_codes = _rank_codes(resid)
+    n = len(table)
 
     def rhos(idx, axis):  # (m, n) resamples of row indices, shared by every method
-        return _rank_correlations((_average_ranks(codes[idx], u) for codes, u in columns),
-                                  _average_ranks(resid_codes[idx], resid_distinct))
+        # one count per method: one call over all k + 1 rows was never faster
+        rx = np.stack([_average_ranks(codes[idx], n) for codes in columns])
+        return _rank_correlations(rx, _average_ranks(resid_codes[idx], n))
 
-    n = len(table)
     replicates = dict(zip(methods, bootstrap_replicates(np.arange(n), rhos, n_boot, seed)))
     cells = {}
     for m in methods:

@@ -297,9 +297,9 @@ def read_nifti(raw: bytes) -> Volume3D:
     return Volume3D(*_reorient_to_ras(data, affine))
 
 
-def write_nifti(vol: Volume3D) -> bytes:
-    """Serialize as uncompressed NIfTI-1: float32 little-endian payload,
-    sform from the affine, magic "n+1\\0", vox_offset 352."""
+def write_nifti(vol: _Grid) -> bytes:
+    """Serialize a grid (a mask as 0.0/1.0) as uncompressed NIfTI-1: float32
+    little-endian payload, sform from the affine, magic "n+1\\0", vox_offset 352."""
     nx, ny, nz = vol.dims
     if max(nx, ny, nz) > np.iinfo(np.int16).max:
         raise ValueError(f"dims {vol.dims} overflow the NIfTI-1 int16 dim fields")
@@ -337,7 +337,7 @@ def read_nifti_file(path) -> Volume3D:
     return read_nifti(Path(path).read_bytes())
 
 
-def write_nifti_file(vol: Volume3D, path) -> None:
+def write_nifti_file(vol: _Grid, path) -> None:
     """Write to ``path``; gzip-compressed when the suffix is .gz (mtime pinned
     to 0 so identical volumes give byte-identical files)."""
     path = Path(path)
@@ -354,7 +354,7 @@ def read_mask_file(path) -> BinaryMask:
 
 
 def write_mask_file(mask: BinaryMask, path) -> None:
-    write_nifti_file(Volume3D.like(mask, mask.data), path)
+    write_nifti_file(mask, path)
 
 
 # ---------------------------------------------------------------------------

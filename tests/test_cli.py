@@ -976,6 +976,20 @@ class TestHostileInputs:
         assert w == w_want and p == pytest.approx(p_want, rel=1e-5)
         assert wrow["n"] == "6"
 
+    def test_compare_of_methods_sharing_no_subject_exits_2_naming_both(self, tmp_path, capsys):
+        rows = [["s0", "a", "0.5"], ["s1", "a", "0.9"], ["s2", "b", "0.7"], ["s3", "b", "0.6"]]
+        rc, out = run_cli(["masd", "--table", write_csv(tmp_path / "d.csv", DISTANCE_HEADER, rows),
+                           "--compare", "a", "b"])
+        assert (rc, out) == (2, "")
+        assert capsys.readouterr().err == "refaudit: --compare methods 'a' and 'b' share no subject\n"
+
+    def test_compare_of_identical_distances_exits_2(self, tmp_path, capsys):
+        rows = [[f"s{i}", m, v] for i, v in enumerate(["0.5", "0.9"]) for m in "ab"]
+        rc, out = run_cli(["masd", "--table", write_csv(tmp_path / "d.csv", DISTANCE_HEADER, rows),
+                           "--compare", "a", "b"])
+        assert (rc, out) == (2, "")
+        assert capsys.readouterr().err == "refaudit: all differences are zero\n"
+
     def test_repeated_prediction_row_exits_2_without_report(self, tmp_path, capsys):
         obs, preds = write_correlate_inputs(tmp_path, 6, (0, 1))
         with open(preds, "a", newline="") as fh:
@@ -1516,6 +1530,12 @@ MODE_FLAG_CASES = [
     (["quality", "--table", "T", "--summary", "S"], "--summary"),
     (["quality", "--table", "T", "--removed", "X"], "--removed"),
     (["quality", "A", "B", "C", "--table", "T"], "--table"),
+    (["masd", "A", "B", "--boot", "7"], "--boot"),
+    (["masd", "A", "B", "--boot", "1000"], "--boot"),
+    (["masd", "--table", "T", "--method", "foo", "--subject-id", "bar"], "--method"),
+    (["masd", "--table", "T", "--subject-id", ""], "--subject-id"),
+    (["quality", "A", "B", "C", "--removed", "X", "--boot", "5"], "--boot"),
+    (["quality", "--table", "T", "--subject-id", "x"], "--subject-id"),
 ]
 
 
@@ -1535,3 +1555,13 @@ class TestModeFlags:
         assert err.getvalue().startswith(f"refaudit: {flag} ")
         assert out.getvalue() == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_flags_not_given_take_their_defaults(self, tmp_path, small_files):
+        table = write_csv(tmp_path / "d.csv", DISTANCE_HEADER, [["s0", "a", "1.0"]])
+        rc, _ = run_cli(["masd", "--table", table, "--summary", str(tmp_path / "s.json")])
+        assert rc == 0
+        assert json.loads((tmp_path / "s.json").read_text())["n_boot"] == 1000
+        rc, out = run_cli(["masd", str(small_files["original"]), str(small_files["defaced"])])
+        assert rc == 0
+        (row,) = csv_rows(out)
+        assert (row["subject_id"], row["method"]) == ("subject", "candidate")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from collections import Counter
 from dataclasses import fields
 
@@ -25,6 +26,7 @@ from refaudit.stats import (
     _design,
     _profile,
     _rank_codes,
+    _rank_correlations,
     fit_lmm,
     rankdata,
     residualize,
@@ -231,10 +233,23 @@ class TestRankdata:
         # a resample's ranks counted from the full array's codes are the
         # ranks of the resample itself, bit for bit, ties, -0.0 and +-inf included
         a = np.array(values)
-        codes, n_distinct = _rank_codes(a)
+        codes = _rank_codes(a)
+        n_distinct = len(set(codes))
         assert n_distinct == len(set(values))  # -0.0 == 0.0 in a set too
         idx = np.random.default_rng(seed).integers(0, len(a), size)
-        assert _average_ranks(codes[idx], n_distinct).tobytes() == rankdata(a[idx]).tobytes()
+        assert _average_ranks(codes[idx], len(a)).tobytes() == rankdata(a[idx]).tobytes()
+
+    def test_counting_in_the_coded_length_equals_counting_in_the_distinct_count(self):
+        # bins past the largest code, as counting in len(a) rather than the
+        # distinct count adds, hold 0 and move no rank of any row of a stack
+        rng = np.random.default_rng(21)
+        for a in self.arrays():
+            codes = _rank_codes(a)
+            n_distinct = int(codes.max()) + 1
+            idx = rng.integers(0, len(a), (3, len(a)))
+            for draw in (codes, codes[idx]):
+                assert (_average_ranks(draw, len(a)).tobytes()
+                        == _average_ranks(draw, n_distinct).tobytes())
 
 
 class TestSpearman:
@@ -300,6 +315,61 @@ class TestSpearmanRows:
     def test_shape_errors_raise(self, x, y):
         with pytest.raises(ValueError):
             spearman(x, y)
+
+
+def per_row_rank_correlations(rank_blocks, ry):
+    """The rank correlation before the exact einsum kernel, kept as its
+    reference: each (m, n) block of ``rank_blocks`` against the (m, n) ranks
+    ``ry``, one dot product per row, as a (k, m) array."""
+    ry = ry - ry.mean(axis=-1, keepdims=True)
+    ryy = np.array([r @ r for r in ry])
+    rhos = []
+    for rx in rank_blocks:
+        rx = rx - rx.mean(axis=-1, keepdims=True)
+        rxy = np.array([r @ s for r, s in zip(rx, ry)])
+        den = np.sqrt(np.array([r @ r for r in rx]) * ryy)
+        rhos.append(np.divide(rxy, den, out=np.full_like(rxy, math.nan), where=den > 0))
+    return np.array(rhos)
+
+
+def tied_rank_rows(rng, shape):
+    """Average ranks of rows of ``shape`` drawn with many ties, one row constant."""
+    n = shape[-1]
+    values = rng.integers(0, max(2, n // 4), shape).astype(np.float64)
+    values.reshape(-1, n)[0] = 1.0
+    return np.apply_along_axis(rankdata, -1, values)
+
+
+class TestRankCorrelations:
+    @pytest.mark.parametrize("n", [3, 600, 20_000, 100_000])
+    def test_equals_exact_integer_arithmetic_on_doubled_centred_ranks(self, n):
+        rng = np.random.default_rng(n)
+        rx, ry = tied_rank_rows(rng, (2, 3, n)), tied_rank_rows(rng, (3, n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _rank_correlations(rx, ry)
+        # 2 * (rank - (n + 1) / 2) is an integer, and its sums of products
+        # stay far below 2**63 (and 2**53, so they convert exactly)
+        ax = np.rint(2 * rx).astype(np.int64) - (n + 1)
+        ay = np.rint(2 * ry).astype(np.int64) - (n + 1)
+        sxy = (ax * ay).sum(axis=-1).astype(np.float64) / 4
+        sxx = (ax * ax).sum(axis=-1).astype(np.float64) / 4
+        syy = (ay * ay).sum(axis=-1).astype(np.float64) / 4
+        den = np.sqrt(sxx * syy)
+        want = np.divide(sxy, den, out=np.full_like(sxy, math.nan), where=den > 0)
+        assert got.shape == (2, 3)
+        assert np.isnan(got[0, 0]) and np.isnan(got[1, 0])  # ry's constant row
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 8, 129, 600])
+    def test_equals_one_dot_product_per_row(self, n):
+        rng = np.random.default_rng(n + 1)
+        rx, ry = tied_rank_rows(rng, (4, 8, n)), tied_rank_rows(rng, (8, n))
+        rx[2, 5] = (n + 1) / 2  # a constant method row
+        got = _rank_correlations(rx, ry)
+        assert got.tobytes() == per_row_rank_correlations(rx, ry).tobytes()
+        assert (_rank_correlations(rx[1, 3], ry[3]).tobytes()
+                == per_row_rank_correlations([rx[1, 3:4]], ry[3:4]).tobytes())
 
 
 def wilcoxon_enumeration_p(diffs):
@@ -765,6 +835,12 @@ class TestCorrelationReport:
         assert redraws > 0
         (got,) = replicates
         np.testing.assert_array_equal(got, np.array(want).T)
+
+    def test_no_method_raises_before_any_resample(self, monkeypatch, rng):
+        table, _ = self.table_and_predictions(rng, n=20)
+        monkeypatch.setattr("refaudit.stats.bootstrap_indices", None)  # any draw fails
+        with pytest.raises(ValueError, match="at least one method"):
+            correlation_report({}, table, seed=0, n_boot=10)
 
     def test_join_error_lists_missing_keys(self, rng):
         table, preds = self.table_and_predictions(rng, n=20)

@@ -23,7 +23,9 @@ from refaudit.volume import (
     read_nifti,
     same_nifti,
     upsample_trilinear,
+    write_mask_file,
     write_nifti,
+    write_nifti_file,
 )
 
 
@@ -81,6 +83,14 @@ class TestRoundTrip:
         dim = struct.unpack_from("<8h", raw, 40)
         assert dim[0] == 3
         assert dim[1:4] == vol.dims
+
+    @pytest.mark.parametrize("name", ["mask.nii", "mask.nii.gz"])
+    def test_mask_file_equals_its_float64_copy_written_as_a_volume(self, rng, tmp_path, name):
+        mask = BinaryMask(data=rng.random((5, 6, 7)) < 0.3,
+                          affine=random_volume(rng, np.uint8).affine)
+        write_mask_file(mask, tmp_path / name)
+        write_nifti_file(Volume3D.like(mask, mask.data), tmp_path / f"volume-{name}")
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"volume-{name}").read_bytes()
 
     def test_dims_overflow_is_range_error(self):
         vol = make_volume(np.zeros((40000, 1, 1)))
