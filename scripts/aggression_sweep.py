@@ -10,6 +10,7 @@ Usage: python scripts/aggression_sweep.py [--n 10] [--seed 42] [--out sweep.csv]
 
 import argparse
 import sys
+from dataclasses import replace
 
 from refaudit.cli import EXIT_IO, _write_csv, nonnegative_int, positive_int
 from refaudit.deface import quickshear
@@ -19,6 +20,22 @@ from refaudit.stats import bootstrap_cells
 from refaudit.surface import face_distance_report
 
 BUFFERS_MM = (0.0, 5.0, 10.0, 20.0)
+
+
+def sweep_subject(case) -> list:
+    """(subject_id, buffer_mm, removed_voxels, masd_mm) rows of one case,
+    printed as they are made."""
+    head = head_mask(case.volume)
+    cuts = {b: quickshear(case.volume, case.brain, buffer_mm=b, head=head) for b in BUFFERS_MM}
+    distances = face_distance_report(case.volume, {b: cut[0] for b, cut in cuts.items()},
+                                     head=head)
+    rows = []
+    for buffer_mm, (_, removed) in cuts.items():
+        d = distances[buffer_mm]
+        rows.append((case.subject_id, buffer_mm, removed.count(), d))
+        print(f"{case.subject_id} buffer {buffer_mm:5.1f} mm: "
+              f"removed {removed.count():7d} voxels, masd {d:6.3f} mm")
+    return rows
 
 
 def main(argv=None):
@@ -35,17 +52,9 @@ def main(argv=None):
         return EXIT_IO
 
     rows = []
-    for case in generate_cohort(args.n, seed=args.seed):
-        head = head_mask(case.volume)
-        cuts = {b: quickshear(case.volume, case.brain, buffer_mm=b, head=head)
-                for b in BUFFERS_MM}
-        distances = face_distance_report(case.volume, {b: cut[0] for b, cut in cuts.items()},
-                                         head=head)
-        for buffer_mm, (_, removed) in cuts.items():
-            d = distances[buffer_mm]
-            rows.append((case.subject_id, buffer_mm, removed.count(), d))
-            print(f"{case.subject_id} buffer {buffer_mm:5.1f} mm: "
-                  f"removed {removed.count():7d} voxels, masd {d:6.3f} mm")
+    # an unbuilt copy of each case, so that no phantom outlives its subject
+    for case in map(replace, generate_cohort(args.n, seed=args.seed)):
+        rows.extend(sweep_subject(case))
 
     if out:
         with out:

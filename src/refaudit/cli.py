@@ -19,6 +19,7 @@ import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -162,16 +163,20 @@ def _quality_row(subject_id: str, rec) -> list:
 
 
 def _run_cohort(args, kind: str, subject, finish=None) -> int:
-    """The cohort run of ``phantom`` and ``demo``: build ``args.count``
+    """The cohort run of ``phantom`` and ``demo``: derive ``args.count``
     subjects from ``args.seed``, call ``subject(case, out)`` for each on the
     thread pool, then write ``manifest.json`` with the fields that
     ``finish(out, results)`` returns (results in subject order). A failure
-    removes what the run wrote."""
+    removes what the run wrote.
+
+    Each task gets its own unbuilt copy of its case, so its phantom is
+    rasterized on the worker and freed with the subject: the run holds only
+    the phantoms its workers are using."""
     workers = thread_count()
     with _output_dir(args.out_dir) as out:
         cohort = generate_cohort(args.count, args.seed)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda case: subject(case, out), cohort))
+            results = list(pool.map(lambda case: subject(replace(case), out), cohort))
         manifest = {**_base_metadata(args.seed), "kind": kind, "count": args.count,
                     "subjects": [c.subject_id for c in cohort],
                     **(finish(out, results) if finish else {})}
@@ -341,9 +346,7 @@ def _demo_subject(case, out, config, buffer_mm, slab_workers=None):
     sid = case.subject_id
     files = [f"{sid}_{name}.nii.gz" for name in DEMO_IMAGES]
     for name, image in zip(files, (vol, defaced, removed, refaced_oracle, refaced_stub)):
-        if image is removed:
-            write_mask_file(image, out / name)
-        elif image is refaced_oracle and same_nifti(image, vol):
+        if image is refaced_oracle and same_nifti(image, vol):
             # the oracle's file is the original's: copy it rather than compress it again
             shutil.copyfile(out / files[0], out / name)
         else:

@@ -375,6 +375,10 @@ def cascade_reface(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_slab, sampled))  # reading every result re-raises a failure
+    # free the stage-1 upsample before the merge and the chains after it,
+    # and composite in the merge buffer, so no second whole-grid array is made
+    del up, up_data
     merged = merge_slabs(slab_out, defaced.dims[2], config.slab)
-    composite = np.where(removed.data, merged, defaced.data)
-    return defaced.with_data(composite)
+    del slab_out
+    np.copyto(merged, defaced.data, where=~removed.data)
+    return defaced.with_data(merged)

@@ -99,16 +99,18 @@ def quickshear(
     point, normal = _shear_line(yz)
     offset_point = point + buffer_mm * normal
 
+    # side > 0 one x-plane at a time: the same expression, evaluated in the
+    # same order per voxel as on the whole grid, with plane-sized temporaries
     nx, ny, nz = vol.dims
-    ax = np.arange(nx)[:, None, None]
-    ay = np.arange(ny)[None, :, None]
-    az = np.arange(nz)[None, None, :]
-    wy = A[1, 0] * ax + A[1, 1] * ay + A[1, 2] * az + A[1, 3]
-    wz = A[2, 0] * ax + A[2, 1] * ay + A[2, 2] * az + A[2, 3]
-    side = normal[0] * (wy - offset_point[0]) + normal[1] * (wz - offset_point[1])
-    cut = side > 0
+    ay = np.arange(ny)[:, None]
+    az = np.arange(nz)[None, :]
+    cut = np.empty(vol.dims, dtype=bool)
+    for x in range(nx):
+        wy = A[1, 0] * x + A[1, 1] * ay + A[1, 2] * az + A[1, 3]
+        wz = A[2, 0] * x + A[2, 1] * ay + A[2, 2] * az + A[2, 3]
+        side = normal[0] * (wy - offset_point[0]) + normal[1] * (wz - offset_point[1])
+        np.greater(side, 0, out=cut[x])
 
     defaced = np.where(cut, 0.0, vol.data)
-    removed = BinaryMask.like(vol, cut & head.data)
-    return vol.with_data(defaced), removed
-
+    cut &= head.data  # now the removed voxels: the cut inside the head
+    return vol.with_data(defaced), BinaryMask.like(vol, cut)

@@ -11,7 +11,7 @@ parameter so tests can evaluate membership and surface offsets analytically.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -25,6 +25,7 @@ INTENSITY_BRAIN = 100.0
 SHELL_BAND = (0.78, 0.90)  # head implicit values occupied by the skull shell
 NOSE_BASE = (14.0, 10.0)  # nose base half-extent (x, z), mm
 NOISE_LATTICE_STEP = 16  # voxels between the tissue-noise lattice points
+RASTER_BLOCK_PLANES = 8  # x-planes generate_phantom rasterizes at a time
 
 _RANGES = {
     "head_radii": (60.0, 100.0),
@@ -162,20 +163,21 @@ def _derive_geometry(seed: int, params: PhantomParams) -> PhantomGeometry:
     return geom
 
 
-def _smooth_noise(dims, seed):
-    """Band-limited noise: a coarse normal lattice interpolated trilinearly,
-    clipped to +-2.5 so tissue modes stay separated."""
+def _noise_lattice(dims, seed):
+    """The coarse normal lattice of the band-limited tissue noise."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(7,)))
-    lat_dims = tuple(d // NOISE_LATTICE_STEP + 2 for d in dims)
-    lattice = rng.standard_normal(lat_dims)
-    axes = [np.arange(d) / NOISE_LATTICE_STEP for d in dims]
-    return np.clip(_trilinear_at(lattice, axes), -2.5, 2.5)
+    return rng.standard_normal(tuple(d // NOISE_LATTICE_STEP + 2 for d in dims))
 
 
 def generate_phantom(seed: int, params: PhantomParams | None = None):
     """Rasterize one phantom; returns (volume, brain mask, geometry record).
 
-    Bitwise deterministic in (seed, params).
+    Bitwise deterministic in (seed, params). The grid is rasterized in
+    blocks of ``RASTER_BLOCK_PLANES`` x-planes, so the temporaries stay a
+    block's size; every voxel takes the same operations whatever the
+    blocking. Soft tissue carries band-limited noise: the lattice
+    interpolated trilinearly, clipped to +-2.5 so tissue modes stay
+    separated.
     """
     params = params or PhantomParams()
     geom = _derive_geometry(seed, params)
@@ -184,21 +186,27 @@ def generate_phantom(seed: int, params: PhantomParams | None = None):
     sx, sy, sz = params.spacing
     affine = np.diag([sx, sy, sz, 1.0])
     affine[:3, 3] = [-(d - 1) / 2.0 * s for d, s in zip(params.dims, params.spacing)]
-    wx = (np.arange(nx) * sx + affine[0, 3])[:, None, None]
-    wy = (np.arange(ny) * sy + affine[1, 3])[None, :, None]
-    wz = (np.arange(nz) * sz + affine[2, 3])[None, None, :]
-    coords = (wx, wy, wz)
-
-    f_head = _ellipsoid(coords, geom.head_center, geom.head_radii)
-    brain = _ellipsoid(coords, geom.brain_center, geom.brain_radii) <= 1.0
-    shell = (f_head >= SHELL_BAND[0]) & (f_head <= SHELL_BAND[1]) & ~brain
-    soft = geom._head_union(coords, f_head) & ~brain & ~shell
+    wx = np.arange(nx) * sx + affine[0, 3]
+    wy = (np.arange(ny) * sy + affine[1, 3])[:, None]
+    wz = np.arange(nz) * sz + affine[2, 3]
+    lattice = _noise_lattice(params.dims, seed)
+    axes = [np.arange(d) / NOISE_LATTICE_STEP for d in params.dims]
 
     data = np.full(params.dims, INTENSITY_BACKGROUND)
-    data[brain] = INTENSITY_BRAIN
-    data[shell] = INTENSITY_SKULL
-    noise = _smooth_noise(params.dims, seed)
-    data[soft] = INTENSITY_SOFT + params.noise_amplitude * noise[soft]
+    brain = np.empty(params.dims, dtype=bool)
+    for x0 in range(0, nx, RASTER_BLOCK_PLANES):
+        x = slice(x0, x0 + RASTER_BLOCK_PLANES)
+        coords = (wx[x, None, None], wy, wz)
+        f_head = _ellipsoid(coords, geom.head_center, geom.head_radii)
+        brain[x] = _ellipsoid(coords, geom.brain_center, geom.brain_radii) <= 1.0
+        in_brain = brain[x]
+        shell = (f_head >= SHELL_BAND[0]) & (f_head <= SHELL_BAND[1]) & ~in_brain
+        soft = geom._head_union(coords, f_head) & ~in_brain & ~shell
+        block = data[x]
+        block[in_brain] = INTENSITY_BRAIN
+        block[shell] = INTENSITY_SKULL
+        noise = np.clip(_trilinear_at(lattice, (axes[0][x], axes[1], axes[2])), -2.5, 2.5)
+        block[soft] = INTENSITY_SOFT + params.noise_amplitude * noise[soft]
 
     vol = Volume3D(data=data, affine=affine)
     return vol, BinaryMask.like(vol, brain), geom
@@ -206,16 +214,39 @@ def generate_phantom(seed: int, params: PhantomParams | None = None):
 
 @dataclass(frozen=True)
 class PhantomCase:
+    """One cohort subject. Its volume and brain mask are rasterized from
+    its geometry's seed and parameters on first read and kept on the case,
+    so they live as long as the case; ``dataclasses.replace(case)`` is an
+    unbuilt copy. Give each thread its own copy: two threads reading an
+    unbuilt case together would each rasterize it."""
+
     subject_id: str
-    volume: Volume3D
-    brain: BinaryMask
     geometry: PhantomGeometry
+    # (volume, brain) once built; not a functools.cached_property, which
+    # before Python 3.12 locks every instance's first read behind one lock
+    _raster: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _rasterized(self) -> tuple:
+        if self._raster is None:
+            volume, brain, _ = generate_phantom(self.geometry.seed, self.geometry.params)
+            object.__setattr__(self, "_raster", (volume, brain))
+        return self._raster
+
+    @property
+    def volume(self) -> Volume3D:
+        return self._rasterized()[0]
+
+    @property
+    def brain(self) -> BinaryMask:
+        return self._rasterized()[1]
 
 
 def generate_cohort(n: int, seed: int, base: PhantomParams | None = None) -> list:
-    """n phantoms with independent derived seeds and per-subject parameter
-    jitter (head radii x U(0.93, 1.07), nose length +- 4 mm, brow +- 1.5 mm),
-    clipped to the documented parameter ranges."""
+    """n unbuilt phantom cases with independent derived seeds and
+    per-subject parameter jitter (head radii x U(0.93, 1.07), nose length
+    +- 4 mm, brow +- 1.5 mm), clipped to the documented parameter ranges.
+    Each case's geometry is derived here, so a base that does not fit the
+    grid raises before any phantom is rasterized."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     base = base or PhantomParams()
@@ -231,10 +262,6 @@ def generate_cohort(n: int, seed: int, base: PhantomParams | None = None) -> lis
         brow = float(np.clip(base.brow_depth + rng.uniform(-1.5, 1.5), *_RANGES["brow_depth"]))
         params = replace(base, head_radii=radii, nose_length=nose, brow_depth=brow)
         subject_seed = int(subject_ss.generate_state(1)[0])
-        vol, brain, geom = generate_phantom(subject_seed, params)
-        cases.append(
-            PhantomCase(
-                subject_id=f"phantom-{i:03d}", volume=vol, brain=brain, geometry=geom
-            )
-        )
+        cases.append(PhantomCase(subject_id=f"phantom-{i:03d}",
+                                 geometry=_derive_geometry(subject_seed, params)))
     return cases

@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 import refaudit.cli as cli
 import refaudit.masks as masks
+import refaudit.phantom as phantom
 import refaudit.stats as stats
 from refaudit.cli import main
 from refaudit.ddim import CascadeConfig, SlabSpec
@@ -784,7 +786,7 @@ class TestOriginalSideOnce:
         written = self.demo_subject_writes(monkeypatch, tmp_path, case)
         sid = case.subject_id
         assert written == [f"{sid}_original.nii.gz", f"{sid}_defaced.nii.gz",
-                           f"{sid}_refaced_stub.nii.gz"]
+                           f"{sid}_removed.nii.gz", f"{sid}_refaced_stub.nii.gz"]
         assert ((tmp_path / f"{sid}_refaced_oracle.nii.gz").read_bytes()
                 == (tmp_path / f"{sid}_original.nii.gz").read_bytes())
 
@@ -811,16 +813,22 @@ class TestOriginalSideOnce:
 SCIPY_SUBMODULES = ("scipy.ndimage", "scipy.spatial", "scipy.stats")
 
 
+def child_env(**env) -> dict:
+    """This process's environment plus ``env``, with the refaudit under test
+    first on ``PYTHONPATH``."""
+    import refaudit
+
+    src = str(Path(refaudit.__file__).resolve().parents[1])
+    return {**os.environ, **env,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def fresh_cli(argv, prelude="", **env):
     """Run ``cli.main(argv)`` (or, for ``argv`` None, only import ``refaudit``
     and ``refaudit.cli``) in a fresh interpreter, after the Python lines
     ``prelude``, with ``env`` added to the environment. Returns the exit code
     and those of ``SCIPY_SUBMODULES`` the process loaded."""
-    import refaudit
-
-    src = str(Path(refaudit.__file__).resolve().parents[1])
-    env = {**os.environ, **env,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env = child_env(**env)
     code = "\n".join([
         "import json, sys",
         "import refaudit, refaudit.cli as cli",
@@ -833,6 +841,63 @@ def fresh_cli(argv, prelude="", **env):
                           capture_output=True, text=True, timeout=120, check=True)
     rc, loaded = json.loads(done.stdout.splitlines()[-1])
     return rc, loaded
+
+
+def child_peak_rss_mib(argv, **env) -> float:
+    """The peak RSS, in MiB, of ``refaudit argv`` run to success in a fresh
+    interpreter with ``env`` added to the environment. ``os.wait4`` reports
+    that child's own peak, where ``RUSAGE_CHILDREN`` keeps the largest of
+    every child this process has waited for."""
+    proc = subprocess.Popen([sys.executable, "-m", "refaudit.cli", *argv], env=child_env(**env),
+                            stdout=subprocess.DEVNULL)
+    try:
+        _, status, usage = os.wait4(proc.pid, 0)
+    finally:
+        proc.returncode = 0  # reaped here, so Popen must not wait for it again
+    assert os.waitstatus_to_exitcode(status) == 0, argv
+    return usage.ru_maxrss / 1024  # KiB on Linux
+
+
+class TestCohortRun:
+    """``phantom`` and ``demo`` rasterize each phantom on the pool thread that
+    runs its subject, and free it with the subject."""
+
+    def test_each_phantom_is_built_once_on_a_pool_thread(self, monkeypatch, tmp_path):
+        built, cohorts = [], []
+
+        def counting(seed, params=None):
+            built.append(threading.current_thread())
+            return real(seed, params)
+
+        def kept_cohort(n, seed):
+            cohorts.append(small_cohort(n, seed))
+            return cohorts[-1]
+
+        real = phantom.generate_phantom
+        monkeypatch.setattr(phantom, "generate_phantom", counting)
+        monkeypatch.setattr(cli, "generate_cohort", kept_cohort)
+        monkeypatch.setenv("REFAUDIT_THREADS", "2")
+        for argv in (["phantom", "-n", "3", "--write-brain-masks"],
+                     ["demo", "-n", "3", "--steps", "1", "--boot", "20"]):
+            built.clear()
+            assert run_cli([argv[0], str(tmp_path / argv[0]), *argv[1:]])[0] == 0
+            assert len(built) == 3, argv[0]
+            assert threading.main_thread() not in built, argv[0]
+        # the cohort's own cases stay unbuilt: reading one rasterizes it now
+        built.clear()
+        for cohort in cohorts:
+            for case in cohort:
+                case.volume
+        assert len(built) == 6
+
+    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+    def test_peak_rss_does_not_grow_with_the_subject_count(self, tmp_path):
+        # one phantom is 18 MiB (a float64 volume and a bool brain mask); a
+        # run that held all its phantoms grew by 72 MiB from 2 subjects to 6
+        peaks = {n: child_peak_rss_mib(["phantom", str(tmp_path / f"n{n}"), "-n", str(n)],
+                                       REFAUDIT_THREADS="1")
+                 for n in (2, 6)}
+        assert peaks[6] - peaks[2] < 18.0, peaks
 
 
 class TestImportFootprint:

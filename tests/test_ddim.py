@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+import refaudit.ddim as ddim
 from refaudit.ddim import (
     BETA_START,
     T_STEPS,
@@ -656,6 +657,30 @@ class TestCascade:
         assert np.array_equal(out.data[outside], defaced.data[outside])
         up = upsample_trilinear(downsample(defaced, 2), 2)
         assert np.allclose(out.data[removed.data], up.data[removed.data], atol=1e-12)
+
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    def test_composite_is_the_merge_inside_removed_and_defaced_outside(
+            self, monkeypatch, small_phantom, small_head, eta):
+        # the composite is written into the merge buffer: it must equal the
+        # np.where selection from an untouched copy of the merge
+        vol, brain, _ = small_phantom
+        defaced, removed = quickshear(vol, brain, buffer_mm=8.0, head=small_head)
+        merges = []
+
+        def kept_merge(*args, **kwargs):
+            merged = real(*args, **kwargs)
+            merges.append(merged.copy())
+            return merged
+
+        real = ddim.merge_slabs
+        monkeypatch.setattr(ddim, "merge_slabs", kept_merge)
+        config = CascadeConfig(sample_steps=3, eta=eta, seed=6)
+        out = cascade_reface(defaced, removed,
+                             lambda x, t, c: c["defaced_lowres"].data + 0.05 * np.tanh(x),
+                             lambda x, t, c: c["upsampled"] + 0.05 * np.tanh(x), config)
+        (merged,) = merges
+        assert out.data.tobytes() == np.where(removed.data, merged, defaced.data).tobytes()
+        assert not np.array_equal(merged[~removed.data], defaced.data[~removed.data])
 
     def test_empty_removed_returns_defaced_exactly(self, small_phantom):
         vol, brain, _ = small_phantom

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.spatial import ConvexHull
 from refaudit.deface import _hull_cycle, _shear_line, quickshear
 from refaudit.errors import GeometryMismatchError
 from refaudit.masks import head_mask
-from refaudit.volume import BinaryMask
+from refaudit.volume import BinaryMask, Volume3D
 
 DIAG = np.array([1.0, -1.0]) / math.sqrt(2.0)
 
@@ -60,7 +61,73 @@ def quickshear_oracle_removed(vol, brain):
     return removed
 
 
+def quickshear_whole_grid(vol, brain, buffer_mm, head):
+    """The cut as quickshear computed it on the whole grid at once, before it
+    ran one x-plane at a time: the reference it must equal bit for bit."""
+    A = vol.affine
+    point, normal = _shear_line(brain_projection(vol, brain))
+    offset_point = point + buffer_mm * normal
+    nx, ny, nz = vol.dims
+    ax = np.arange(nx)[:, None, None]
+    ay = np.arange(ny)[None, :, None]
+    az = np.arange(nz)[None, None, :]
+    wy = A[1, 0] * ax + A[1, 1] * ay + A[1, 2] * az + A[1, 3]
+    wz = A[2, 0] * ax + A[2, 1] * ay + A[2, 2] * az + A[2, 3]
+    side = normal[0] * (wy - offset_point[0]) + normal[1] * (wz - offset_point[1])
+    cut = side > 0
+    return np.where(cut, 0.0, vol.data), cut & head.data
+
+
+def oblique(affine):
+    """``affine`` turned about world x and z and shifted off the voxel lattice."""
+    turned = np.eye(4)
+    for i, j, angle in ((1, 2, 0.3), (0, 1, -0.2)):
+        r = np.eye(4)
+        r[i, i], r[i, j], r[j, i], r[j, j] = (math.cos(angle), -math.sin(angle),
+                                              math.sin(angle), math.cos(angle))
+        turned = r @ turned
+    turned = turned @ affine
+    turned[:3, 3] += [1.3, -2.1, 0.7]
+    return turned
+
+
+AFFINES = {
+    "diagonal": lambda a: a,
+    # voxel axes 1 and 2 swapped: world y runs along the third voxel axis
+    "axis-permuted": lambda a: a[:, [0, 2, 1, 3]],
+    "oblique": oblique,
+}
+
+
 class TestQuickshear:
+    @pytest.mark.parametrize("buffer_mm", [0.0, 10.0, 25.0])
+    @pytest.mark.parametrize("affine", sorted(AFFINES))
+    def test_equals_the_whole_grid_cut(self, small_phantom, small_head, affine, buffer_mm):
+        vol, brain, _ = small_phantom
+        A = AFFINES[affine](vol.affine)
+        vol, brain, head = (Volume3D(vol.data, A), BinaryMask(brain.data, A),
+                            BinaryMask(small_head.data, A))
+        defaced, removed = quickshear(vol, brain, buffer_mm=buffer_mm, head=head)
+        want_defaced, want_removed = quickshear_whole_grid(vol, brain, buffer_mm, head)
+        assert defaced.data.tobytes() == want_defaced.tobytes()
+        assert np.array_equal(removed.data, want_removed)
+        if buffer_mm == 0.0:
+            assert removed.count() > 0
+
+    def test_default_phantom_allocates_little_beyond_what_it_returns(self, phantom_default,
+                                                                    phantom_head):
+        # it returns 18 MiB (a float64 volume and a bool mask); the whole-grid
+        # cut peaked at 82 MiB
+        vol, brain, _ = phantom_default
+        quickshear(vol, brain, head=phantom_head)  # imports and lazy set-up are not counted
+        tracemalloc.start()
+        try:
+            quickshear(vol, brain, head=phantom_head)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     def test_huge_buffer_removes_nothing(self, small_phantom, small_head):
         vol, brain, _ = small_phantom
         defaced, removed = quickshear(vol, brain, buffer_mm=500.0, head=small_head)

@@ -1,28 +1,87 @@
-from dataclasses import fields
+import threading
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
+import refaudit.phantom as phantom
 from refaudit.masks import face_roi, head_mask
 from refaudit.phantom import (
+    INTENSITY_BACKGROUND,
     INTENSITY_BRAIN,
     INTENSITY_SKULL,
     INTENSITY_SOFT,
+    NOISE_LATTICE_STEP,
     SHELL_BAND,
     PhantomGeometry,
     PhantomParams,
+    _derive_geometry,
+    _ellipsoid,
     generate_cohort,
     generate_phantom,
 )
 from refaudit.surface import marching_cubes
+from refaudit.volume import _trilinear_at
 
 SMALL = PhantomParams(head_radii=(60.0, 62.0, 60.0), nose_length=14.0,
                       dims=(64, 64, 64), spacing=(3.0, 3.0, 3.0))
 
 
+def rasterize_whole_grid(seed, params):
+    """The rasterizer on the whole grid at once, as it was before it ran in
+    blocks of x-planes: the reference the blocked one must equal bit for bit."""
+    geom = _derive_geometry(seed, params)
+    nx, ny, nz = params.dims
+    sx, sy, sz = params.spacing
+    origin = [-(d - 1) / 2.0 * s for d, s in zip(params.dims, params.spacing)]
+    coords = ((np.arange(nx) * sx + origin[0])[:, None, None],
+              (np.arange(ny) * sy + origin[1])[None, :, None],
+              (np.arange(nz) * sz + origin[2])[None, None, :])
+    f_head = _ellipsoid(coords, geom.head_center, geom.head_radii)
+    brain = _ellipsoid(coords, geom.brain_center, geom.brain_radii) <= 1.0
+    shell = (f_head >= SHELL_BAND[0]) & (f_head <= SHELL_BAND[1]) & ~brain
+    soft = geom._head_union(coords, f_head) & ~brain & ~shell
+    data = np.full(params.dims, INTENSITY_BACKGROUND)
+    data[brain] = INTENSITY_BRAIN
+    data[shell] = INTENSITY_SKULL
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(7,)))
+    lattice = rng.standard_normal(tuple(d // NOISE_LATTICE_STEP + 2 for d in params.dims))
+    noise = np.clip(_trilinear_at(lattice, [np.arange(d) / NOISE_LATTICE_STEP
+                                            for d in params.dims]), -2.5, 2.5)
+    data[soft] = INTENSITY_SOFT + params.noise_amplitude * noise[soft]
+    return data, brain
+
+
 class TestGeneratePhantom:
+    @pytest.mark.parametrize("seed, params", [
+        (0, PhantomParams()),
+        (5, SMALL),
+        (2**32 - 1, replace(SMALL, noise_amplitude=8.0)),
+        # x not a multiple of the block, and unequal axes and spacings
+        (17, PhantomParams(head_radii=(62.0, 70.0, 66.0), nose_length=30.0, noise_amplitude=0.0,
+                           dims=(45, 90, 56), spacing=(3.5, 2.5, 3.0))),
+    ])
+    def test_equals_the_whole_grid_rasterizer(self, seed, params):
+        vol, brain, _ = generate_phantom(seed, params)
+        want_data, want_brain = rasterize_whole_grid(seed, params)
+        assert vol.data.tobytes() == want_data.tobytes()
+        assert np.array_equal(brain.data, want_brain)
+
+    def test_default_phantom_allocates_little_beyond_what_it_returns(self):
+        # it returns 18 MiB (float64 volume and bool brain); the whole-grid
+        # rasterizer peaked at 70 MiB
+        generate_phantom(0)  # imports and lazy set-up are not counted
+        tracemalloc.start()
+        try:
+            generate_phantom(0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     def test_same_seed_and_params_bitwise_identical(self):
         a, brain_a, _ = generate_phantom(5, SMALL)
         b, brain_b, _ = generate_phantom(5, SMALL)
@@ -132,3 +191,35 @@ class TestGenerateCohort:
     def test_invalid_count(self):
         with pytest.raises(ValueError):
             generate_cohort(0, seed=0)
+
+    def test_cases_rasterize_on_first_read_and_keep_it(self, monkeypatch):
+        built = []
+
+        def counting(seed, params=None):
+            built.append(threading.current_thread())
+            return real(seed, params)
+
+        real = phantom.generate_phantom
+        monkeypatch.setattr(phantom, "generate_phantom", counting)
+        cohort = generate_cohort(3, seed=4, base=SMALL)
+        assert built == []
+        case = cohort[1]
+        vol, brain = case.volume, case.brain
+        assert len(built) == 1
+        assert case.volume is vol and case.brain is brain
+        want_vol, want_brain, _ = real(case.geometry.seed, case.geometry.params)
+        assert np.array_equal(vol.data, want_vol.data)
+        assert np.array_equal(brain.data, want_brain.data)
+        # a copy is unbuilt and builds its own arrays; the original keeps its own
+        copy = replace(case)
+        assert copy == case and len(built) == 1
+        assert copy.volume is not vol and np.array_equal(copy.volume.data, vol.data)
+        assert len(built) == 2 and case.volume is vol
+
+    def test_a_base_that_does_not_fit_raises_before_any_rasterizing(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("generate_cohort rasterized a phantom")
+
+        monkeypatch.setattr(phantom, "generate_phantom", never)
+        with pytest.raises(ValueError, match="does not fit the grid"):
+            generate_cohort(2, seed=0, base=PhantomParams(dims=(64, 64, 64)))
