@@ -28,23 +28,41 @@ HEAD_MASK_VERSION = "head-mask-v1"
 
 _LABEL_26 = np.ones((3, 3, 3), dtype=bool)
 
+# x-planes per block of the Otsu histogram's voxels above the minimum; each
+# block of a C-ordered volume is contiguous
+OTSU_BLOCK_PLANES = 16
+
 
 def otsu_threshold(vol: Volume3D) -> float:
     """Bin edge maximizing between-class variance over a 256-bin
     histogram spanning [min, max]; ties break toward the lower edge.
 
+    The bins are ``np.histogram(data, bins=256, range=(min, max))``'s,
+    counted in two parts: the voxels at the minimum, which that histogram
+    puts in bin 0 (its second edge is above the minimum), and the rest,
+    binned ``OTSU_BLOCK_PLANES`` x-planes at a time. In a head volume most
+    voxels are air or a defacing cut, at the minimum.
+
     Foreground semantics downstream: voxel is foreground iff intensity is
     strictly greater than the returned threshold.
     """
-    data = vol.data.ravel()
+    data = vol.data
     lo, hi = float(data.min()), float(data.max())
     if lo == hi:
         raise DegenerateInputError("constant volume has no Otsu threshold")
-    if (np.diff(np.linspace(lo, hi, 257)) <= 0).any():  # np.histogram's own test
+    edges = np.linspace(lo, hi, 257)  # np.histogram's own edges
+    if (np.diff(edges) <= 0).any():  # np.histogram's own test
         raise DegenerateInputError(
             f"intensity range [{lo!r}, {hi!r}] is too narrow for a 256-bin Otsu histogram")
 
-    counts, edges = np.histogram(data, bins=256, range=(lo, hi))
+    counts = np.zeros(256, dtype=np.intp)
+    above = 0
+    for i in range(0, data.shape[0], OTSU_BLOCK_PLANES):
+        block = data[i : i + OTSU_BLOCK_PLANES]
+        rest = block[block != lo]
+        above += rest.size
+        counts += np.histogram(rest, bins=256, range=(lo, hi))[0]
+    counts[0] += data.size - above
     counts = counts.astype(np.float64)
     centers = 0.5 * (edges[:-1] + edges[1:])
     total = counts.sum()

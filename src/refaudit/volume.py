@@ -15,9 +15,11 @@ returns a new object, so everything here is safe to call concurrently.
 from __future__ import annotations
 
 import gzip
+import itertools
 import math
 import numbers
 import struct
+import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -38,6 +40,14 @@ GZIP_MAGIC = b"\x1f\x8b"
 # NIfTI-1 datatype code -> (numpy dtype, bitpix)
 _DATATYPES = {2: ("<u1", 8), 4: ("<i2", 16), 16: ("<f4", 32)}
 _FLOAT32_CODE = 16
+
+# y-rows per block of the NIfTI reader's F-order to C-order conversion: the
+# payload cache lines one x-plane of a block reads are still held when the
+# next x-plane reads them again
+NIFTI_READ_BLOCK_ROWS = 8
+# z-planes per block of the NIfTI writer's payload: in F order each block is
+# one contiguous run of the file
+NIFTI_WRITE_BLOCK_PLANES = 16
 
 
 def _check_geometry(data: np.ndarray, affine: np.ndarray):
@@ -280,9 +290,13 @@ def read_nifti(raw: bytes) -> Volume3D:
         raise CorruptFileError(
             f"data section truncated: need {nbytes} bytes, have {max(len(raw) - offset, 0)}"
         )
-    # one copy: the payload is read in place and converted straight to C order
-    arr = np.frombuffer(raw, dtype=dtype, count=nx * ny * nz, offset=offset)
-    data = arr.reshape((nx, ny, nz), order="F").astype(np.float64, order="C")
+    # one copy: the payload is read in place and converted straight to C
+    # order, a block of y-rows at a time
+    payload = np.frombuffer(raw, dtype=dtype, count=nx * ny * nz, offset=offset)
+    payload = payload.reshape((nx, ny, nz), order="F")
+    data = np.empty((nx, ny, nz), dtype=np.float64)
+    for j in range(0, ny, NIFTI_READ_BLOCK_ROWS):
+        data[:, j : j + NIFTI_READ_BLOCK_ROWS] = payload[:, j : j + NIFTI_READ_BLOCK_ROWS]
     if scl_slope != 0.0 and (scl_slope, scl_inter) != (1.0, 0.0):
         if not (math.isfinite(scl_slope) and math.isfinite(scl_inter)):
             raise FormatError(f"scl_slope {scl_slope} or scl_inter {scl_inter} is not finite")
@@ -297,14 +311,16 @@ def read_nifti(raw: bytes) -> Volume3D:
     return Volume3D(*_reorient_to_ras(data, affine))
 
 
-def write_nifti(vol: _Grid) -> bytes:
-    """Serialize a grid (a mask as 0.0/1.0) as uncompressed NIfTI-1: float32
-    little-endian payload, sform from the affine, magic "n+1\\0", vox_offset 352."""
+def _nifti_pieces(vol: _Grid):
+    """The pieces ``write_nifti`` joins: the header, padded to ``VOX_OFFSET``,
+    then the float32 little-endian F-order payload, one contiguous block of
+    ``NIFTI_WRITE_BLOCK_PLANES`` z-planes at a time. The header is built, and
+    the dims checked, at the call; each block is made as it is reached."""
     nx, ny, nz = vol.dims
     if max(nx, ny, nz) > np.iinfo(np.int16).max:
         raise ValueError(f"dims {vol.dims} overflow the NIfTI-1 int16 dim fields")
 
-    hdr = bytearray(HEADER_SIZE)
+    hdr = bytearray(VOX_OFFSET)
     struct.pack_into("<i", hdr, 0, HEADER_SIZE)
     struct.pack_into("<8h", hdr, 40, 3, nx, ny, nz, 1, 1, 1, 1)
     struct.pack_into("<2h", hdr, 70, _FLOAT32_CODE, 32)
@@ -320,8 +336,16 @@ def write_nifti(vol: _Grid) -> bytes:
     struct.pack_into("<12f", hdr, 280, *vol.affine[:3, :].ravel())
     hdr[344:348] = MAGIC
 
-    payload = vol.data.astype("<f4").ravel(order="F").tobytes()
-    return bytes(hdr) + b"\x00" * (VOX_OFFSET - HEADER_SIZE) + payload
+    # a block's transpose, C-ordered, is the block's F order
+    blocks = (vol.data[:, :, k : k + NIFTI_WRITE_BLOCK_PLANES].T.astype("<f4", order="C")
+              for k in range(0, nz, NIFTI_WRITE_BLOCK_PLANES))
+    return itertools.chain([bytes(hdr)], blocks)
+
+
+def write_nifti(vol: _Grid) -> bytes:
+    """Serialize a grid (a mask as 0.0/1.0) as uncompressed NIfTI-1: float32
+    little-endian payload, sform from the affine, magic "n+1\\0", vox_offset 352."""
+    return b"".join(_nifti_pieces(vol))
 
 
 def same_nifti(a: Volume3D, b: Volume3D) -> bool:
@@ -338,17 +362,25 @@ def read_nifti_file(path) -> Volume3D:
 
 
 def write_nifti_file(vol: _Grid, path) -> None:
-    """Write to ``path``; gzip-compressed when the suffix is .gz (mtime pinned
-    to 0 so identical volumes give byte-identical files)."""
+    """Write the bytes of ``write_nifti(vol)`` to ``path``, gzip-compressed
+    when the suffix is .gz with mtime pinned to 0, so identical volumes give
+    byte-identical files (``gzip.compress(write_nifti(vol), mtime=0)``). Each
+    piece is written, or compressed, as it is made: no whole copy of the
+    payload is held."""
     path = Path(path)
-    raw = write_nifti(vol)
-    if path.suffix == ".gz":
-        raw = gzip.compress(raw, mtime=0)
-    path.write_bytes(raw)
+    pieces = _nifti_pieces(vol)  # a bad header raises before the file opens
+    # gzip.compress(raw, mtime=0) is zlib's gzip wrapper (wbits 31) at level 9
+    gz = zlib.compressobj(9, zlib.DEFLATED, 31) if path.suffix == ".gz" else None
+    with path.open("wb") as f:
+        for piece in pieces:
+            f.write(gz.compress(piece) if gz else piece)
+        if gz:
+            f.write(gz.flush())
 
 
 def read_mask_file(path) -> BinaryMask:
-    """Load a NIfTI mask (uint8 payload expected); nonzero voxels are True."""
+    """Load a NIfTI mask of any supported datatype (refaudit writes masks as
+    float32 0.0/1.0); nonzero voxels are True."""
     vol = read_nifti_file(path)
     return BinaryMask.like(vol, vol.data != 0)
 

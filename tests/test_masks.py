@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,6 +10,7 @@ from refaudit.deface import quickshear
 from refaudit.denoisers import mirror_fill
 from refaudit.errors import DegenerateInputError
 from refaudit.masks import (
+    OTSU_BLOCK_PLANES,
     _close_ball2,
     _fill_holes,
     _largest_component,
@@ -91,6 +94,86 @@ class TestOtsu:
         fg = vol.data > otsu_threshold(vol)
         fg_mapped = mapped.data > otsu_threshold(mapped)
         assert np.array_equal(fg, fg_mapped)
+
+
+def otsu_one_shot(vol):
+    """The Otsu threshold from one ``np.histogram`` over every voxel: the
+    recipe ``otsu_threshold`` counts in blocks, written out whole."""
+    data = vol.data.ravel()
+    lo, hi = float(data.min()), float(data.max())
+    counts, edges = np.histogram(data, bins=256, range=(lo, hi))
+    counts = counts.astype(np.float64)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    total = counts.sum()
+    cum_w = np.cumsum(counts)
+    cum_m = np.cumsum(counts * centers)
+    w0 = cum_w[:-1]
+    w1 = total - w0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mu0 = cum_m[:-1] / w0
+        mu1 = (cum_m[-1] - cum_m[:-1]) / w1
+        var_b = w0 * w1 * (mu0 - mu1) ** 2
+    var_b[(w0 == 0) | (w1 == 0)] = 0.0
+    return float(edges[int(np.argmax(var_b)) + 1])
+
+
+def assert_same_float(got, want):
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+class TestOtsuBlockedCount:
+    """``otsu_threshold`` counts the voxels at the minimum apart and bins the
+    rest a block of x-planes at a time; it must equal the one-shot recipe bit
+    for bit."""
+
+    def test_phantoms_and_their_defaced_volumes(self, phantom_default, phantom_head,
+                                                small_phantom, small_head):
+        for (vol, brain, _), head in ((phantom_default, phantom_head), (small_phantom, small_head)):
+            defaced, removed = quickshear(vol, brain, head=head)
+            assert removed.count() > 0
+            for v in (vol, defaced):
+                assert (v.data == v.data.min()).mean() > 0.5  # most voxels sit at the minimum
+                assert_same_float(otsu_threshold(v), otsu_one_shot(v))
+
+    def test_noise_floor_with_no_voxel_mass_at_the_minimum(self, rng):
+        vol = vol_of(rng.normal(100.0, 10.0, (40, 24, 20)))
+        assert np.count_nonzero(vol.data == vol.data.min()) == 1
+        assert_same_float(otsu_threshold(vol), otsu_one_shot(vol))
+
+    def test_minimum_held_by_zero_and_negative_zero(self, rng):
+        data = rng.uniform(0.0, 50.0, (20, 12, 10))
+        data[rng.random(data.shape) < 0.4] = 0.0
+        data[rng.random(data.shape) < 0.3] = -0.0
+        assert np.signbit(data[data == 0.0]).any() and not np.signbit(data[data == 0.0]).all()
+        vol = vol_of(data)
+        assert_same_float(otsu_threshold(vol), otsu_one_shot(vol))
+
+    @pytest.mark.parametrize("lo", [-3.5, 0.0])
+    def test_all_voxels_but_one_at_the_minimum(self, lo):
+        data = np.full((OTSU_BLOCK_PLANES + 3, 6, 7), lo)
+        data[OTSU_BLOCK_PLANES + 1, 2, 5] = 12.25  # in the second, ragged block
+        vol = vol_of(data)
+        assert_same_float(otsu_threshold(vol), otsu_one_shot(vol))
+
+    @pytest.mark.parametrize("dims", [(37, 5, 9), (OTSU_BLOCK_PLANES, 3, 4), (1, 9, 11),
+                                      (2 * OTSU_BLOCK_PLANES + 1, 4, 3)])
+    def test_dims_that_are_not_a_multiple_of_the_block(self, rng, dims):
+        data = np.round(rng.normal(20.0, 8.0, dims), 1)
+        data[rng.random(dims) < 0.5] = data.min()
+        vol = vol_of(data)
+        assert_same_float(otsu_threshold(vol), otsu_one_shot(vol))
+
+    def test_noise_floor_allocates_a_few_blocks_at_most(self, rng):
+        # a whole-array data[data != lo] of this 16 MiB volume peaks at 18 MiB
+        vol = vol_of(rng.normal(100.0, 10.0, (128, 128, 128)))
+        otsu_threshold(vol)  # imports and lazy set-up are not counted
+        tracemalloc.start()
+        try:
+            otsu_threshold(vol)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 def ball_structure(radius: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 import gzip
 import math
 import struct
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -14,6 +15,8 @@ from refaudit.stats import ObservationTable
 from refaudit.surface import TriMesh
 from refaudit.volume import (
     HEADER_SIZE,
+    NIFTI_READ_BLOCK_ROWS,
+    NIFTI_WRITE_BLOCK_PLANES,
     TRILINEAR_BLOCK_VOXELS,
     VOX_OFFSET,
     BinaryMask,
@@ -21,6 +24,7 @@ from refaudit.volume import (
     _trilinear_at,
     downsample,
     read_nifti,
+    read_nifti_file,
     same_nifti,
     upsample_trilinear,
     write_mask_file,
@@ -262,6 +266,93 @@ class TestReader:
         assert back.data[3, 1, 3] == data[1, 2, 3]
         assert np.allclose(back.affine @ [3, 1, 3, 1], affine @ [1, 2, 3, 1])
         assert np.all(np.diag(back.affine)[:3] > 0)
+
+
+# (sform, the RAS array of a decoded file array): RAS, x flipped (LAS), and
+# voxel axes stored as (y, -x, z)
+ORIENTATIONS = {
+    "ras": (np.diag([1.5, 1.0, 2.0, 1.0]), lambda a: a),
+    "las": (np.diag([-1.0, 1.0, 1.0, 1.0]), lambda a: a[::-1]),
+    "permuted": (np.array([[0.0, -2, 0, 5], [1, 0, 0, 0], [0, 0, 3, 0], [0, 0, 0, 1]]),
+                 lambda a: np.transpose(a, (1, 0, 2))[::-1]),
+}
+# ny on both sides of the reader's blocks of y-rows, and nz (1, 15, 17 and 33
+# at 16 planes) on both sides of the writer's blocks of z-planes
+_ROWS, _PLANES = NIFTI_READ_BLOCK_ROWS, NIFTI_WRITE_BLOCK_PLANES
+BLOCK_DIMS = [(3, 1, 1), (2, _ROWS + 1, _PLANES - 1), (3, _ROWS - 1, _PLANES + 1),
+              (2, 2 * _ROWS + 1, 2 * _PLANES + 1)]
+
+
+class TestBlockedPayload:
+    """The reader converts the payload a block of y-rows at a time and the
+    writer emits it a block of z-planes at a time; both must equal the
+    one-pass conversions bit for bit."""
+
+    @pytest.mark.parametrize("dims", BLOCK_DIMS)
+    @pytest.mark.parametrize("dtype, code", [("<u1", 2), ("<i2", 4), ("<f4", 16)])
+    @pytest.mark.parametrize("orientation", sorted(ORIENTATIONS))
+    @pytest.mark.parametrize("scl", [(0.0, 0.0), (0.5, -3.0)])
+    def test_decode_equals_the_one_pass_conversion(self, rng, dims, dtype, code, orientation,
+                                                   scl):
+        values = {"<u1": lambda: rng.integers(0, 256, dims),
+                  "<i2": lambda: rng.integers(-3000, 3000, dims),
+                  "<f4": lambda: rng.standard_normal(dims)}[dtype]().astype(dtype)
+        sform, to_ras = ORIENTATIONS[orientation]
+        raw = assemble_nifti(dims, code, values.tobytes(order="F"), *scl, sform=sform)
+        payload = np.frombuffer(raw, dtype=dtype, offset=VOX_OFFSET)
+        want = payload.reshape(dims, order="F").astype(np.float64, order="C")
+        if scl[0] != 0.0:
+            want = want * scl[0] + scl[1]
+        want = np.ascontiguousarray(to_ras(want))
+        vol = read_nifti(raw)
+        assert vol.data.flags.c_contiguous
+        assert vol.data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dims", BLOCK_DIMS)
+    def test_payload_equals_the_one_pass_float32_copy(self, rng, dims):
+        vol = make_volume(rng.standard_normal(dims) * 1e3)
+        mask = BinaryMask(data=rng.random(dims) < 0.4, affine=vol.affine)
+        for grid in (vol, mask):
+            raw = write_nifti(grid)
+            assert raw[VOX_OFFSET:] == grid.data.astype("<f4").tobytes(order="F")
+
+    @pytest.mark.parametrize("dims", [(5, 6, 1), (6, 5, 2 * NIFTI_WRITE_BLOCK_PLANES + 1)])
+    def test_files_hold_the_bytes_of_write_nifti(self, rng, tmp_path, dims):
+        vol = random_volume(rng, np.float32).with_data(rng.standard_normal(dims) * 50)
+        mask = BinaryMask.like(vol, rng.random(dims) < 0.3)
+        for name, grid in (("volume", vol), ("mask", mask)):
+            raw = write_nifti(grid)
+            write_nifti_file(grid, tmp_path / f"{name}.nii")
+            write_nifti_file(grid, tmp_path / f"{name}.nii.gz")
+            assert (tmp_path / f"{name}.nii").read_bytes() == raw
+            assert (tmp_path / f"{name}.nii.gz").read_bytes() == gzip.compress(raw, mtime=0)
+
+    def test_phantom_files_hold_the_bytes_of_write_nifti(self, phantom_default, tmp_path):
+        vol, brain, _ = phantom_default
+        for name, grid in (("volume", vol), ("brain", brain)):
+            write_nifti_file(grid, tmp_path / f"{name}.nii.gz")
+            raw = (tmp_path / f"{name}.nii.gz").read_bytes()
+            assert raw == gzip.compress(write_nifti(grid), mtime=0)
+            back = read_nifti_file(tmp_path / f"{name}.nii.gz")
+            assert np.array_equal(back.data, grid.data.astype(np.float32))
+
+    @pytest.mark.parametrize("name", ["volume.nii", "volume.nii.gz"])
+    def test_write_file_holds_no_whole_payload_copy(self, phantom_default, tmp_path, name):
+        # the phantom's float32 payload is 8 MiB; the one-shot write peaked at 16 MiB
+        vol = phantom_default[0]
+        write_nifti_file(vol, tmp_path / name)  # imports and lazy set-up are not counted
+        tracemalloc.start()
+        try:
+            write_nifti_file(vol, tmp_path / name)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_dims_overflow_raises_before_the_file_is_created(self, tmp_path):
+        with pytest.raises(ValueError, match="overflow"):
+            write_nifti_file(make_volume(np.zeros((40000, 1, 1))), tmp_path / "v.nii.gz")
+        assert not (tmp_path / "v.nii.gz").exists()
 
 
 def with_pixdim(raw: bytes, pixdim) -> bytes:
