@@ -289,11 +289,11 @@ def cmd_quality(args) -> int:
     if not (args.original and args.defaced and args.refaced and args.removed):
         raise ValueError("quality needs ORIGINAL DEFACED REFACED and --removed MASK")
     original = read_nifti_file(args.original)
-    defaced = read_nifti_file(args.defaced)
-    refaced = read_nifti_file(args.refaced)
     removed = intersection_mask([read_mask_file(p) for p in args.removed])
-    records = quality_report(original, {"defaced": defaced, "refaced": refaced}, removed,
-                             head=head_mask(original))
+    # each candidate is read when quality_report draws it, so one is held at a time
+    candidates = ((name, read_nifti_file(path))
+                  for name, path in (("defaced", args.defaced), ("refaced", args.refaced)))
+    records = quality_report(original, candidates, removed, head=head_mask(original))
     if args.summary:  # before the CSV, so a bad path leaves stdout empty
         summary = {**_base_metadata(args.seed), "kind": "quality-report",
                    "masks_used": list(args.removed),
@@ -356,8 +356,8 @@ def _demo_subject(case, out, config, buffer_mm, slab_workers=None):
         vol, {"defaced": defaced, "refaced-oracle": refaced_oracle, "refaced-stub": refaced_stub},
         head=head).items()]
     quality_rows = [_quality_row(sid, rec) for rec in quality_report(
-        vol, {"refaced-oracle": refaced_oracle, "defaced": defaced, "refaced-stub": refaced_stub},
-        removed, head=head)]
+        vol, {"refaced-oracle": refaced_oracle, "defaced": defaced,
+              "refaced-stub": refaced_stub}.items(), removed, head=head)]
     return masd_rows, quality_rows, files
 
 

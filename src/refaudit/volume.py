@@ -300,7 +300,10 @@ def read_nifti(raw: bytes) -> Volume3D:
     if scl_slope != 0.0 and (scl_slope, scl_inter) != (1.0, 0.0):
         if not (math.isfinite(scl_slope) and math.isfinite(scl_inter)):
             raise FormatError(f"scl_slope {scl_slope} or scl_inter {scl_inter} is not finite")
-        data = data * float(scl_slope) + float(scl_inter)
+        # in place, with the bits of data * slope + inter; float32 factors
+        # cannot overflow a float64 product
+        data *= float(scl_slope)
+        data += float(scl_inter)
     if not np.isfinite(data).all():
         raise FormatError("voxel values are not all finite")
     try:

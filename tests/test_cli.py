@@ -758,7 +758,7 @@ class TestOriginalSideOnce:
             "quickshear": lambda: quickshear(vol, brain, buffer_mm=10.0, head=shifted),
             "face_distance_report": lambda: face_distance_report(vol, {"self": vol},
                                                                  head=shifted),
-            "quality_report": lambda: quality_report(vol, {"self": vol}, small_head,
+            "quality_report": lambda: quality_report(vol, {"self": vol}.items(), small_head,
                                                      head=shifted),
         }
         with pytest.raises(GeometryMismatchError):
@@ -1582,6 +1582,63 @@ class TestExitCodeContract:
                            "--removed", paths["removed"]])
         assert rc == 2
         assert err.getvalue().startswith("refaudit: PSNR peak (the reference maximum) is 0")
+
+    @staticmethod
+    def quality_with(tmp, subject_bytes, **replaced):
+        """Exit code, stdout and stderr of a ``quality`` run on the subject's
+        files with some replaced by the bytes given, and whether its
+        ``--summary`` was written."""
+        paths = {}
+        for name in QUALITY_FILES:
+            paths[name] = tmp / f"{name}.nii"
+            paths[name].write_bytes(replaced.get(name, subject_bytes[name]))
+        summary = tmp / "summary.json"
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(["quality", *(str(paths[n]) for n in ("original", "defaced", "refaced")),
+                       "--removed", str(paths["removed"]), "--summary", str(summary)])
+        return rc, out.getvalue(), err.getvalue(), summary.exists()
+
+    @pytest.mark.parametrize("attack, code, message", [
+        ("truncated", 3, "refaudit: I/O error: data section truncated"),
+        ("infinite slope", 3, "refaudit: I/O error: scl_slope inf"),
+        ("cut removed", 4, "refaudit: geometry mismatch: reference and test volumes"),
+        ("shifted removed", 4, "refaudit: geometry mismatch: reference and test volumes"),
+    ])
+    def test_bad_second_candidate_exits_before_any_output(self, tmp_path, subject_bytes, attack,
+                                                          code, message):
+        # the refacing is read only after the defacing has been scored
+        refaced = bytearray(subject_bytes["refaced"])
+        if attack == "truncated":
+            refaced = refaced[:len(refaced) // 2]
+        elif attack == "infinite slope":
+            struct.pack_into("<f", refaced, 112, math.inf)
+        else:
+            refaced = subject_bytes[attack]
+        rc, out, err, summarised = self.quality_with(tmp_path, subject_bytes,
+                                                     refaced=bytes(refaced))
+        assert (rc, out, summarised) == (code, "", False)
+        assert err.startswith(message) and "Traceback" not in err
+
+    @pytest.mark.parametrize("first, second", [("original", "removed"),
+                                               ("removed", "defaced"), ("defaced", "refaced")])
+    @pytest.mark.parametrize("kinds", [("truncated", "bad magic"), ("bad magic", "truncated")])
+    def test_first_bad_input_in_read_order_is_reported(self, tmp_path, subject_bytes, first,
+                                                       second, kinds):
+        # read order: the original, the --removed masks, the defacing, the refacing
+        def spoiled(name, kind):
+            raw = bytearray(subject_bytes[name])
+            if kind == "truncated":
+                return bytes(raw[:len(raw) // 2])
+            raw[344:348] = b"bad!"
+            return bytes(raw)
+
+        rc, out, err, summarised = self.quality_with(
+            tmp_path, subject_bytes, **{first: spoiled(first, kinds[0]),
+                                        second: spoiled(second, kinds[1])})
+        assert (rc, out, summarised) == (3, "", False)
+        want = {"truncated": "data section truncated", "bad magic": "bad magic"}[kinds[0]]
+        assert err.startswith(f"refaudit: I/O error: {want}")
 
 
 # (argv, the flag the error names); A, B, C, T and X are never created

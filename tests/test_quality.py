@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +10,11 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 import refaudit.quality as quality
+from refaudit.deface import quickshear
+from refaudit.denoisers import mirror_fill
 from refaudit.errors import DegenerateInputError, GeometryMismatchError
+from refaudit.masks import head_mask
+from refaudit.phantom import generate_cohort
 from refaudit.quality import intersection_mask, psnr, quality_report, ssim
 from refaudit.volume import BinaryMask, Volume3D
 
@@ -210,6 +216,20 @@ def changed(x, rng, *boxes):
     return y
 
 
+def cropped_ssim_maps(x, ys):
+    """The whole-grid map of each ``y`` against ``x``, formed from the box
+    and values ``quality._ssim_maps`` gives for it (1.0 off the box)."""
+    changes = [quality._difference_crop(vol_of(x), vol_of(y)) for y in ys]
+    maps = []
+    for part in quality._ssim_maps(x, changes):
+        full = np.ones(x.shape)
+        if part is not None:
+            box, values = part
+            full[box] = values
+        maps.append(full)
+    return maps
+
+
 class TestSsimCrop:
     """Maps filtered on the box where a candidate differs are the full-grid
     maps bit for bit."""
@@ -236,7 +256,7 @@ class TestSsimCrop:
             "identical": lambda: x.copy(),
         }
         ys = [make[kind]() for kind in kinds]
-        maps = list(quality._ssim_maps(vol_of(x), [vol_of(y) for y in ys]))
+        maps = cropped_ssim_maps(x, ys)
         assert len(maps) == len(ys)
         for y, got in zip(ys, maps):
             assert np.array_equal(got, full_grid_ssim_map(x, y))
@@ -259,7 +279,7 @@ class TestSsimCrop:
         for n_changed, n_same in ((1, 0), (1, 2), (2, 1), (0, 1), (0, 3)):
             passes.clear()
             ys = [changed(x, rng, box) for _ in range(n_changed)] + [x.copy()] * n_same
-            maps = list(quality._ssim_maps(vol_of(x), [vol_of(y) for y in ys]))
+            maps = cropped_ssim_maps(x, ys)
             assert len(passes) == (9 + 9 * n_changed if n_changed else 0)
             assert all((m == 1.0).all() for m in maps[n_changed:])
 
@@ -267,10 +287,8 @@ class TestSsimCrop:
 class TestQualityReport:
     def test_identical_refaced_scores_perfectly(self, small_phantom, small_head):
         vol, brain, _ = small_phantom
-        from refaudit.deface import quickshear
-
         defaced, removed = quickshear(vol, brain, buffer_mm=10.0, head=small_head)
-        records = quality_report(vol, {"defaced": defaced, "refaced": vol}, removed,
+        records = quality_report(vol, {"defaced": defaced, "refaced": vol}.items(), removed,
                                  head=small_head)
         by_image = {r.image: r for r in records}
         assert by_image["refaced"].ssim_head == 1.0
@@ -279,13 +297,11 @@ class TestQualityReport:
 
     def test_planted_perturbation_hits_closed_form_face_psnr(self, small_phantom, small_head):
         vol, brain, _ = small_phantom
-        from refaudit.deface import quickshear
-
         defaced, removed = quickshear(vol, brain, buffer_mm=10.0, head=small_head)
         refaced = vol.data.copy()
         refaced[removed.data] += 2.5  # known MSE inside the changed area only
-        records = quality_report(vol, {"defaced": defaced, "refaced": vol.with_data(refaced)},
-                                 removed, head=small_head)
+        candidates = {"defaced": defaced, "refaced": vol.with_data(refaced)}
+        records = quality_report(vol, candidates.items(), removed, head=small_head)
         rec = {r.image: r for r in records}["refaced"]
         peak = vol.data.max()
         want_face = 10 * math.log10(peak**2 / 2.5**2)
@@ -294,13 +310,10 @@ class TestQualityReport:
 
     def test_records_equal_metrics_called_mask_by_mask(self, small_phantom, small_head):
         vol, brain, _ = small_phantom
-        from refaudit.deface import quickshear
-        from refaudit.denoisers import mirror_fill
-
         defaced, removed = quickshear(vol, brain, buffer_mm=10.0, head=small_head)
         candidates = {"refaced": mirror_fill(defaced, removed), "defaced": defaced,
                       "self": vol}
-        records = quality_report(vol, candidates, removed, head=small_head)
+        records = quality_report(vol, candidates.items(), removed, head=small_head)
         assert [r.image for r in records] == list(candidates)
         for rec in records:
             img = candidates[rec.image]
@@ -308,18 +321,16 @@ class TestQualityReport:
             assert rec.psnr_face == psnr(vol, img, removed)
             assert rec.ssim_head == ssim(vol, img, small_head)
             assert rec.ssim_face == ssim(vol, img, removed)
-            assert quality_report(vol, {rec.image: img}, removed, head=small_head) == [rec]
+            assert quality_report(vol, [(rec.image, img)], removed, head=small_head) == [rec]
 
     def test_candidate_geometry_mismatch_raises(self, small_phantom, small_head):
         vol, brain, _ = small_phantom
-        from refaudit.deface import quickshear
-
         _, removed = quickshear(vol, brain, buffer_mm=10.0, head=small_head)
         affine = vol.affine.copy()
         affine[0, 3] += 1.0
         with pytest.raises(GeometryMismatchError):
-            quality_report(vol, {"self": vol, "shifted": replace(vol, affine=affine)}, removed,
-                           head=small_head)
+            quality_report(vol, [("self", vol), ("shifted", replace(vol, affine=affine))],
+                           removed, head=small_head)
 
     def test_reference_moments_are_filtered_once_per_call(self, monkeypatch, rng):
         # 3 passes each for the border mass, the original's mean and its
@@ -340,12 +351,145 @@ class TestQualityReport:
         for k in (1, 2, 3):
             passes.clear()
             candidates = {f"c{i}": vol_of(rng.random(dims)) for i in range(k)}
-            assert len(quality_report(vol, candidates, removed, head=head)) == k
+            assert len(quality_report(vol, candidates.items(), removed, head=head)) == k
             assert len(passes) == 9 + 9 * k
 
     def test_no_candidates_give_no_records(self, small_phantom, small_head):
         vol, brain, _ = small_phantom
-        from refaudit.deface import quickshear
-
         _, removed = quickshear(vol, brain, buffer_mm=10.0, head=small_head)
-        assert quality_report(vol, {}, removed, head=small_head) == []
+        assert quality_report(vol, [], removed, head=small_head) == []
+
+
+def report_case(case):
+    """``(affine, x, [(name, y), ...], removed, head)``, the affine and
+    arrays of one named case of the streamed-report equivalence tests."""
+    if case == "phantom-000":
+        subject = generate_cohort(1, seed=0)[0]
+        vol = subject.volume
+        head = head_mask(vol)
+        defaced, removed = quickshear(vol, subject.brain, buffer_mm=10.0, head=head)
+        ys = [("defaced", defaced.data), ("stub", mirror_fill(defaced, removed).data)]
+        return vol.affine, vol.data, ys, removed.data, head.data
+    r = np.random.default_rng(35)
+    dims = (40, 36, 32)
+    x = r.random(dims) * 50
+    x[r.random(dims) < 0.2] = 0.0
+    head = r.random(dims) < 0.7
+    removed = np.zeros(dims, bool)
+    removed[4:30, 2:27, 3:22] = True
+    a, b = np.s_[8:11, 5:9, 6:9], np.s_[28:31, 25:29, 20:24]
+    if case == "identical":
+        ys = [("same", x.copy())]
+    elif case == "disjoint":
+        ys = [("a", changed(x, r, a)), ("b", changed(x, r, b))]
+    elif case == "border":
+        ys = [("border", changed(x, r, np.s_[:3, 30:, 12:20]))]
+    else:  # signed zero: -0.0 where the original holds 0.0, outside the box
+        y = changed(x, r, a)
+        outside = np.ones(dims, bool)
+        outside[a] = False
+        y[outside & (x == 0.0)] = -0.0
+        ys = [("signed zero", y)]
+    return np.eye(4), x, ys, removed, head
+
+
+# quality_report's records on each report_case as the whole-grid implementation
+# computed them, as float.hex of (psnr_head, psnr_face, ssim_head, ssim_face)
+RECORDED = {
+    "identical": {"same": ("inf", "inf", "0x1.0000000000000p+0", "0x1.0000000000000p+0")},
+    "disjoint": {
+        "a": ("0x1.1cc5b7774d666p+5", "0x1.e5974fa67bfa7p+4", "0x1.ff663c806625dp-1",
+              "0x1.fde3db96f6f70p-1"),
+        "b": ("0x1.21494502268d6p+5", "0x1.288294c174004p+5", "0x1.ff708c727389bp-1",
+              "0x1.ffa582f235928p-1"),
+    },
+    "border": {"border": ("0x1.e7d2b4b55ef9ap+4", "inf", "0x1.fe30572ecde27p-1",
+                          "0x1.ffffd13948b6cp-1")},
+    "signed zero": {"signed zero": ("0x1.1cc5b7774d666p+5", "0x1.e5974fa67bfa7p+4",
+                                    "0x1.ff663c806625dp-1", "0x1.fde3db96f6f70p-1")},
+    "phantom-000": {
+        "defaced": ("0x1.9094f016a24a5p+3", "0x1.7942a4502da28p+1", "0x1.b6a3fdbbc9ea4p-1",
+                    "0x1.4962425770a9ap-6"),
+        "stub": ("0x1.e6234772220d0p+3", "0x1.67be00df16568p+2", "0x1.cde080d828727p-1",
+                 "0x1.6a3b684a3bdb8p-3"),
+    },
+}
+
+
+class TestStreamedReport:
+    """Records drawn one candidate at a time and reduced without a whole-grid
+    map equal, bit for bit, the masked means of the full-grid maps and the
+    records the whole-grid implementation gave."""
+
+    @pytest.mark.parametrize("case, feed", [
+        *((case, feed) for case in ("identical", "disjoint", "border", "signed zero")
+          for feed in ("items", "generator")),
+        ("phantom-000", "generator"),
+    ])
+    def test_records_equal_full_grid_oracle_and_recorded(self, case, feed):
+        affine, x, ys, removed, head = report_case(case)
+
+        def grid(cls, data):
+            return cls(data=data, affine=affine)
+
+        original = grid(Volume3D, x)
+        if feed == "items":
+            candidates = {name: grid(Volume3D, y) for name, y in ys}.items()
+        else:
+            candidates = ((name, grid(Volume3D, y)) for name, y in ys)
+        records = quality_report(original, candidates, grid(BinaryMask, removed),
+                                 head=grid(BinaryMask, head))
+        assert [r.image for r in records] == [name for name, _ in ys]
+        for rec, (name, y) in zip(records, ys):
+            ssim_map = full_grid_ssim_map(x, y)
+            assert (rec.ssim_head, rec.ssim_face) == (float(ssim_map[head].mean()),
+                                                      float(ssim_map[removed].mean()))
+            got = (rec.psnr_head, rec.psnr_face, rec.ssim_head, rec.ssim_face)
+            assert got == tuple(map(float.fromhex, RECORDED[case][name]))
+
+
+class TestReportMemory:
+    """quality_report holds the original and one candidate volume, and never
+    a whole-grid map."""
+
+    DIMS = (128, 128, 128)
+
+    def report_inputs(self):
+        r = np.random.default_rng(11)
+        x = r.random(self.DIMS)
+        head = mask_of(ball_mask(self.DIMS, (64, 64, 64), 40))
+        removed = np.zeros(self.DIMS, bool)
+        removed[40:70, 20:50, 30:60] = True
+        boxes = [np.s_[45:55, 25:35, 35:45], np.s_[60:64, 40:48, 50:58], np.s_[30:80, 30:80, 30:80]]
+        return vol_of(x), mask_of(removed), head, lambda i: vol_of(changed(x, r, boxes[i]))
+
+    def test_each_candidate_is_released_before_the_next_is_drawn(self):
+        original, removed, head, candidate = self.report_inputs()
+        drawn, released = [], []
+
+        def pair(i):
+            vol = candidate(i)
+            drawn.append(weakref.ref(vol.data))
+            return f"c{i}", vol
+
+        def candidates():
+            for i in range(3):
+                released.append([ref() is None for ref in drawn])
+                yield pair(i)
+            released.append([ref() is None for ref in drawn])
+
+        assert len(quality_report(original, candidates(), removed, head=head)) == 3
+        assert released == [[], [True], [True, True], [True, True, True]]
+
+    def test_peak_stays_below_two_volumes(self):
+        original, removed, head, candidate = self.report_inputs()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            records = quality_report(original, ((f"c{i}", candidate(i)) for i in range(3)),
+                                     removed, head=head)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 3
+        assert peak < 2 * original.data.nbytes, f"peak {peak / 2**20:.1f} MiB"

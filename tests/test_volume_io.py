@@ -237,6 +237,30 @@ class TestReader:
         with pytest.raises(FormatError, match=message):
             read_nifti(bytes(raw))
 
+    def test_scaled_read_peaks_as_an_unscaled_one(self):
+        # the slope and intercept are applied in place: no further volume
+        payload = np.zeros((128,) * 3, "<i2").tobytes()
+        peaks = []
+        for scl in ((0.0, 0.0), (0.5, 2.0)):
+            raw = assemble_nifti((128,) * 3, 4, payload, *scl)
+            tracemalloc.start()
+            try:
+                read_nifti(raw)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 2**20, peaks
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_largest_float32_slope_and_voxels_scale_finitely(self):
+        # float32 slope, intercept and voxels stay below 2**256 in float64
+        top = np.finfo(np.float32).max
+        values = np.array([top, -top, 1.0, 0.0, -1.0, top, 2.0, -top], dtype="<f4")
+        raw = assemble_nifti((2, 2, 2), 16, values.tobytes(), scl_slope=top, scl_inter=top)
+        want = values.astype(np.float64) * float(top) + float(top)
+        assert np.isfinite(want).all()
+        assert read_nifti(raw).data.ravel(order="F").tobytes() == want.tobytes()
+
     def test_non_finite_voxel_is_format_error(self):
         payload = np.array([0, 1, np.nan, 3, 4, 5, 6, 7], dtype="<f4").tobytes()
         with pytest.raises(FormatError, match="voxel values are not all finite"):
@@ -291,7 +315,8 @@ class TestBlockedPayload:
     @pytest.mark.parametrize("dims", BLOCK_DIMS)
     @pytest.mark.parametrize("dtype, code", [("<u1", 2), ("<i2", 4), ("<f4", 16)])
     @pytest.mark.parametrize("orientation", sorted(ORIENTATIONS))
-    @pytest.mark.parametrize("scl", [(0.0, 0.0), (0.5, -3.0)])
+    @pytest.mark.parametrize("scl", [(0.0, 0.0), (0.5, -3.0),
+                                     (float(np.float32(0.37)), float(np.float32(-12.3)))])
     def test_decode_equals_the_one_pass_conversion(self, rng, dims, dtype, code, orientation,
                                                    scl):
         values = {"<u1": lambda: rng.integers(0, 256, dims),
