@@ -26,15 +26,19 @@ def sweep_subject(case) -> list:
     """(subject_id, buffer_mm, removed_voxels, masd_mm) rows of one case,
     printed as they are made."""
     head = head_mask(case.volume)
-    cuts = {b: quickshear(case.volume, case.brain, buffer_mm=b, head=head) for b in BUFFERS_MM}
-    distances = face_distance_report(case.volume, {b: cut[0] for b, cut in cuts.items()},
-                                     head=head)
+    removed_voxels = {}
+
+    def cut(buffer_mm):
+        # made when face_distance_report draws it, so one defaced volume is held
+        defaced, removed = quickshear(case.volume, case.brain, buffer_mm=buffer_mm, head=head)
+        removed_voxels[buffer_mm] = removed.count()
+        return buffer_mm, defaced
+
     rows = []
-    for buffer_mm, (_, removed) in cuts.items():
-        d = distances[buffer_mm]
-        rows.append((case.subject_id, buffer_mm, removed.count(), d))
+    for buffer_mm, d in face_distance_report(case.volume, map(cut, BUFFERS_MM), head=head):
+        rows.append((case.subject_id, buffer_mm, removed_voxels[buffer_mm], d))
         print(f"{case.subject_id} buffer {buffer_mm:5.1f} mm: "
-              f"removed {removed.count():7d} voxels, masd {d:6.3f} mm")
+              f"removed {removed_voxels[buffer_mm]:7d} voxels, masd {d:6.3f} mm")
     return rows
 
 

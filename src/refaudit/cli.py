@@ -19,7 +19,7 @@ import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .deface import DEFAULT_BUFFER_MM, QUICKSHEAR_VERSION, quickshear
 from .denoisers import VolumeDenoiser, mirror_fill
 from .errors import FormatError, GeometryMismatchError, JoinError
 from .masks import HEAD_MASK_VERSION, head_mask
-from .quality import QUALITY_CONVENTIONS, intersection_mask, quality_report
+from .quality import QUALITY_CONVENTIONS, QualityRecord, intersection_mask, quality_report
 from .stats import (
     STATS_CONVENTIONS,
     bootstrap_cells,
@@ -250,8 +250,8 @@ def cmd_masd(args) -> int:
         raise ValueError("masd needs ORIGINAL and CANDIDATE paths (or --table)")
     original = read_nifti_file(args.original)
     candidate = read_nifti_file(args.candidate)
-    (d,) = face_distance_report(original, {args.method: candidate}, directed=args.directed,
-                                head=head_mask(original)).values()
+    ((_, d),) = face_distance_report(original, [(args.method, candidate)],
+                                     directed=args.directed, head=head_mask(original))
     _write_csv(sys.stdout, MASD_HEADER, [[args.subject_id, args.method, _fmt(d)]])
     return EXIT_OK
 
@@ -260,7 +260,7 @@ def cmd_masd(args) -> int:
 # quality
 
 
-QUALITY_METRICS = ("psnr_head", "psnr_face", "ssim_head", "ssim_face")
+QUALITY_METRICS = tuple(f.name for f in fields(QualityRecord))[1:]  # after ``image``
 QUALITY_HEADER = ("subject_id", "image", *QUALITY_METRICS)
 
 
@@ -353,11 +353,11 @@ def _demo_subject(case, out, config, buffer_mm, slab_workers=None):
             write_nifti_file(image, out / name)
 
     masd_rows = [(sid, method, d) for method, d in face_distance_report(
-        vol, {"defaced": defaced, "refaced-oracle": refaced_oracle, "refaced-stub": refaced_stub},
-        head=head).items()]
+        vol, [("defaced", defaced), ("refaced-oracle", refaced_oracle),
+              ("refaced-stub", refaced_stub)], head=head)]
     quality_rows = [_quality_row(sid, rec) for rec in quality_report(
-        vol, {"refaced-oracle": refaced_oracle, "defaced": defaced,
-              "refaced-stub": refaced_stub}.items(), removed, head=head)]
+        vol, [("refaced-oracle", refaced_oracle), ("defaced", defaced),
+              ("refaced-stub", refaced_stub)], removed, head=head)]
     return masd_rows, quality_rows, files
 
 

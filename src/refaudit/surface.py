@@ -145,15 +145,20 @@ def masd(a: TriMesh, b: TriMesh, directed: bool = False) -> float:
 
 
 def face_distance_report(original: Volume3D, candidates, directed: bool = False, *,
-                         head: BinaryMask) -> dict:
+                         head: BinaryMask) -> list:
     """Composed face-similarity metric: head mask -> face ROI -> marching
     cubes, then MASD in mm (smaller means more similar) from the original's
     face mesh, built once from ``head`` (its ``head_mask``), to each
-    candidate's. ``candidates`` maps names to volumes; the result maps the
-    same names, in order, to their MASD."""
+    candidate's. ``candidates`` is an iterable of ``(name, volume)`` pairs,
+    as for ``quality_report``, drawn one at a time: each is checked, masked,
+    meshed and released before the next is drawn. One ``(name, masd_mm)``
+    pair per candidate comes back, in order."""
     require_same_geometry(original, head, "original volume and head mask")
-    for candidate in candidates.values():
-        require_same_geometry(original, candidate, "original and candidate volumes")
     reference = marching_cubes(face_roi(head))
-    return {name: masd(reference, marching_cubes(face_roi(head_mask(c))), directed=directed)
-            for name, c in candidates.items()}
+    distances = []
+    for name, c in candidates:
+        require_same_geometry(original, c, "original and candidate volumes")
+        mesh = marching_cubes(face_roi(head_mask(c)))
+        del c  # before the next pair is drawn
+        distances.append((name, masd(reference, mesh, directed=directed)))
+    return distances

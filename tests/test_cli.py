@@ -405,7 +405,7 @@ class TestMasdCommand:
         value = float(csv_rows(out)[0]["masd_mm"])
         orig = read_nifti_file(small_files["original"])
         defaced = read_nifti_file(small_files["defaced"])
-        want = face_distance_report(orig, {"defaced": defaced}, head=head_mask(orig))["defaced"]
+        ((_, want),) = face_distance_report(orig, [("defaced", defaced)], head=head_mask(orig))
         assert value == pytest.approx(want, abs=5e-4)  # CLI prints 3 decimals
 
     def test_directed_flag(self, small_files):
@@ -414,9 +414,9 @@ class TestMasdCommand:
                               "--directed"])
         orig = read_nifti_file(small_files["original"])
         defaced = read_nifti_file(small_files["defaced"])
-        assert float(csv_rows(out_dir)[0]["masd_mm"]) == pytest.approx(
-            face_distance_report(orig, {"defaced": defaced}, directed=True,
-                                 head=head_mask(orig))["defaced"], abs=5e-4)
+        ((_, want),) = face_distance_report(orig, [("defaced", defaced)], directed=True,
+                                            head=head_mask(orig))
+        assert float(csv_rows(out_dir)[0]["masd_mm"]) == pytest.approx(want, abs=5e-4)
         assert out_sym != out_dir
 
     def test_sform_file_with_another_pixdim_is_the_same_geometry(self, small_files, tmp_path):
@@ -725,6 +725,33 @@ class TestDemoCommand:
         assert rc == 0
         assert [r["n"] for r in csv_rows(text)] == ["1"] * 12
 
+    def test_demo_tables_are_what_its_own_files_rescore_to(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "generate_cohort", small_cohort)
+        out = tmp_path / "demo"
+        assert run_cli(["demo", str(out), "-n", "2", "--steps", "2"])[0] == 0
+        header, *masd_lines = (out / "masd.csv").read_text().splitlines()
+        assert len(masd_lines) == 6
+        for line in masd_lines:
+            sid, method, _ = line.split(",")
+            candidate = out / f"{sid}_{method.replace('-', '_')}.nii.gz"
+            rc, text = run_cli(["masd", str(out / f"{sid}_original.nii.gz"), str(candidate),
+                                "--subject-id", sid, "--method", method])
+            assert rc == 0
+            assert text == f"{header}\n{line}\n"
+
+        # the oracle's row is left out: in memory it differs from the original
+        # by the slab blend's roundoff (about 1e-14), so the demo scores a
+        # finite PSNR where its float32 file, equal to the original's, scores inf
+        demo_cells = {(r["subject_id"], r["image"]): list(r.values())[2:]
+                      for r in csv_rows((out / "quality.csv").read_text())}
+        for sid in ("phantom-000", "phantom-001"):
+            rc, text = run_cli(["quality", *(str(out / f"{sid}_{name}.nii.gz") for name in
+                                             ("original", "defaced", "refaced_stub")),
+                                "--removed", str(out / f"{sid}_removed.nii.gz")])
+            assert rc == 0
+            assert [list(r.values())[2:] for r in csv_rows(text)] == [
+                demo_cells[sid, "defaced"], demo_cells[sid, "refaced-stub"]]
+
 
 class TestOriginalSideOnce:
     def test_demo_subject_builds_one_head_mask_of_the_original(self, monkeypatch, tmp_path):
@@ -756,9 +783,9 @@ class TestOriginalSideOnce:
         shifted = replace(small_head, affine=affine)
         calls = {
             "quickshear": lambda: quickshear(vol, brain, buffer_mm=10.0, head=shifted),
-            "face_distance_report": lambda: face_distance_report(vol, {"self": vol},
+            "face_distance_report": lambda: face_distance_report(vol, [("self", vol)],
                                                                  head=shifted),
-            "quality_report": lambda: quality_report(vol, {"self": vol}.items(), small_head,
+            "quality_report": lambda: quality_report(vol, [("self", vol)], small_head,
                                                      head=shifted),
         }
         with pytest.raises(GeometryMismatchError):

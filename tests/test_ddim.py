@@ -773,7 +773,7 @@ class TestCascade:
                              VolumeDenoiser(downsample(vol, config.downsample_factor)),
                              VolumeDenoiser(vol), config)
         assert np.allclose(out.data, vol.data, atol=1e-9)
-        distance = face_distance_report(vol, {"refaced": out}, head=small_head)["refaced"]
+        ((_, distance),) = face_distance_report(vol, [("refaced", out)], head=small_head)
         assert distance == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("eta", [0.0, 1.0])

@@ -1,10 +1,12 @@
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from refaudit import surface
 from refaudit.errors import DegenerateInputError, GeometryMismatchError
 from refaudit.masks import face_roi, head_mask
 from refaudit.phantom import PhantomParams, generate_phantom
@@ -266,7 +268,7 @@ def ellipsoid_cap_samples(center, radii, y_frac_min, n=250):
 class TestFaceDistanceReport:
     def test_identical_volumes_give_zero(self, small_phantom, small_head):
         vol, _, _ = small_phantom
-        assert face_distance_report(vol, {"self": vol}, head=small_head) == {"self": 0.0}
+        assert face_distance_report(vol, [("self", vol)], head=small_head) == [("self", 0.0)]
 
     def test_enlarged_nose_matches_analytic_offset_oracle(self):
         # +3 mm nose protrusion; compare the cap-region masd against an
@@ -306,11 +308,11 @@ class TestFaceDistanceReport:
         from refaudit.deface import quickshear
 
         defaced, _ = quickshear(vol, brain, buffer_mm=10.0, head=small_head)
-        sym = face_distance_report(vol, {"defaced": defaced}, head=small_head)["defaced"]
-        d_ab = face_distance_report(vol, {"defaced": defaced}, directed=True,
-                                    head=small_head)["defaced"]
-        d_ba = face_distance_report(defaced, {"original": vol}, directed=True,
-                                    head=head_mask(defaced))["original"]
+        ((_, sym),) = face_distance_report(vol, [("defaced", defaced)], head=small_head)
+        ((_, d_ab),) = face_distance_report(vol, [("defaced", defaced)], directed=True,
+                                            head=small_head)
+        ((_, d_ba),) = face_distance_report(defaced, [("original", vol)], directed=True,
+                                            head=head_mask(defaced))
         assert sym == pytest.approx(0.5 * (d_ab + d_ba), abs=1e-12)
 
     @pytest.mark.parametrize("directed", [False, True])
@@ -319,24 +321,68 @@ class TestFaceDistanceReport:
         vol, brain, _ = small_phantom
         from refaudit.deface import quickshear
 
-        candidates = {f"buffer {b}": quickshear(vol, brain, buffer_mm=b, head=small_head)[0]
-                      for b in (0.0, 10.0)}
-        candidates["self"] = vol
+        candidates = [(f"buffer {b}", quickshear(vol, brain, buffer_mm=b, head=small_head)[0])
+                      for b in (0.0, 10.0)]
+        candidates.append(("self", vol))
         batched = face_distance_report(vol, candidates, directed=directed, head=small_head)
-        assert list(batched) == list(candidates)
+        assert [name for name, _ in batched] == [name for name, _ in candidates]
+        # a generator feed gives the list feed's floats bit for bit
+        assert face_distance_report(vol, (pair for pair in candidates), directed=directed,
+                                    head=small_head) == batched
         reference = marching_cubes(face_roi(head_mask(vol)))
-        for name, candidate in candidates.items():
-            single = face_distance_report(vol, {name: candidate}, directed=directed,
+        for (name, candidate), entry in zip(candidates, batched):
+            single = face_distance_report(vol, [(name, candidate)], directed=directed,
                                           head=small_head)
-            assert single == {name: batched[name]}
+            assert single == [entry]
             mesh = marching_cubes(face_roi(head_mask(candidate)))
-            assert batched[name] == masd(reference, mesh, directed=directed)
+            assert entry[1] == masd(reference, mesh, directed=directed)
 
-    def test_candidate_geometry_mismatch_raises(self, small_phantom, small_head):
+    def test_candidate_geometry_mismatch_raises(self, monkeypatch, small_phantom, small_head):
+        # raised when the mismatched candidate is drawn, after the earlier ones were scored
         vol, _, _ = small_phantom
         affine = vol.affine.copy()
         affine[0, 3] += 1.0
+        scored = []
+
+        def counting_masd(*args, **kwargs):
+            scored.append(real(*args, **kwargs))
+            return scored[-1]
+
+        real = surface.masd
+        monkeypatch.setattr(surface, "masd", counting_masd)
         with pytest.raises(GeometryMismatchError):
-            face_distance_report(vol, {"self": vol, "shifted": replace(vol, affine=affine)},
+            face_distance_report(vol, [("self", vol), ("again", vol),
+                                       ("shifted", replace(vol, affine=affine)), ("never", vol)],
                                  head=small_head)
+        assert scored == [0.0, 0.0]
+
+    def test_repeated_name_keeps_both_results(self, small_phantom, small_head):
+        vol, brain, _ = small_phantom
+        from refaudit.deface import quickshear
+
+        defaced = quickshear(vol, brain, buffer_mm=0.0, head=small_head)[0]
+        report = face_distance_report(vol, [("x", vol), ("x", defaced)], head=small_head)
+        assert [name for name, _ in report] == ["x", "x"]
+        assert report[0][1] == 0.0 < report[1][1]
+
+    def test_each_candidate_is_released_before_the_next_is_drawn(self, small_phantom,
+                                                                 small_head):
+        vol, brain, _ = small_phantom
+        from refaudit.deface import quickshear
+
+        drawn, released = [], []
+
+        def pair(b):
+            defaced = quickshear(vol, brain, buffer_mm=b, head=small_head)[0]
+            drawn.append(weakref.ref(defaced.data))
+            return b, defaced
+
+        def candidates():
+            for b in (0.0, 5.0, 10.0):
+                released.append([ref() is None for ref in drawn])
+                yield pair(b)
+            released.append([ref() is None for ref in drawn])
+
+        assert len(face_distance_report(vol, candidates(), head=small_head)) == 3
+        assert released == [[], [True], [True, True], [True, True, True]]
 
