@@ -25,9 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ddim import CascadeConfig, SlabSpec, cascade_reface, stage2_slabs, thread_count
+from .ddim import CascadeConfig, SlabSpec, stage2_slabs, thread_count
 from .deface import DEFAULT_BUFFER_MM, QUICKSHEAR_VERSION, quickshear
-from .denoisers import VolumeDenoiser, mirror_fill
+from .denoisers import mirror_fill, reface
 from .errors import FormatError, GeometryMismatchError, JoinError
 from .masks import HEAD_MASK_VERSION, head_mask
 from .quality import QUALITY_CONVENTIONS, QualityRecord, intersection_mask, quality_report
@@ -43,14 +43,7 @@ from .stats import (
 )
 from .surface import face_distance_report
 from .phantom import PhantomParams, generate_cohort
-from .volume import (
-    downsample,
-    read_mask_file,
-    read_nifti_file,
-    same_nifti,
-    write_mask_file,
-    write_nifti_file,
-)
+from .volume import read_mask_file, read_nifti_file, same_nifti, write_mask_file, write_nifti_file
 
 EXIT_OK = 0
 EXIT_ARGUMENT = 2
@@ -147,8 +140,9 @@ def _write_csv(fh, header, rows) -> None:
 def _check_mode_flags(args, paths, table_only, pair_only) -> None:
     """Reject, as an argument error, a flag the chosen mode would ignore:
     positional ``paths`` or a ``pair_only`` flag with ``--table``, or a
-    ``table_only`` flag without it. A flag not given is None or False."""
-    if args.table and any(getattr(args, name) for name in paths):
+    ``table_only`` flag without it. A path not given is None, even an empty
+    one counts as given; a flag not given is None or False."""
+    if args.table and any(getattr(args, name) is not None for name in paths):
         raise ValueError("--table takes no positional paths")
     for name in pair_only if args.table else table_only:
         if getattr(args, name) not in (None, False):
@@ -335,13 +329,8 @@ def _demo_subject(case, out, config, buffer_mm, slab_workers=None):
     if not removed.data.any():
         raise ValueError(f"{case.subject_id}: --buffer-mm {buffer_mm} leaves no face voxel "
                          "to remove, so there is nothing to reface or score")
-
-    def reface(source):
-        low = VolumeDenoiser(downsample(source, config.downsample_factor))
-        return cascade_reface(defaced, removed, low, VolumeDenoiser(source), config, slab_workers)
-
-    refaced_oracle = reface(vol)
-    refaced_stub = reface(mirror_fill(defaced, removed))
+    refaced_oracle, refaced_stub = reface(
+        defaced, removed, (vol, mirror_fill(defaced, removed)), config, slab_workers)
 
     sid = case.subject_id
     files = [f"{sid}_{name}.nii.gz" for name in DEMO_IMAGES]

@@ -1,6 +1,7 @@
 """Analytic and stub x0-predictors used for sampler verification and the
-end-to-end demo (trained networks are out of scope; these close the loop
-deterministically or from closed-form conditioning).
+end-to-end demo, and ``reface``, the cascade they drive (trained networks are
+out of scope; these close the loop deterministically or from closed-form
+conditioning).
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ import threading
 import numpy as np
 
 from ._lazy import LazyModule
-from .ddim import DiffusionSchedule
-from .volume import BinaryMask, Volume3D
+from .ddim import CascadeConfig, DiffusionSchedule, cascade_reface
+from .volume import BinaryMask, Volume3D, downsample
 
 ndimage = LazyModule("scipy.ndimage")
 
@@ -121,3 +122,15 @@ def mirror_fill(defaced: Volume3D, removed: BinaryMask) -> Volume3D:
     filled = data.copy()
     filled[tuple(at)] = np.where(gone[tuple(mirror)], data[tuple(near)], data[tuple(mirror)])
     return defaced.with_data(filled)
+
+
+def reface(defaced: Volume3D, removed: BinaryMask, priors, config: CascadeConfig = CascadeConfig(),
+           slab_workers: int | None = None) -> list[Volume3D]:
+    """One ``cascade_reface`` of ``defaced`` per volume of ``priors``, in
+    order: stage 1 is the ``VolumeDenoiser`` of the prior downsampled by
+    ``config.downsample_factor``, stage 2 that of the prior itself. Each
+    prior is drawn only after the previous refacing is made."""
+    return [cascade_reface(defaced, removed,
+                           VolumeDenoiser(downsample(prior, config.downsample_factor)),
+                           VolumeDenoiser(prior), config, slab_workers)
+            for prior in priors]

@@ -352,12 +352,11 @@ def write_nifti(vol: _Grid) -> bytes:
 
 
 def same_nifti(a: Volume3D, b: Volume3D) -> bool:
-    """True when ``write_nifti`` would write ``a`` and ``b`` to the same bytes
-    because they have the same dims, the same affine and the same float32
-    payload bit for bit (float64 data that differ below float32's resolution
-    compare equal; 0.0 and -0.0 do not). Found without writing either."""
-    return (a.dims == b.dims and a.affine.tobytes() == b.affine.tobytes()
-            and np.array_equal(a.data.astype("<f4").view("<u4"), b.data.astype("<f4").view("<u4")))
+    """True when ``write_nifti`` would write ``a`` and ``b`` to the same
+    bytes: their ``_nifti_pieces`` compared piece by piece, so float64 data
+    or affines that differ below float32's resolution compare equal (0.0 and
+    -0.0 do not). Found one block at a time, without writing either."""
+    return all(bytes(p) == bytes(q) for p, q in zip(_nifti_pieces(a), _nifti_pieces(b)))
 
 
 def read_nifti_file(path) -> Volume3D:

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import refaudit.cli as cli
+import refaudit.denoisers as denoisers
 import refaudit.masks as masks
 import refaudit.phantom as phantom
 import refaudit.stats as stats
@@ -827,8 +828,8 @@ class TestOriginalSideOnce:
             refaced.append(vol)
             return vol
 
-        real = cli.cascade_reface
-        monkeypatch.setattr(cli, "cascade_reface", shifted_cascade)
+        real = denoisers.cascade_reface
+        monkeypatch.setattr(denoisers, "cascade_reface", shifted_cascade)
         case = generate_cohort(1, seed=5, base=SMALL_PARAMS)[0]
         written = self.demo_subject_writes(monkeypatch, tmp_path, case)
         path = tmp_path / f"{case.subject_id}_refaced_oracle.nii.gz"
@@ -1097,7 +1098,7 @@ class TestHostileInputs:
         def no_cascade(*args, **kwargs):
             raise AssertionError("cascade_reface called on an empty changed area")
 
-        monkeypatch.setattr(cli, "cascade_reface", no_cascade)
+        monkeypatch.setattr(denoisers, "cascade_reface", no_cascade)
         case = generate_cohort(1, seed=5, base=SMALL_PARAMS)[0]
         with pytest.raises(ValueError, match="phantom-000: --buffer-mm 500.0 leaves no face "
                                              "voxel to remove"):
@@ -1679,6 +1680,8 @@ MODE_FLAG_CASES = [
     (["quality", "--table", "T", "--summary", "S"], "--summary"),
     (["quality", "--table", "T", "--removed", "X"], "--removed"),
     (["quality", "A", "B", "C", "--table", "T"], "--table"),
+    (["masd", "", "--table", "T"], "--table"),
+    (["quality", "", "--table", "T"], "--table"),
     (["masd", "A", "B", "--boot", "7"], "--boot"),
     (["masd", "A", "B", "--boot", "1000"], "--boot"),
     (["masd", "--table", "T", "--method", "foo", "--subject-id", "bar"], "--method"),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 import refaudit.ddim as ddim
+import refaudit.denoisers as denoisers
 from refaudit.ddim import (
     BETA_START,
     T_STEPS,
@@ -26,7 +27,7 @@ from refaudit.ddim import (
     stage2_slabs,
     uniform_steps,
 )
-from refaudit.denoisers import VolumeDenoiser, mirror_fill
+from refaudit.denoisers import VolumeDenoiser, mirror_fill, reface
 from refaudit.deface import quickshear
 from refaudit.stats import bootstrap_indices
 from refaudit.volume import BinaryMask, Volume3D, downsample, upsample_trilinear
@@ -769,9 +770,7 @@ class TestCascade:
         vol, brain, _ = small_phantom
         defaced, removed = quickshear(vol, brain, buffer_mm=8.0, head=small_head)
         config = CascadeConfig(sample_steps=10, seed=1)
-        out = cascade_reface(defaced, removed,
-                             VolumeDenoiser(downsample(vol, config.downsample_factor)),
-                             VolumeDenoiser(vol), config)
+        (out,) = reface(defaced, removed, [vol], config)
         assert np.allclose(out.data, vol.data, atol=1e-9)
         ((_, distance),) = face_distance_report(vol, [("refaced", out)], head=small_head)
         assert distance == pytest.approx(0.0, abs=1e-9)
@@ -786,9 +785,7 @@ class TestCascade:
         defaced, removed = quickshear(vol, brain, buffer_mm=8.0, head=small_head)
         filled = mirror_fill(defaced, removed)
         config = CascadeConfig(sample_steps=5, eta=eta, seed=6)
-        out = cascade_reface(defaced, removed,
-                             VolumeDenoiser(downsample(filled, config.downsample_factor)),
-                             VolumeDenoiser(filled), config)
+        (out,) = reface(defaced, removed, [filled], config)
         nz = defaced.dims[2]
         merged = merge_slabs([filled.data[..., z0:z1] for z0, z1 in stage2_slabs(nz, config.slab)],
                              nz, config.slab)
@@ -799,13 +796,47 @@ class TestCascade:
         defaced, removed = quickshear(vol, brain, buffer_mm=8.0, head=small_head)
         filled = mirror_fill(defaced, removed)
         config = CascadeConfig(sample_steps=8, seed=21)
-        runs = [
-            cascade_reface(defaced, removed,
-                           VolumeDenoiser(downsample(filled, config.downsample_factor)),
-                           VolumeDenoiser(filled), config)
-            for _ in range(2)
-        ]
+        runs = reface(defaced, removed, [filled, filled], config)
         assert np.array_equal(runs[0].data, runs[1].data)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    def test_reface_is_the_cascade_of_each_prior_in_order(self, small_phantom, small_head,
+                                                          eta, workers):
+        vol, brain, _ = small_phantom
+        defaced, removed = quickshear(vol, brain, buffer_mm=8.0, head=small_head)
+        filled = mirror_fill(defaced, removed)
+        config = CascadeConfig(sample_steps=3, eta=eta, seed=7)
+        outs = reface(defaced, removed, [vol, filled], config, slab_workers=workers)
+        want = [cascade_reface(defaced, removed,
+                               VolumeDenoiser(downsample(prior, config.downsample_factor)),
+                               VolumeDenoiser(prior), config, slab_workers=workers)
+                for prior in (vol, filled)]
+        assert [out.data.tobytes() for out in outs] == [w.data.tobytes() for w in want]
+        assert outs[0].data.tobytes() != outs[1].data.tobytes()
+
+    def test_reface_draws_each_prior_after_the_previous_refacing(
+            self, monkeypatch, small_phantom, small_head):
+        vol, brain, _ = small_phantom
+        defaced, removed = quickshear(vol, brain, buffer_mm=8.0, head=small_head)
+        made, drawn_at = [], []
+
+        def counted_cascade(*args, **kwargs):
+            out = real(*args, **kwargs)
+            made.append(out)
+            return out
+
+        real = denoisers.cascade_reface
+        monkeypatch.setattr(denoisers, "cascade_reface", counted_cascade)
+
+        def priors():
+            for prior in (vol, defaced, vol):
+                drawn_at.append(len(made))
+                yield prior
+
+        outs = reface(defaced, removed, priors(), CascadeConfig(sample_steps=1, seed=0))
+        assert drawn_at == [0, 1, 2]
+        assert [id(out) for out in outs] == [id(out) for out in made]
 
     def test_noise_streams_never_equal_bootstrap_streams(self):
         # `refaudit demo --seed S` draws slab noise and bootstrap resamples

@@ -432,6 +432,12 @@ def test_same_nifti_is_whether_the_written_bytes_are_equal(rng):
     assert [same_nifti(vol, other) for other in others] == [True, False, False, False, False]
     for other in others:
         assert same_nifti(vol, other) == (write_nifti(vol) == write_nifti(other))
+    # affines that differ below float32's resolution are written alike
+    shifted = make_volume(data, (2.0, 2.0, 2.0), origin=(10.0, 0.0, 0.0))
+    nudged = make_volume(data, (2.0, 2.0, 2.0), origin=(10.0 + 1e-12, 0.0, 0.0))
+    assert shifted.affine.tobytes() != nudged.affine.tobytes()
+    assert write_nifti(shifted) == write_nifti(nudged)
+    assert same_nifti(shifted, nudged)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
