@@ -19,7 +19,9 @@ It is linear in x_t and x0, so ``ddim_step`` computes it as
 At the data end abar_prev = 1 and sigma = 0, so c_x = 0 and c_0 = 1: the
 last step returns the final x0 prediction exactly for any finite x_t.
 eta=0 gives deterministic trajectories. The sampler core operates on plain
-arrays; geometry-carrying volumes enter only at the cascade boundary.
+arrays; geometry-carrying volumes enter only at the cascade boundary. Stage 2
+of the cascade samples only the in-plane box of the removed voxels, and
+draws its noise on whole slices so that the box keeps the full pass's values.
 """
 
 from __future__ import annotations
@@ -105,14 +107,18 @@ def uniform_steps(T: int, n: int) -> list:
 def thread_count() -> int:
     """The process's thread budget: ``REFAUDIT_THREADS`` if set, else the
     CPU count up to 8. The cohort pool of the CLI and the stage-2 slab
-    workers of ``cascade_reface`` share it."""
+    workers of ``cascade_reface`` share it. A value that is not a positive
+    integer raises."""
     cap = os.environ.get("REFAUDIT_THREADS")
-    if cap:
-        try:
-            return max(1, int(cap))
-        except ValueError:
-            raise ValueError(f"REFAUDIT_THREADS must be an integer, got {cap!r}") from None
-    return min(os.cpu_count() or 1, 8)
+    if not cap:
+        return min(os.cpu_count() or 1, 8)
+    try:
+        threads = int(cap)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"REFAUDIT_THREADS must be a positive integer, got {cap!r}")
+    return threads
 
 
 def _require_chain(x) -> None:
@@ -295,6 +301,22 @@ def _stage_rng(seed: int, stage: int, index: int = 0):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stage, index, 0)))
 
 
+class _BoxNoise:
+    """The noise of a chain sampled on an in-plane box of a stage-2 slab:
+    every ``standard_normal(out=...)`` draws the whole slab-shaped field from
+    ``rng``, as the full-slice chain does, and keeps its ``box`` in ``out``.
+    So each kept value is the one the full-slice chain draws for that voxel.
+    ``ddim_step`` and the start draw call it as they call a generator."""
+
+    def __init__(self, rng, shape, box):
+        self._rng, self._full, self._box = rng, np.empty(shape), box
+
+    def standard_normal(self, out):
+        self._rng.standard_normal(out=self._full)
+        out[...] = self._full[self._box]
+        return out
+
+
 def cascade_reface(
     defaced: Volume3D,
     removed: BinaryMask,
@@ -309,20 +331,28 @@ def cascade_reface(
 
     Each denoiser is called as ``denoiser(x_t, t, condition)`` with a dict
     condition. Stage 1 gets ``{"defaced_lowres": Volume3D}``, the downsampled
-    defaced image. Each stage-2 slab gets ``{"defaced", "upsampled",
-    "slab_range"}``: the defaced image's and the cropped stage-1 upsample's
-    ``[:, :, z0:z1]`` arrays, shaped like x_t, and the slab's ``(z0, z1)``.
-    Stage 1 is upsampled only on the slices from the first to the last
-    sampled slab, which equal those slices of the full upsample bit for bit.
+    defaced image. Stage 2 runs on the in-plane box ``(bx, by)`` of the
+    removed voxels (``removed.bounding_box(0)``): each slab's chain x_t is
+    shaped ``(bx, by, z1 - z0)``, and it gets ``{"defaced", "upsampled",
+    "slab_range", "box"}``: the defaced image's and the stage-1 upsample's
+    ``[bx, by, z0:z1]`` arrays, shaped like x_t, the slab's ``(z0, z1)`` and
+    the box ``(bx, by)``, two slices. Stage 1 is upsampled only on that box
+    and on the slices from the first to the last sampled slab, which equal
+    those voxels of the full upsample bit for bit.
 
     Denoisers must be pure functions of ``(x_t, t, condition)``. The final
-    composite preserves observed voxels: generated content replaces the input
-    only inside ``removed``. So a slab that covers no slice of ``removed`` is
-    never read and is not sampled, and an empty ``removed`` returns a copy of
+    composite preserves observed voxels: generated content replaces the
+    input only inside ``removed``. So a slab that covers no slice of
+    ``removed`` is never read and is not sampled, no voxel outside the box
+    is sampled or merged, and an empty ``removed`` returns a copy of
     ``defaced`` before any sampling. Slab i of the full ``stage2_slabs``
     tiling draws from its own RNG stream (seed, 1, i) whichever slabs are
-    sampled, so the merged result is invariant to slab completion order and
-    every sampled chain is the one a full pass would draw.
+    sampled, and draws each noise field, the start state included, on whole
+    slices and keeps the box. So the merged result is invariant to slab
+    completion order, and with a pointwise stage 2 (a prediction at a voxel
+    reads only that voxel of x_t and of the conditions, as every refaudit
+    denoiser's does) every kept voxel is the one a full-slice pass over the
+    whole tiling gives, bit for bit.
 
     The sampled slabs' chains run on ``slab_workers`` threads (default
     ``thread_count()``, and never more than there are sampled slabs), so
@@ -336,37 +366,40 @@ def cascade_reface(
         raise ValueError(f"slab_workers must be >= 1, got {slab_workers}")
     schedule = make_schedule(T_STEPS)
     steps = uniform_steps(T_STEPS, config.sample_steps)
-    ranges = stage2_slabs(defaced.dims[2], config.slab)
+    nx, ny, nz = defaced.dims
+    ranges = stage2_slabs(nz, config.slab)
     touched = removed.data.any(axis=(0, 1))
     sampled = [i for i, (z0, z1) in enumerate(ranges) if touched[z0:z1].any()]
     if not sampled:
         return defaced.with_data(defaced.data.copy())
+    bx, by, _ = removed.bounding_box(0)
 
     low = downsample(defaced, config.downsample_factor)
     rng = _stage_rng(config.seed, 0)
     x_low = sample(stage1, {"defaced_lowres": low}, schedule, steps,
                    rng.standard_normal(low.dims), eta=config.eta, rng=rng)
     zlo, zhi = ranges[sampled[0]][0], ranges[sampled[-1]][1]
-    up = upsample_trilinear(low.with_data(x_low), config.downsample_factor, (zlo, zhi))
-    up_data = up.data[: defaced.dims[0], : defaced.dims[1]]
+    up = upsample_trilinear(low.with_data(x_low), config.downsample_factor,
+                            ((bx.start, bx.stop), (by.start, by.stop), (zlo, zhi))).data
 
     # the chains are allocated here, not in the workers: memory a worker
     # thread allocates comes from its own malloc arena, which raises peak RSS
     slab_out = [None] * len(ranges)
     for i in sampled:
         z0, z1 = ranges[i]
-        slab_out[i] = np.empty((defaced.dims[0], defaced.dims[1], z1 - z0))
+        slab_out[i] = np.empty((bx.stop - bx.start, by.stop - by.start, z1 - z0))
 
     def run_slab(i):
         z0, z1 = ranges[i]
         cond2 = {
-            "defaced": defaced.data[:, :, z0:z1],
-            "upsampled": up_data[:, :, z0 - zlo : z1 - zlo],
+            "defaced": defaced.data[bx, by, z0:z1],
+            "upsampled": up[:, :, z0 - zlo : z1 - zlo],
             "slab_range": (z0, z1),
+            "box": (bx, by),
         }
-        rng = _stage_rng(config.seed, 1, i)
-        sample(stage2, cond2, schedule, steps, rng.standard_normal(out=slab_out[i]),
-               eta=config.eta, rng=rng)
+        noise = _BoxNoise(_stage_rng(config.seed, 1, i), (nx, ny, z1 - z0), (bx, by))
+        sample(stage2, cond2, schedule, steps, noise.standard_normal(out=slab_out[i]),
+               eta=config.eta, rng=noise)
 
     workers = min(thread_count() if slab_workers is None else slab_workers, len(sampled))
     if workers == 1:
@@ -375,10 +408,12 @@ def cascade_reface(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_slab, sampled))  # reading every result re-raises a failure
-    # free the stage-1 upsample before the merge and the chains after it,
-    # and composite in the merge buffer, so no second whole-grid array is made
-    del up, up_data
-    merged = merge_slabs(slab_out, defaced.dims[2], config.slab)
+    # free the stage-1 upsample before the merge and the chains after it;
+    # the merge spans only the box, so the composite's one whole-grid array
+    # is the copy of defaced that the merged box is pasted into
+    del up
+    merged = merge_slabs(slab_out, nz, config.slab)
     del slab_out
-    np.copyto(merged, defaced.data, where=~removed.data)
-    return defaced.with_data(merged)
+    out = defaced.data.copy()
+    np.copyto(out[bx, by], merged, where=removed.data[bx, by])
+    return defaced.with_data(out)

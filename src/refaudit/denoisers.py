@@ -24,18 +24,19 @@ class VolumeDenoiser:
     x_t = sqrt(abar) x0 + sqrt(1-abar) eps.
 
     ``mu`` is a scalar, an array or a ``Volume3D``. A ``mu`` shaped like x_t
-    is used whole; a taller one is read on the condition's ``slab_range``
-    axial slab. At ``s = 0`` the prediction is that slab of ``mu`` itself,
-    with no arithmetic, so from a finite x_t the sampler returns it bit for
-    bit: with the pre-defacing image this is the oracle that closes the
-    refacing loop, with a surrogate fill the demo stub. ``s != 0`` needs the
-    ``schedule``.
+    is used whole; a larger one is read on the condition's ``slab_range``
+    axial slab and, when the condition has one, its in-plane ``box``
+    ``(bx, by)`` (two slices; without it, whole slices). At ``s = 0`` the
+    prediction is that slab of ``mu`` itself, with no arithmetic, so from a
+    finite x_t the sampler returns it bit for bit: with the pre-defacing
+    image this is the oracle that closes the refacing loop, with a surrogate
+    fill the demo stub. ``s != 0`` needs the ``schedule``.
 
-    A slab of a taller ``mu`` is a strided view, slow to read on every step,
+    A slab of a larger ``mu`` is a strided view, slow to read on every step,
     so it is copied once per chain: each thread keeps the last slab it was
     given, C-contiguous and read-only, and copies again only on a new
-    ``slab_range``. Keeping every slab would hold more memory than a chain
-    needs."""
+    ``(slab_range, box)``. Keeping every slab would hold more memory than a
+    chain needs."""
 
     def __init__(self, mu, s: float = 0.0, schedule: DiffusionSchedule | None = None):
         self.mu = np.asarray(mu.data if isinstance(mu, Volume3D) else mu, dtype=np.float64)
@@ -45,19 +46,19 @@ class VolumeDenoiser:
         self.schedule = schedule
         self._last_slab = threading.local()
 
-    def _slab(self, slab_range):
-        last = self._last_slab
-        if getattr(last, "range", None) != slab_range:
+    def _slab(self, slab_range, box):
+        last, key = self._last_slab, (slab_range, box)
+        if getattr(last, "key", None) != key:
             z0, z1 = slab_range
-            slab = np.ascontiguousarray(self.mu[:, :, z0:z1])
+            slab = np.ascontiguousarray(self.mu[(*box, ..., slice(z0, z1))])
             slab.flags.writeable = False
-            last.range, last.slab = slab_range, slab
+            last.key, last.slab = key, slab
         return last.slab
 
     def __call__(self, x_t, t, condition):
         mu, shape = self.mu, np.shape(x_t)
         if mu.ndim and mu.shape != shape:
-            mu = self._slab(condition["slab_range"])
+            mu = self._slab(condition["slab_range"], condition.get("box", ()))
             if mu.shape != shape:
                 raise ValueError(f"prior mean slab {mu.shape} does not match x_t {shape}")
         if self.s2 == 0.0:  # broadcast_to alone would cost more than the rest of the call

@@ -48,6 +48,8 @@ NIFTI_READ_BLOCK_ROWS = 8
 # z-planes per block of the NIfTI writer's payload: in F order each block is
 # one contiguous run of the file
 NIFTI_WRITE_BLOCK_PLANES = 16
+# x-planes per pass of the writer's transpose into its block buffer
+NIFTI_WRITE_BLOCK_XS = 8
 
 
 def _check_geometry(data: np.ndarray, affine: np.ndarray):
@@ -318,7 +320,9 @@ def _nifti_pieces(vol: _Grid):
     """The pieces ``write_nifti`` joins: the header, padded to ``VOX_OFFSET``,
     then the float32 little-endian F-order payload, one contiguous block of
     ``NIFTI_WRITE_BLOCK_PLANES`` z-planes at a time. The header is built, and
-    the dims checked, at the call; each block is made as it is reached."""
+    the dims checked, at the call; each block is made as it is reached, into
+    the buffer of the block before it, so a caller uses each piece before it
+    asks for the next."""
     nx, ny, nz = vol.dims
     if max(nx, ny, nz) > np.iinfo(np.int16).max:
         raise ValueError(f"dims {vol.dims} overflow the NIfTI-1 int16 dim fields")
@@ -339,16 +343,29 @@ def _nifti_pieces(vol: _Grid):
     struct.pack_into("<12f", hdr, 280, *vol.affine[:3, :].ravel())
     hdr[344:348] = MAGIC
 
-    # a block's transpose, C-ordered, is the block's F order
-    blocks = (vol.data[:, :, k : k + NIFTI_WRITE_BLOCK_PLANES].T.astype("<f4", order="C")
-              for k in range(0, nz, NIFTI_WRITE_BLOCK_PLANES))
-    return itertools.chain([bytes(hdr)], blocks)
+    return itertools.chain([bytes(hdr)], _payload_blocks(vol.data))
+
+
+def _payload_blocks(data: np.ndarray):
+    """The float32 F-order payload of ``data``, one block of
+    ``NIFTI_WRITE_BLOCK_PLANES`` z-planes at a time. A block's transpose,
+    C-ordered, is its F order; it is written into one reused buffer
+    ``NIFTI_WRITE_BLOCK_XS`` x-planes at a time, so each block is a view that
+    the next one overwrites."""
+    nx, ny, nz = data.shape
+    buf = np.empty((NIFTI_WRITE_BLOCK_PLANES, ny, nx), dtype="<f4")
+    for k in range(0, nz, NIFTI_WRITE_BLOCK_PLANES):
+        planes = data[:, :, k : k + NIFTI_WRITE_BLOCK_PLANES]
+        block = buf[: planes.shape[2]]
+        for i in range(0, nx, NIFTI_WRITE_BLOCK_XS):
+            block[:, :, i : i + NIFTI_WRITE_BLOCK_XS] = planes[i : i + NIFTI_WRITE_BLOCK_XS].T
+        yield memoryview(block).cast("B")
 
 
 def write_nifti(vol: _Grid) -> bytes:
     """Serialize a grid (a mask as 0.0/1.0) as uncompressed NIfTI-1: float32
     little-endian payload, sform from the affine, magic "n+1\\0", vox_offset 352."""
-    return b"".join(_nifti_pieces(vol))
+    return b"".join([bytes(piece) for piece in _nifti_pieces(vol)])
 
 
 def same_nifti(a: Volume3D, b: Volume3D) -> bool:
@@ -462,24 +479,30 @@ def _trilinear_at(src: np.ndarray, axes):
     return vals
 
 
-def upsample_trilinear(vol: Volume3D, factor, z_range=None) -> Volume3D:
+def upsample_trilinear(vol: Volume3D, factor, box=None) -> Volume3D:
     """Trilinear interpolation onto a grid refined by integer factors; target
     voxel centers are evaluated in source index space with edge clamping.
 
-    ``z_range = (z0, z1)`` evaluates only target slices ``z0 <= z < z1``: the
-    result equals those slices of the full upsample bit for bit, and its
-    affine maps index ``(0, 0, 0)`` to the full grid's ``(0, 0, z0)``.
+    ``box``, three half-open ``(start, stop)`` target index ranges, one per
+    axis, evaluates only that box: the result equals that box of the full
+    upsample bit for bit, and its affine maps index ``(0, 0, 0)`` to the
+    full grid's ``(x0, y0, z0)``. A range that is empty or leaves the target
+    grid raises.
     """
     fx, fy, fz = integer_factors(factor)
     dims = tuple(d * f for d, f in zip(vol.dims, (fx, fy, fz)))
-    z0, z1 = (0, dims[2]) if z_range is None else (int(z) for z in z_range)
-    if not 0 <= z0 < z1 <= dims[2]:
-        raise ValueError(f"z_range must lie in [0, {dims[2]}] and be nonempty, got {z_range}")
-    start, stop = (0, 0, z0), (dims[0], dims[1], z1)
+    try:
+        ranges = [(0, n) for n in dims] if box is None else [(int(a), int(b)) for a, b in box]
+    except (TypeError, ValueError):  # not a sequence of pairs
+        ranges = []
+    if not (len(ranges) == 3 and all(0 <= a < b <= n for (a, b), n in zip(ranges, dims))):
+        raise ValueError(f"box must be three nonempty (start, stop) ranges within the "
+                         f"target dims {dims}, got {box}")
+    start, stop = zip(*ranges)
     if (fx, fy, fz) == (1, 1, 1):
-        if z_range is None:
+        if box is None:
             return vol
-        data = vol.data[:, :, z0:z1]
+        data = vol.data[tuple(slice(a, b) for a, b in ranges)]
     else:
         # target voxel j has source index (j + 0.5) / f - 0.5
         axes = [(np.arange(a, b) + 0.5) / f - 0.5 for a, b, f in zip(start, stop, (fx, fy, fz))]

@@ -179,9 +179,11 @@ def test_thread_cap_env_var(monkeypatch):
 
     monkeypatch.setenv("REFAUDIT_THREADS", "3")
     assert thread_count() == 3
-    monkeypatch.setenv("REFAUDIT_THREADS", "abc")
-    with pytest.raises(ValueError, match="REFAUDIT_THREADS must be an integer, got 'abc'"):
-        thread_count()
+    for cap in ("abc", "0", "-2", "1.5"):
+        monkeypatch.setenv("REFAUDIT_THREADS", cap)
+        with pytest.raises(ValueError,
+                           match=f"REFAUDIT_THREADS must be a positive integer, got '{cap}'"):
+            thread_count()
     monkeypatch.delenv("REFAUDIT_THREADS")
     assert thread_count() >= 1
 
@@ -337,13 +339,16 @@ def test_demo_outputs_do_not_depend_on_the_thread_count(monkeypatch, tmp_path):
             assert outputs[0][name] == outputs[1][name], (argv[0], name)
 
 
+@pytest.mark.parametrize("cap", ["abc", "0", "-2"])
 @pytest.mark.parametrize("command", ["phantom", "demo"])
-def test_bad_thread_cap_exits_2_before_the_cohort_is_built(monkeypatch, tmp_path, capsys, command):
+def test_bad_thread_cap_exits_2_before_the_cohort_is_built(monkeypatch, tmp_path, capsys, command,
+                                                           cap):
     monkeypatch.setattr(cli, "generate_cohort", no_cohort)
-    monkeypatch.setenv("REFAUDIT_THREADS", "abc")
+    monkeypatch.setenv("REFAUDIT_THREADS", cap)
     rc, _ = run_cli([command, str(tmp_path / "out"), "-n", "2"])
     assert rc == 2
-    assert "REFAUDIT_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+    assert f"REFAUDIT_THREADS must be a positive integer, got '{cap}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestPhantomCommand:

@@ -404,28 +404,52 @@ class TestSlabCopy:
             got = den(np.zeros((4, 5, 8)), 7, {"slab_range": (z0, z0 + 8)})
             assert got.tobytes() == mu[:, :, z0 : z0 + 8].tobytes(), z0
 
-    def test_concurrent_threads_each_get_their_own_slab(self, rng):
-        mu = rng.standard_normal((4, 5, 20))
+    def test_a_box_is_read_on_its_slab_and_copied_once(self, rng):
+        # every box and x_t here are 4 x 5 x 8, so only the (slab_range, box)
+        # key tells the slabs apart
+        mu = rng.standard_normal((9, 10, 20))
         den = VolumeDenoiser(mu)
-        starts = (0, 4, 8, 12)  # more threads than a 2-core machine has cores
-        barrier = threading.Barrier(len(starts), timeout=30)
+        boxes = [(slice(0, 4), slice(0, 5)), (slice(5, 9), slice(5, 10)), (slice(2, 6), slice(3, 8))]
+        for z0, box in [(0, boxes[0]), (0, boxes[1]), (6, boxes[1]), (6, boxes[2]), (0, boxes[0])]:
+            condition = {"slab_range": (z0, z0 + 8), "box": box}
+            got = den(np.zeros((4, 5, 8)), 7, condition)
+            assert got.flags.c_contiguous and not got.flags.writeable
+            assert got.tobytes() == mu[box[0], box[1], z0 : z0 + 8].tobytes(), (z0, box)
+            assert den(np.zeros((4, 5, 8)), 3, dict(condition)) is got  # the chain's next step
+
+    @pytest.mark.parametrize("keyed_by", ["slab_range", "box"])
+    def test_concurrent_threads_each_get_their_own_slab(self, rng, keyed_by):
+        # four chains on four slab ranges of whole slices, or on four boxes
+        # of one slab range
+        if keyed_by == "slab_range":
+            mu = rng.standard_normal((4, 5, 20))
+            conditions = [{"slab_range": (z0, z0 + 8)} for z0 in (0, 4, 8, 12)]
+        else:
+            mu = rng.standard_normal((9, 10, 20))
+            conditions = [{"slab_range": (6, 14), "box": (slice(x0, x0 + 4), slice(y0, y0 + 5))}
+                          for x0, y0 in ((0, 0), (5, 5), (2, 3), (5, 0))]
+        den = VolumeDenoiser(mu)
+        barrier = threading.Barrier(len(conditions), timeout=30)  # more threads than cores
         wrong, done = [], []
 
-        def chain(z0):
+        def chain(n):
+            condition = conditions[n]
+            box = condition.get("box", (slice(None), slice(None)))
+            z0, z1 = condition["slab_range"]
             slabs = []
             for t in range(50, 0, -1):
                 barrier.wait()  # the threads' steps interleave
-                slabs.append(den(np.zeros((4, 5, 8)), t, {"slab_range": (z0, z0 + 8)}))
+                slabs.append(den(np.zeros((4, 5, 8)), t, condition))
             # each thread copied its slab once, and it is its own
             if any(got is not slabs[0] for got in slabs) or (
-                    slabs[0].tobytes() != mu[:, :, z0 : z0 + 8].tobytes()):
-                wrong.append(z0)
-            done.append(z0)
+                    slabs[0].tobytes() != mu[box[0], box[1], z0:z1].tobytes()):
+                wrong.append(n)
+            done.append(n)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=chain, args=(z0,)) for z0 in starts]
+            threads = [threading.Thread(target=chain, args=(n,)) for n in range(len(conditions))]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -433,7 +457,7 @@ class TestSlabCopy:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert sorted(done) == list(starts) and wrong == []
+        assert sorted(done) == list(range(len(conditions))) and wrong == []
 
 
 class TestSlabs:
@@ -572,7 +596,7 @@ def slab_cases(draw):
     """A slab geometry, a volume tall enough for a gap wider than one slab,
     and a removed mask: a voxel in slice 0 and one in slice nz - 1, a single
     voxel in a slice two slabs cover, two blocks more than one slab apart,
-    or nothing."""
+    a block that touches no in-plane border of the grid, or nothing."""
     spec = draw(st.sampled_from([SlabSpec(), SlabSpec(6, 3), SlabSpec(4, 2), SlabSpec(7, 2),
                                  SlabSpec(11, 5)]))
     nx, ny, nz = 4, 6, draw(st.integers(3 * spec.size, 5 * spec.size))
@@ -581,7 +605,8 @@ def slab_cases(draw):
     def voxel(z):
         removed[draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1)), z] = True
 
-    kind = draw(st.sampled_from(["ends", "overlap voxel", "two blocks", "empty"]))
+    kind = draw(st.sampled_from(["ends", "overlap voxel", "two blocks", "interior block",
+                                 "empty"]))
     if kind == "ends":
         voxel(0)
         voxel(nz - 1)
@@ -598,6 +623,13 @@ def slab_cases(draw):
         x0, y0 = draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1))
         removed[x0:, y0:, a:b] = True
         removed[:x0 + 1, :y0 + 1, b + gap:c] = True
+    elif kind == "interior block":
+        # the in-plane box starts past index 0 and ends before the last
+        # index, so a box taken at the wrong offset would show
+        x0, y0 = draw(st.integers(1, nx - 2)), draw(st.integers(1, ny - 2))
+        x1, y1 = draw(st.integers(x0 + 1, nx - 1)), draw(st.integers(y0 + 1, ny - 1))
+        z0 = draw(st.integers(0, nz - 1))
+        removed[x0:x1, y0:y1, z0 : draw(st.integers(z0 + 1, nz))] = True
     return spec, removed
 
 
@@ -662,8 +694,10 @@ class TestCascade:
     @pytest.mark.parametrize("eta", [0.0, 1.0])
     def test_composite_is_the_merge_inside_removed_and_defaced_outside(
             self, monkeypatch, small_phantom, small_head, eta):
-        # the composite is written into the merge buffer: it must equal the
-        # np.where selection from an untouched copy of the merge
+        # stage 2 is merged on the removed voxels' in-plane box alone, and the
+        # merge is pasted into a copy of defaced inside removed: the composite
+        # must equal the np.where selection from an untouched copy of the
+        # merge, placed at the box
         vol, brain, _ = small_phantom
         defaced, removed = quickshear(vol, brain, buffer_mm=8.0, head=small_head)
         merges = []
@@ -680,8 +714,15 @@ class TestCascade:
                              lambda x, t, c: c["defaced_lowres"].data + 0.05 * np.tanh(x),
                              lambda x, t, c: c["upsampled"] + 0.05 * np.tanh(x), config)
         (merged,) = merges
-        assert out.data.tobytes() == np.where(removed.data, merged, defaced.data).tobytes()
-        assert not np.array_equal(merged[~removed.data], defaced.data[~removed.data])
+        bx, by, _ = removed.bounding_box(0)
+        nx, ny, nz = defaced.dims
+        assert merged.shape == (bx.stop - bx.start, by.stop - by.start, nz)
+        assert merged.shape[0] * merged.shape[1] < nx * ny
+        placed = np.zeros(defaced.dims)
+        placed[bx, by] = merged
+        assert out.data.tobytes() == np.where(removed.data, placed, defaced.data).tobytes()
+        observed = ~removed.data[bx, by]
+        assert not np.array_equal(merged[observed], defaced.data[bx, by][observed])
 
     def test_empty_removed_returns_defaced_exactly(self, small_phantom):
         vol, brain, _ = small_phantom
@@ -700,11 +741,19 @@ class TestCascade:
         defaced, removed = quickshear(vol, brain, buffer_mm=8.0, head=small_head)
         calls = {1: [], 2: []}
 
+        bx, by, _ = removed.bounding_box(0)
+        defaced_read = []
+
         def recorder(stage):
             def denoise(x_t, t, condition):
                 calls[stage].append((np.shape(x_t), {
-                    k: v if k == "slab_range" else np.shape(v.data if isinstance(v, Volume3D) else v)
+                    k: v if k in ("slab_range", "box") else
+                    np.shape(v.data if isinstance(v, Volume3D) else v)
                     for k, v in condition.items()}))
+                if stage == 2:
+                    z0, z1 = condition["slab_range"]
+                    defaced_read.append(np.array_equal(condition["defaced"],
+                                                       defaced.data[bx, by, z0:z1]))
                 return np.zeros_like(x_t)
             return denoise
 
@@ -714,8 +763,14 @@ class TestCascade:
         for shape, seen in calls[1]:
             assert seen == {"defaced_lowres": shape}
         slab_ranges = [seen.pop("slab_range") for _, seen in calls[2]]
+        # stage 2 sees the removed voxels' in-plane box, which is smaller than
+        # a slice, and that box of the defaced image
+        box_shape = (bx.stop - bx.start, by.stop - by.start, config.slab.size)
+        assert box_shape[0] * box_shape[1] < defaced.dims[0] * defaced.dims[1]
+        assert defaced_read and all(defaced_read)
         for shape, seen in calls[2]:
-            assert seen == {"defaced": shape, "upsampled": shape}
+            assert seen == {"defaced": box_shape, "upsampled": box_shape, "box": (bx, by)}
+            assert shape == box_shape
         # exactly the slabs that cover a slice holding a removed voxel, in
         # tiling order, each for both steps
         meeting = ranges_meeting(removed.data, config.slab)
@@ -742,7 +797,8 @@ class TestCascade:
 
         cascade_reface(defaced, removed, lambda x, t, c: np.zeros_like(x), stage2, config,
                        slab_workers=3)
-        shape = (*defaced.dims[:2], config.slab.size)
+        bx, by, _ = removed.bounding_box(0)
+        shape = (bx.stop - bx.start, by.stop - by.start, config.slab.size)
         assert sorted(calls) == [(r, shape, shape, shape) for r in meeting for _ in range(2)]
 
     @pytest.mark.parametrize("eta", [0.0, 1.0])

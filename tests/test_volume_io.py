@@ -17,10 +17,12 @@ from refaudit.volume import (
     HEADER_SIZE,
     NIFTI_READ_BLOCK_ROWS,
     NIFTI_WRITE_BLOCK_PLANES,
+    NIFTI_WRITE_BLOCK_XS,
     TRILINEAR_BLOCK_VOXELS,
     VOX_OFFSET,
     BinaryMask,
     Volume3D,
+    _nifti_pieces,
     _trilinear_at,
     downsample,
     read_nifti,
@@ -341,6 +343,23 @@ class TestBlockedPayload:
             raw = write_nifti(grid)
             assert raw[VOX_OFFSET:] == grid.data.astype("<f4").tobytes(order="F")
 
+    @pytest.mark.parametrize("dims", [(NIFTI_WRITE_BLOCK_XS + 3, 5, NIFTI_WRITE_BLOCK_PLANES + 3),
+                                      (2 * NIFTI_WRITE_BLOCK_XS + 1, 3,
+                                       2 * NIFTI_WRITE_BLOCK_PLANES - 1)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_pieces_are_the_transposed_float32_payload(self, rng, dims, order):
+        # each block is transposed a few x-planes at a time into one reused
+        # buffer: dims on neither block boundary and an F-order source show
+        # a wrong tile or a stale buffer
+        data = np.asarray(rng.standard_normal(dims) * 1e3, order=order)
+        vol = make_volume(data)
+        mask = BinaryMask(data=np.asarray(rng.random(dims) < 0.4, order=order), affine=vol.affine)
+        for grid, values in ((vol, data), (mask, mask.data)):
+            header, *blocks = [bytes(piece) for piece in _nifti_pieces(grid)]
+            assert len(header) == VOX_OFFSET
+            assert len(blocks) == -(-dims[2] // NIFTI_WRITE_BLOCK_PLANES)
+            assert b"".join(blocks) == values.T.astype("<f4").tobytes()
+
     @pytest.mark.parametrize("dims", [(5, 6, 1), (6, 5, 2 * NIFTI_WRITE_BLOCK_PLANES + 1)])
     def test_files_hold_the_bytes_of_write_nifti(self, rng, tmp_path, dims):
         vol = random_volume(rng, np.float32).with_data(rng.standard_normal(dims) * 50)
@@ -561,28 +580,41 @@ class TestUpsample:
         assert np.allclose(out.affine, vol.affine, atol=1e-9)
 
     @pytest.mark.parametrize("factor", [(2, 3, 3), (1, 1, 1)])
-    def test_z_range_is_a_slice_of_the_full_upsample(self, rng, factor):
+    def test_box_is_a_slice_of_the_full_upsample(self, rng, factor):
         affine = np.array([[0.0, -1.2, 0.1, 4.0], [0.9, 0.0, 0.0, -2.5],
                            [0.05, 0.0, 1.7, 11.0], [0.0, 0.0, 0.0, 1.0]])
         vol = Volume3D(rng.standard_normal((5, 4, 7)), affine)
         full = upsample_trilinear(vol, factor)
-        nz = full.dims[2]
-        for z0, z1 in [(0, nz), (0, 1), (4, nz - 2), (nz - 1, nz)]:
-            part = upsample_trilinear(vol, factor, (z0, z1))
-            assert np.array_equal(part.data, full.data[:, :, z0:z1])
+        nx, ny, nz = full.dims
+        for box in [((0, nx), (0, ny), (0, nz)), ((0, 1), (0, ny), (0, 1)),
+                    ((1, nx - 1), (1, ny - 1), (4, nz - 2)), ((nx - 1, nx), (ny - 1, ny), (0, nz)),
+                    ((2, 3), (np.int64(1), 3), (nz - 1, nz))]:
+            part = upsample_trilinear(vol, factor, box)
+            assert np.array_equal(part.data, full.data[tuple(slice(a, b) for a, b in box)])
             assert part.spacing == full.spacing
             assert np.array_equal(part.affine[:3, :3], full.affine[:3, :3])
-            assert np.allclose(part.affine @ [0, 0, 0, 1], full.affine @ [0, 0, z0, 1],
+            corner = [*(a for a, _ in box), 1]
+            assert np.allclose(part.affine @ [0, 0, 0, 1], full.affine @ corner,
                                rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("factor, z_range", [
-        ((2, 3, 3), (3, 3)), ((2, 3, 3), (5, 2)), ((2, 3, 3), (-1, 4)), ((2, 3, 3), (0, 22)),
-        ((2, 3, 3), (21, 22)), ((1, 1, 1), (3, 3)), ((1, 1, 1), (-1, 4)), ((1, 1, 1), (0, 8)),
-    ])
-    def test_empty_or_out_of_grid_z_range_raises(self, rng, factor, z_range):
+    @pytest.mark.parametrize("factor", [(2, 3, 3), (1, 1, 1)])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("bad", ["empty", "reversed", "negative", "past the end"])
+    def test_empty_or_out_of_grid_box_raises(self, rng, factor, axis, bad):
         vol = make_volume(rng.standard_normal((5, 4, 7)))
-        with pytest.raises(ValueError, match="z_range"):
-            upsample_trilinear(vol, factor, z_range)
+        dims = [d * f for d, f in zip(vol.dims, factor)]
+        box = [(0, n) for n in dims]
+        box[axis] = {"empty": (2, 2), "reversed": (3, 1), "negative": (-1, 2),
+                     "past the end": (0, dims[axis] + 1)}[bad]
+        with pytest.raises(ValueError, match="box must be three nonempty"):
+            upsample_trilinear(vol, factor, box)
+
+    @pytest.mark.parametrize("box", [(0, 4), ((0, 4), (0, 4)), ((0, 4), (0, 4), (0, 4, 1))])
+    def test_box_of_another_shape_raises(self, rng, box):
+        # a z range alone, (z0, z1), is not a box
+        vol = make_volume(rng.standard_normal((5, 4, 7)))
+        with pytest.raises(ValueError, match="box must be three nonempty"):
+            upsample_trilinear(vol, 2, box)
 
 
 def trilinear_point(src, point):
