@@ -17,7 +17,6 @@ import json
 import math
 import shutil
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import fields, replace
 from pathlib import Path
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ddim import CascadeConfig, SlabSpec, stage2_slabs, thread_count
+from .ddim import CascadeConfig, SlabSpec, fan_out, stage2_slabs, thread_count
 from .deface import DEFAULT_BUFFER_MM, QUICKSHEAR_VERSION, quickshear
 from .denoisers import mirror_fill, reface
 from .errors import FormatError, GeometryMismatchError, JoinError
@@ -158,19 +157,18 @@ def _quality_row(subject_id: str, rec) -> list:
 
 def _run_cohort(args, kind: str, subject, finish=None) -> int:
     """The cohort run of ``phantom`` and ``demo``: derive ``args.count``
-    subjects from ``args.seed``, call ``subject(case, out)`` for each on the
-    thread pool, then write ``manifest.json`` with the fields that
+    subjects from ``args.seed``, ``fan_out`` ``subject(case, out)`` over
+    them, then write ``manifest.json`` with the fields that
     ``finish(out, results)`` returns (results in subject order). A failure
     removes what the run wrote.
 
     Each task gets its own unbuilt copy of its case, so its phantom is
     rasterized on the worker and freed with the subject: the run holds only
     the phantoms its workers are using."""
-    workers = thread_count()
+    thread_count()  # a bad REFAUDIT_THREADS raises here, before any output
     with _output_dir(args.out_dir) as out:
         cohort = generate_cohort(args.count, args.seed)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda case: subject(replace(case), out), cohort))
+        results = fan_out(lambda case: subject(replace(case), out), cohort)
         manifest = {**_base_metadata(args.seed), "kind": kind, "count": args.count,
                     "subjects": [c.subject_id for c in cohort],
                     **(finish(out, results) if finish else {})}
@@ -322,7 +320,7 @@ def cmd_correlate(args) -> int:
 DEMO_IMAGES = ("original", "defaced", "removed", "refaced_oracle", "refaced_stub")
 
 
-def _demo_subject(case, out, config, buffer_mm, slab_workers=None):
+def _demo_subject(case, out, config, buffer_mm):
     vol, brain = case.volume, case.brain
     head = head_mask(vol)
     defaced, removed = quickshear(vol, brain, buffer_mm=buffer_mm, head=head)
@@ -330,7 +328,7 @@ def _demo_subject(case, out, config, buffer_mm, slab_workers=None):
         raise ValueError(f"{case.subject_id}: --buffer-mm {buffer_mm} leaves no face voxel "
                          "to remove, so there is nothing to reface or score")
     refaced_oracle, refaced_stub = reface(
-        defaced, removed, (vol, mirror_fill(defaced, removed)), config, slab_workers)
+        defaced, removed, (vol, mirror_fill(defaced, removed)), config)
 
     sid = case.subject_id
     files = [f"{sid}_{name}.nii.gz" for name in DEMO_IMAGES]
@@ -383,14 +381,9 @@ def cmd_demo(args) -> int:
                                                          for f in files)]),
         }
 
-    # the cohort pool runs min(cap, n) subjects at once; each subject's
-    # stage-2 slabs share what is left of the thread cap
-    cap = thread_count()
-    slab_workers = cap // min(cap, args.count)
     # _demo_subject is looked up per call, so a wrapper set on the module applies
     return _run_cohort(args, "demo-run",
-                       lambda case, out: _demo_subject(case, out, config, args.buffer_mm,
-                                                       slab_workers),
+                       lambda case, out: _demo_subject(case, out, config, args.buffer_mm),
                        finish)
 
 

@@ -26,10 +26,12 @@ draws its noise on whole slices so that the box keeps the full pass's values.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -51,6 +53,8 @@ Denoiser = Callable[[np.ndarray, int, Any], np.ndarray]
 T_STEPS = 1000
 BETA_START = 1e-4
 BETA_END = 0.02
+
+_THREAD_SHARE = contextvars.ContextVar("thread_share", default=None)  # see fan_out
 
 
 @dataclass(frozen=True)
@@ -105,13 +109,16 @@ def uniform_steps(T: int, n: int) -> list:
 
 
 def thread_count() -> int:
-    """The process's thread budget: ``REFAUDIT_THREADS`` if set, else the
-    CPU count up to 8. The cohort pool of the CLI and the stage-2 slab
-    workers of ``cascade_reface`` share it. A value that is not a positive
-    integer raises."""
+    """The thread budget: inside a ``fan_out`` task, the task's share;
+    else ``REFAUDIT_THREADS`` if set, else the CPUs this process may run
+    on, up to 8. A ``REFAUDIT_THREADS`` that is not a positive integer
+    raises."""
+    if (share := _THREAD_SHARE.get()) is not None:
+        return share
     cap = os.environ.get("REFAUDIT_THREADS")
     if not cap:
-        return min(os.cpu_count() or 1, 8)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        return min(cpus or 1, 8)
     try:
         threads = int(cap)
     except ValueError:
@@ -119,6 +126,26 @@ def thread_count() -> int:
     if threads < 1:
         raise ValueError(f"REFAUDIT_THREADS must be a positive integer, got {cap!r}")
     return threads
+
+
+def fan_out(fn: Callable, items) -> list:
+    """``[fn(item) for item in items]`` on ``min(thread_count(), len(items))``
+    threads (the calling thread if that is one), each call in a copy of the
+    caller's ``contextvars`` context where ``thread_count()`` is the budget
+    divided among the workers. The first failure in item order is raised."""
+    items = list(items)
+    budget = thread_count()
+    workers = max(1, min(budget, len(items)))
+
+    def call(item):
+        _THREAD_SHARE.set(budget // workers)
+        return fn(item)
+
+    tasks = [partial(contextvars.copy_context().run, call, item) for item in items]
+    if workers == 1:
+        return [task() for task in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda task: task(), tasks))
 
 
 def _require_chain(x) -> None:
@@ -323,7 +350,6 @@ def cascade_reface(
     stage1: Denoiser,
     stage2: Denoiser,
     config: CascadeConfig = CascadeConfig(),
-    slab_workers: int | None = None,
 ) -> Volume3D:
     """Two-stage refacing: a 3D low-resolution imputation pass conditioned on
     the downsampled defaced image, then slab-wise super-resolution
@@ -354,16 +380,12 @@ def cascade_reface(
     denoiser's does) every kept voxel is the one a full-slice pass over the
     whole tiling gives, bit for bit.
 
-    The sampled slabs' chains run on ``slab_workers`` threads (default
-    ``thread_count()``, and never more than there are sampled slabs), so
-    ``stage2`` is called concurrently from several threads and must be
-    thread-safe; a pure function is. The output is bitwise the same for any
-    worker count. A caller that already runs cascades in parallel passes
-    its share of the thread budget.
+    The sampled slabs' chains ``fan_out`` over the thread budget (a cascade
+    in a ``fan_out`` task gets that task's share), so ``stage2`` is called
+    concurrently from several threads and must be thread-safe; a pure
+    function is. The output is bitwise the same for any worker count.
     """
     require_same_geometry(defaced, removed, "defaced volume and removed mask")
-    if slab_workers is not None and slab_workers < 1:
-        raise ValueError(f"slab_workers must be >= 1, got {slab_workers}")
     schedule = make_schedule(T_STEPS)
     steps = uniform_steps(T_STEPS, config.sample_steps)
     nx, ny, nz = defaced.dims
@@ -401,13 +423,7 @@ def cascade_reface(
         sample(stage2, cond2, schedule, steps, noise.standard_normal(out=slab_out[i]),
                eta=config.eta, rng=noise)
 
-    workers = min(thread_count() if slab_workers is None else slab_workers, len(sampled))
-    if workers == 1:
-        for i in sampled:
-            run_slab(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_slab, sampled))  # reading every result re-raises a failure
+    fan_out(run_slab, sampled)
     # free the stage-1 upsample before the merge and the chains after it;
     # the merge spans only the box, so the composite's one whole-grid array
     # is the copy of defaced that the merged box is pasted into

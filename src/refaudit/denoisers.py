@@ -125,13 +125,13 @@ def mirror_fill(defaced: Volume3D, removed: BinaryMask) -> Volume3D:
     return defaced.with_data(filled)
 
 
-def reface(defaced: Volume3D, removed: BinaryMask, priors, config: CascadeConfig = CascadeConfig(),
-           slab_workers: int | None = None) -> list[Volume3D]:
+def reface(defaced: Volume3D, removed: BinaryMask, priors,
+           config: CascadeConfig = CascadeConfig()) -> list[Volume3D]:
     """One ``cascade_reface`` of ``defaced`` per volume of ``priors``, in
     order: stage 1 is the ``VolumeDenoiser`` of the prior downsampled by
     ``config.downsample_factor``, stage 2 that of the prior itself. Each
     prior is drawn only after the previous refacing is made."""
     return [cascade_reface(defaced, removed,
                            VolumeDenoiser(downsample(prior, config.downsample_factor)),
-                           VolumeDenoiser(prior), config, slab_workers)
+                           VolumeDenoiser(prior), config)
             for prior in priors]

@@ -72,13 +72,16 @@ class PhantomGeometry:
     seed: int
     params: PhantomParams
     head_center: tuple
-    head_radii: tuple
     brain_center: tuple
     brain_radii: tuple
     nose_center: tuple
     nose_radii: tuple
     brow_center: tuple
     brow_radii: tuple
+
+    @property
+    def head_radii(self) -> tuple:
+        return self.params.head_radii
 
     def contains_head(self, points):
         """Membership in the full head union (ellipsoid, nose, brow)."""
@@ -101,9 +104,8 @@ class PhantomGeometry:
         return tip
 
     def to_json_dict(self) -> dict:
-        """The record's fields and its parameters' in one flat dict (they
-        share ``head_radii``), tuples as lists, plus the shell band and the
-        tissue intensities."""
+        """The record's fields and its parameters' in one flat dict, tuples
+        as lists, plus the shell band and the tissue intensities."""
         record = asdict(self)
         record = {**record.pop("params"), **record, "shell_band": SHELL_BAND}
         return {
@@ -147,7 +149,6 @@ def _derive_geometry(seed: int, params: PhantomParams) -> PhantomGeometry:
         seed=seed,
         params=params,
         head_center=(cx, cy, cz),
-        head_radii=(rx, ry, rz),
         brain_center=brain_center,
         brain_radii=brain_radii,
         nose_center=nose_center,

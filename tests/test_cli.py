@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import refaudit.cli as cli
+import refaudit.ddim as ddim
 import refaudit.denoisers as denoisers
 import refaudit.masks as masks
 import refaudit.phantom as phantom
@@ -186,6 +187,45 @@ def test_thread_cap_env_var(monkeypatch):
             thread_count()
     monkeypatch.delenv("REFAUDIT_THREADS")
     assert thread_count() >= 1
+
+
+def test_default_thread_budget_is_the_usable_cpus_up_to_8(monkeypatch):
+    from refaudit.cli import thread_count
+
+    monkeypatch.delenv("REFAUDIT_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    # pinned to one CPU of eight, the process may run one thread at a time
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert thread_count() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(12)), raising=False)
+    assert thread_count() == 8
+    # where the CPU set cannot be read, the CPU count stands in
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert thread_count() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert thread_count() == 1
+
+
+@pytest.mark.parametrize("count, share", [(1, 4), (2, 2), (3, 1)])
+def test_demo_divides_the_thread_budget_between_subjects_and_slabs(monkeypatch, tmp_path,
+                                                                    count, share):
+    # the subjects fan out over the budget of 4, and each subject's
+    # cascades get its share for their slabs
+    cascade = denoisers.cascade_reface
+    seen = []
+
+    def record_share(*args, **kwargs):
+        seen.append(ddim.thread_count())
+        return cascade(*args, **kwargs)
+
+    monkeypatch.setenv("REFAUDIT_THREADS", "4")
+    monkeypatch.setattr(cli, "generate_cohort", small_cohort)
+    monkeypatch.setattr(denoisers, "cascade_reface", record_share)
+    rc, _ = run_cli(["demo", str(tmp_path / "out"), "-n", str(count), "--steps", "1",
+                     "--boot", "10"])
+    assert rc == 0
+    assert seen == [share] * 2 * count  # the oracle's and the stub's cascade per subject
 
 
 def no_cohort(*args, **kwargs):

@@ -1,8 +1,12 @@
 import importlib.util
+import contextvars
 import math
+import os
 import sys
 import threading
+import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -633,6 +637,85 @@ def slab_cases(draw):
     return spec, removed
 
 
+def threads(budget):
+    """``REFAUDIT_THREADS`` set to ``budget`` while the block runs."""
+    return mock.patch.dict(os.environ, {"REFAUDIT_THREADS": str(budget)})
+
+
+class TestFanOut:
+    def test_results_come_back_in_item_order(self):
+        # later items finish first, so completion order is the reverse
+        def square(i):
+            time.sleep(0.002 * (8 - i))
+            return i * i
+
+        with threads(4):
+            assert ddim.fan_out(square, range(8)) == [i * i for i in range(8)]
+            assert ddim.fan_out(square, []) == []
+
+    def test_a_budget_of_one_runs_in_the_calling_thread(self):
+        with threads(1):
+            idents = ddim.fan_out(lambda _: threading.get_ident(), range(5))
+        assert idents == [threading.get_ident()] * 5
+
+    def test_runs_min_of_budget_and_items_at_once(self):
+        # each task waits at a barrier for the others, so the fan-out passes
+        # only if all three run at once
+        barrier = threading.Barrier(3, timeout=60)
+
+        def meet(_):
+            barrier.wait()
+            return threading.get_ident()
+
+        with threads(4):
+            idents = ddim.fan_out(meet, range(3))
+        assert len(set(idents)) == 3
+
+    @pytest.mark.parametrize("n_items, share", [(1, 4), (2, 2), (3, 1), (5, 1)])
+    def test_each_task_gets_its_share_of_the_budget(self, n_items, share):
+        with threads(4):
+            assert ddim.fan_out(lambda _: ddim.thread_count(), range(n_items)) == [share] * n_items
+            assert ddim.thread_count() == 4
+
+    def test_a_nested_fan_out_divides_the_share_again(self):
+        def inner(n_items):
+            return ddim.fan_out(lambda _: ddim.thread_count(), range(n_items))
+
+        with threads(4):
+            # 4 over 2 tasks gives each 2; 2 over 2 inner tasks gives each 1
+            assert ddim.fan_out(inner, [2, 1]) == [[1, 1], [2]]
+            assert ddim.thread_count() == 4
+
+    def test_tasks_see_the_callers_context_and_leave_it_unchanged(self):
+        var = contextvars.ContextVar("caller")
+        token = var.set("outer")
+        try:
+            def task(i):
+                seen = var.get()
+                var.set(f"task {i}")  # set in the task's copy only
+                return seen
+
+            with threads(2):
+                assert ddim.fan_out(task, range(4)) == ["outer"] * 4
+                assert ddim.thread_count() == 2
+            assert var.get() == "outer"
+        finally:
+            var.reset(token)
+
+    @pytest.mark.parametrize("budget", [1, 4])
+    def test_the_first_failure_in_item_order_is_raised(self, budget):
+        # on a pool, item 4 fails before item 2 does, but item 2 comes first
+        def fail(i):
+            if i == 2:
+                time.sleep(0.05)
+            if i in (2, 4):
+                raise ValueError(f"item {i}")
+            return i
+
+        with threads(budget), pytest.raises(ValueError, match="item 2"):
+            ddim.fan_out(fail, range(6))
+
+
 class TestCascade:
     @given(case=slab_cases(), eta=st.sampled_from([0.0, 1.0]),
            steps=st.integers(1, 4), seed=st.integers(0, 2**16), workers=st.integers(1, 3))
@@ -654,7 +737,8 @@ class TestCascade:
             sampled.append(c["slab_range"])
             return c["upsampled"] + 0.05 * np.tanh(x)
 
-        out = cascade_reface(defaced, removed, stage1, stage2, config, slab_workers=workers)
+        with threads(workers):
+            out = cascade_reface(defaced, removed, stage1, stage2, config)
         # one worker calls in tiling order; several interleave their slabs
         want_calls = [r for r in ranges_meeting(gone, spec) for _ in range(steps)]
         assert (sampled if workers == 1 else sorted(sampled)) == want_calls
@@ -758,7 +842,8 @@ class TestCascade:
             return denoise
 
         config = CascadeConfig(sample_steps=2, seed=0)
-        cascade_reface(defaced, removed, recorder(1), recorder(2), config, slab_workers=1)
+        with threads(1):
+            cascade_reface(defaced, removed, recorder(1), recorder(2), config)
         assert len(calls[1]) == 2
         for shape, seen in calls[1]:
             assert seen == {"defaced_lowres": shape}
@@ -795,30 +880,26 @@ class TestCascade:
                           np.shape(condition["defaced"]), np.shape(condition["upsampled"])))
             return np.zeros_like(x_t)
 
-        cascade_reface(defaced, removed, lambda x, t, c: np.zeros_like(x), stage2, config,
-                       slab_workers=3)
+        with threads(3):
+            cascade_reface(defaced, removed, lambda x, t, c: np.zeros_like(x), stage2, config)
         bx, by, _ = removed.bounding_box(0)
         shape = (bx.stop - bx.start, by.stop - by.start, config.slab.size)
         assert sorted(calls) == [(r, shape, shape, shape) for r in meeting for _ in range(2)]
 
     @pytest.mark.parametrize("eta", [0.0, 1.0])
-    def test_output_does_not_depend_on_slab_workers(self, small_phantom, small_head, eta):
+    def test_output_does_not_depend_on_the_thread_count(self, small_phantom, small_head, eta):
         # s > 0 makes every prediction read x_t, so a chain on another stream
         # or a step that read a changed x_t would show
         vol, brain, _ = small_phantom
         defaced, removed = quickshear(vol, brain, buffer_mm=8.0, head=small_head)
         config = CascadeConfig(sample_steps=5, eta=eta, seed=3)
         den = VolumeDenoiser(0.4, 2.0, make_schedule(T_STEPS))
-        outs = [cascade_reface(defaced, removed, den, den, config, slab_workers=w).data.tobytes()
-                for w in (1, 2, 3)]
+        outs = []
+        for w in (1, 2, 3):
+            with threads(w):
+                outs.append(cascade_reface(defaced, removed, den, den, config).data.tobytes())
         assert outs[0] == outs[1] == outs[2]
         assert outs[0] == full_tiling_cascade(defaced, removed, den, den, config).tobytes()
-
-    def test_slab_workers_must_be_positive(self, small_phantom, small_head):
-        vol, brain, _ = small_phantom
-        defaced, removed = quickshear(vol, brain, buffer_mm=8.0, head=small_head)
-        with pytest.raises(ValueError, match="slab_workers must be >= 1, got 0"):
-            cascade_reface(defaced, removed, None, None, slab_workers=0)
 
     def test_oracle_denoisers_close_the_loop(self, small_phantom, small_head):
         from refaudit.surface import face_distance_report
@@ -863,11 +944,12 @@ class TestCascade:
         defaced, removed = quickshear(vol, brain, buffer_mm=8.0, head=small_head)
         filled = mirror_fill(defaced, removed)
         config = CascadeConfig(sample_steps=3, eta=eta, seed=7)
-        outs = reface(defaced, removed, [vol, filled], config, slab_workers=workers)
-        want = [cascade_reface(defaced, removed,
-                               VolumeDenoiser(downsample(prior, config.downsample_factor)),
-                               VolumeDenoiser(prior), config, slab_workers=workers)
-                for prior in (vol, filled)]
+        with threads(workers):
+            outs = reface(defaced, removed, [vol, filled], config)
+            want = [cascade_reface(defaced, removed,
+                                   VolumeDenoiser(downsample(prior, config.downsample_factor)),
+                                   VolumeDenoiser(prior), config)
+                    for prior in (vol, filled)]
         assert [out.data.tobytes() for out in outs] == [w.data.tobytes() for w in want]
         assert outs[0].data.tobytes() != outs[1].data.tobytes()
 
